@@ -41,6 +41,7 @@ from ..parallel.scheduler import BatchScheduler, BatchTask
 from ..runtime.checkpoint import CheckpointLog, instance_key
 from ..runtime.executor import ExecutionOutcome, FaultTolerantExecutor
 from ..runtime.faults import FaultPlan
+from ..runtime.racing import DEFAULT_RACE_ENGINES, RACE_WIDTH
 from ..truthtable.table import TruthTable
 
 __all__ = [
@@ -59,7 +60,7 @@ class Algorithm:
     """A named synthesis engine adapter.
 
     ``engines`` names the runtime fallback chain (registry keys from
-    :mod:`repro.runtime.engines`); when ``None`` the bare ``run``
+    :mod:`repro.engine`); when ``None`` the bare ``run``
     callable is executed in-process with no fallback.  ``engine_kwargs``
     carries per-engine tuning knobs across the chain.
     """
@@ -307,14 +308,14 @@ def run_suite(
     persistent chain store consulted lookup-before-synthesize and
     written back on miss.
 
-    ``race=True`` swaps every executor for a
-    :class:`~repro.runtime.racing.RacingExecutor`: the algorithm's
-    named engines run concurrently on each instance (first verified
-    exact answer wins, losers are cancelled), a single
-    health/breaker tracker is shared across the whole suite, and
-    exhausted instances degrade to stored upper bounds (``status ==
-    "degraded"``, ``exact=False``) instead of plain timeouts.
-    Algorithms with a single named engine race the default lane set.
+    ``race=True`` makes every executor race its lanes (``RACE_WIDTH``):
+    the algorithm's named engines run concurrently on each instance in
+    isolated workers (first verified exact answer wins, losers are
+    cancelled), and a single health/breaker tracker is shared across
+    the whole suite.  Algorithms with a single named engine race the
+    default lane set.  Either way, a store-backed instance with no
+    exact answer degrades to the stored upper bound (``status ==
+    "degraded"``, ``exact=False``) instead of a plain failure.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -492,40 +493,24 @@ def _executor_for(
     race: bool = False,
     health=None,
 ):
-    if race:
-        from ..runtime.racing import DEFAULT_RACE_ENGINES, RacingExecutor
-
-        if algorithm.engines is None:
-            raise ValueError(
-                f"algorithm {algorithm.name!r} has no named engine "
-                "chain and cannot be raced"
-            )
-        lanes = algorithm.engines
-        if len(lanes) < 2:
-            # A single lane is not a race; widen to the default set
-            # (keeping the algorithm's engine in front).
-            lanes = tuple(
-                dict.fromkeys(lanes + DEFAULT_RACE_ENGINES)
-            )
-        return RacingExecutor(
-            lanes,
-            health=health,
-            store=store,
-            fault_plan=fault_plan,
-            memory_limit_mb=memory_limit_mb,
-            engine_kwargs=algorithm.engine_kwargs,
-        )
     if algorithm.engines is not None:
         engines: Sequence = algorithm.engines
     else:
-        engines = [(algorithm.name.lower(), algorithm.run)]
-        if isolate:
+        if isolate or race:
             raise ValueError(
                 f"algorithm {algorithm.name!r} has no named engine "
-                "chain and cannot be process-isolated"
+                "chain and cannot be process-isolated or raced"
             )
+        engines = [(algorithm.name.lower(), algorithm.run)]
+    if race:
+        if len(engines) < 2:
+            # A single lane is not a race; widen to the default set
+            # (keeping the algorithm's engine in front).
+            engines = tuple(dict.fromkeys(engines + DEFAULT_RACE_ENGINES))
     return FaultTolerantExecutor(
         engines,
+        width=RACE_WIDTH if race else 1,
+        health=health,
         isolate=isolate,
         max_retries=max_retries,
         memory_limit_mb=memory_limit_mb,
@@ -564,8 +549,8 @@ def _to_instance_outcome(
             stats=result.stats.to_record(),
         )
     if outcome.degraded:
-        # Racing's graceful degradation: a verified upper bound was
-        # served; solved stays False (exactness was not established)
+        # The executor's graceful degradation: a verified upper bound
+        # was served; solved stays False (exactness was not established)
         # but the chain's size is still worth recording.
         result = outcome.result
         return InstanceOutcome(

@@ -15,10 +15,12 @@ per-engine trail is printed on stderr.  Failures map to distinct exit
 codes so scripts can branch on them:
 
 With ``--race`` several engines run concurrently in isolated workers
-(first verified exact answer wins, losers are killed); when every
-exact lane exhausts its budget the run *degrades* to the best-known
-upper bound from the chain store, reported with its own exit code so
-scripts can tell "non-optimal answer served" from "no answer at all".
+(first verified exact answer wins, losers are killed).  When no exact
+answer comes back — every engine of the chain failed, or every exact
+lane of the race — the run *degrades* to the best-known upper bound
+(from ``--store``, or a heuristic race lane's held answer), reported
+with its own exit code so scripts can tell "non-optimal answer
+served" from "no answer at all".
 
 ====  =============================================
 code  meaning
@@ -40,9 +42,10 @@ from typing import Sequence
 
 from .chain.costs import COST_MODELS, rank_solutions
 from .network import LogicNetwork, network_to_blif
-from .runtime.engines import ENGINE_NAMES
+from .engine import engine_names
 from .runtime.executor import FaultTolerantExecutor, format_trail
 from .runtime.faults import FaultPlan, FaultSpec
+from .runtime.racing import DEFAULT_RACE_ENGINES, RACE_WIDTH
 from .truthtable import from_hex
 
 #: Exit codes for the structured failure modes.
@@ -80,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        choices=ENGINE_NAMES,
+        choices=engine_names(),
         default="stp",
         help="synthesis engine (default: stp)",
     )
@@ -172,6 +175,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     engines: tuple[str, ...] = (args.engine,)
     if not args.no_fallback and args.engine != "fen":
         engines = (args.engine, "fen")
+    if args.race:
+        engines = tuple(dict.fromkeys(engines + DEFAULT_RACE_ENGINES))
     engine_kwargs = {
         name: {
             "max_solutions": args.max_solutions,
@@ -195,29 +200,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         from .store import ChainStore
 
         store = ChainStore(args.store)
-    if args.race:
-        from .runtime.racing import DEFAULT_RACE_ENGINES, RacingExecutor
-
-        lanes = tuple(dict.fromkeys(engines + DEFAULT_RACE_ENGINES))
-        executor = RacingExecutor(
-            lanes,
-            memory_limit_mb=args.memory_limit_mb,
-            fault_plan=fault_plan,
-            engine_kwargs={
-                name: dict(engine_kwargs.get(args.engine, {}))
-                for name in lanes
-            },
-            store=store,
-        )
-    else:
-        executor = FaultTolerantExecutor(
-            engines,
-            isolate=args.isolate,
-            memory_limit_mb=args.memory_limit_mb,
-            fault_plan=fault_plan,
-            engine_kwargs=engine_kwargs,
-            store=store,
-        )
+    executor = FaultTolerantExecutor(
+        engines,
+        width=RACE_WIDTH if args.race else 1,
+        isolate=args.isolate,
+        memory_limit_mb=args.memory_limit_mb,
+        fault_plan=fault_plan,
+        engine_kwargs=engine_kwargs,
+        store=store,
+    )
     store_counters = None
     try:
         outcome = executor.run(target, timeout=args.timeout)
@@ -237,7 +228,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"fell back: {outcome.fallback_from} -> {outcome.engine}",
             file=sys.stderr,
         )
-    if args.race and getattr(executor, "last_cancellations", None):
+    if executor.last_cancellations:
         cancelled = ", ".join(
             f"{c.engine} ({c.seconds * 1000:.1f}ms)"
             for c in executor.last_cancellations

@@ -39,8 +39,8 @@ from ..truthtable.dsd import DSDNode, dsd_decompose
 from ..truthtable.operations import NONTRIVIAL_BINARY_OPS
 from ..truthtable.table import TruthTable
 from .context import SynthesisContext
+from .pipeline import canonicalize_dont_cares
 from .spec import Deadline, SynthesisResult, SynthesisSpec
-from .synthesizer import _canonicalize_dont_cares
 
 __all__ = ["HierarchicalSynthesizer", "hierarchical_synthesize"]
 
@@ -134,7 +134,7 @@ class HierarchicalSynthesizer:
             built = BooleanChain(local.num_vars)
             top, complemented = _build(tree, built, picked)
             built.set_output(top, complemented)
-            base = _canonicalize_dont_cares(built)
+            base = canonicalize_dont_cares(built)
             if base.simulate_output() != local:
                 raise AssertionError("hierarchical chain is incorrect")
             for variant in self._polarity_closure(base, local, deadline):
@@ -204,7 +204,7 @@ class HierarchicalSynthesizer:
             for j, signal in enumerate(flippable):
                 if (combo >> j) & 1:
                     variant = flip_signal(variant, signal)
-            yield _canonicalize_dont_cares(variant)
+            yield canonicalize_dont_cares(variant)
 
 
 def _collect_primes(tree: DSDNode) -> list[DSDNode]:

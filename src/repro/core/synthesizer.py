@@ -29,16 +29,10 @@ from ..chain.chain import BooleanChain
 from ..truthtable.operations import NONTRIVIAL_BINARY_OPS
 from ..truthtable.table import TruthTable
 from .context import SynthesisContext
-from .pipeline import canonicalize_dont_cares, dedup_chains, run_pipeline
+from .pipeline import run_pipeline
 from .spec import SynthesisResult, SynthesisSpec
 
 __all__ = ["STPSynthesizer", "synthesize", "synthesize_all"]
-
-# Compatibility aliases: these helpers predate the pipeline module and
-# are imported under their old private names elsewhere in the codebase.
-_canonicalize_dont_cares = canonicalize_dont_cares
-_dedup = dedup_chains
-
 
 class STPSynthesizer:
     """Exact synthesizer driven by the STP circuit solver.

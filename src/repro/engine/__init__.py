@@ -6,13 +6,16 @@ synthesizer (:mod:`~repro.engine.adapters`).  Importing this package
 registers the six built-in engines: ``stp``, ``hier``, ``fen``,
 ``bms``, ``lutexact``, and ``cegis``.
 
-:func:`run_engine` is the convenience dispatch used by the runtime's
-named-engine shim: it builds a :class:`SynthesisSpec` from a bare
-``(function, timeout)`` pair, instantiates the named engine with any
-extra knobs as spec overrides, and runs it.
+:func:`run_engine` is the convenience dispatch the runtime's executor
+and isolated workers call by engine name: it builds a
+:class:`SynthesisSpec` from a bare ``(function, timeout)`` pair,
+instantiates the named engine with any extra knobs as spec overrides,
+and runs it.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from ..core.spec import SynthesisResult, SynthesisSpec
 from ..truthtable.table import TruthTable
@@ -52,21 +55,27 @@ __all__ = [
 
 def run_engine(
     name: str,
-    function: TruthTable,
+    function: TruthTable | Sequence[TruthTable],
     timeout: float | None = None,
     ctx=None,
     **kwargs,
 ) -> SynthesisResult:
     """Dispatch a bare ``(function, timeout)`` call to a named engine.
 
-    ``kwargs`` become spec overrides for knobs the engine supports;
-    the rest are ignored (the fallback-chain contract).  ``min_gates``
-    is a spec knob shared by every engine: the store's negative cache
-    passes the proven-infeasible gate floor through it.
+    ``function`` is one truth table or a joint output vector (which the
+    adapters synthesize by decompose-and-share).  Unknown names raise
+    :class:`~repro.runtime.errors.EngineUnavailable`.  ``kwargs``
+    become spec overrides for knobs the engine supports; the rest are
+    ignored (the fallback-chain contract).  ``min_gates`` is a spec
+    knob shared by every engine: the store's negative cache passes the
+    proven-infeasible gate floor through it.
     """
     min_gates = int(kwargs.pop("min_gates", 0) or 0)
     engine = create_engine(name, **kwargs)
+    functions = (
+        (function,) if isinstance(function, TruthTable) else tuple(function)
+    )
     spec = SynthesisSpec(
-        function=function, timeout=timeout, min_gates=min_gates
+        functions=functions, timeout=timeout, min_gates=min_gates
     )
     return engine.synthesize(spec, ctx)

@@ -225,9 +225,9 @@ def rewrite_with_store(
     engines:
         Engine fallback chain for cache misses (registry names).
     race:
-        Race the default engine portfolio per miss
-        (:class:`~repro.runtime.racing.RacingExecutor`) instead of
-        walking a fallback chain.
+        Race the default engine portfolio per miss in isolated workers
+        (the executor's ``width``) instead of walking a fallback
+        chain.
     timeout_per_cut:
         Synthesis budget per cut miss, seconds (None = unbounded).
     executor:
@@ -244,16 +244,16 @@ def rewrite_with_store(
         COST_MODELS[tie_break] if isinstance(tie_break, str) else tie_break
     )
     if executor is None:
-        if race:
-            from ..runtime.racing import RacingExecutor
+        from ..runtime.executor import FaultTolerantExecutor
+        from ..runtime.health import EngineHealth
+        from ..runtime.racing import DEFAULT_RACE_ENGINES, RACE_WIDTH
 
-            executor = RacingExecutor(store=store)
-        else:
-            from ..runtime.executor import FaultTolerantExecutor
-
-            executor = FaultTolerantExecutor(
-                tuple(engines), store=store
-            )
+        executor = FaultTolerantExecutor(
+            DEFAULT_RACE_ENGINES if race else tuple(engines),
+            width=RACE_WIDTH if race else 1,
+            health=EngineHealth() if race else None,
+            store=store,
+        )
 
     result = StoreRewriteResult(
         gates_before=network.num_gates(),
@@ -265,14 +265,15 @@ def rewrite_with_store(
         if trivial is not None:
             return [trivial]
         outcome = executor.run(local, timeout_per_cut)
-        if outcome.engine == "store":
+        solved = outcome.status == "ok" and outcome.result is not None
+        # A failure may degrade to a stored upper bound, which is not
+        # a hit: only a solved outcome served from the store counts.
+        if solved and outcome.engine == "store":
             result.store_hits += 1
         else:
             result.store_misses += 1
             result.synthesis_calls += 1
-        if outcome.status != "ok" or outcome.result is None:
-            return None
-        return outcome.result.chains
+        return outcome.result.chains if solved else None
 
     working = network.copy()
     _rewrite_pass(

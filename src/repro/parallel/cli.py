@@ -30,8 +30,7 @@ from typing import Sequence
 
 from ..bench.runner import Algorithm, run_suite
 from ..bench.suites import SUITE_NAMES, get_suite
-from ..engine import run_engine
-from ..runtime.engines import ENGINE_NAMES
+from ..engine import engine_names, run_engine
 from ..truthtable import from_hex
 from ..truthtable.table import TruthTable
 
@@ -70,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        choices=ENGINE_NAMES,
+        choices=engine_names(),
         default="stp",
         help="primary synthesis engine (default: stp)",
     )

@@ -6,9 +6,11 @@ rlimit-capped worker process with a hard wall-clock kill
 (:mod:`repro.runtime.worker`).  The scheduler exploits exactly that:
 ``jobs`` lightweight dispatcher threads pull tasks from a work queue
 and drive one :class:`~repro.runtime.executor.FaultTolerantExecutor`
-call each — so at any moment at most ``jobs`` forked synthesis workers
-are alive, each with its own deadline, retry/fallback chain, and
-memory cap, while the parent threads merely block on worker pipes.
+call each — the runtime's one resolve path (store lookup, lanes,
+verify, write-back, degradation) — so at any moment at most ``jobs``
+forked synthesis workers are alive, each with its own deadline,
+retry/fallback chain, and memory cap, while the parent threads merely
+block on worker pipes.
 This reuses the whole fault-tolerance stack instead of a bare
 ``ProcessPoolExecutor`` (which has no per-task hard kill and dies with
 its workers).
@@ -90,7 +92,7 @@ class WorkerStats:
     timeouts: int = 0
     crashes: int = 0
     #: Instances served as a non-exact upper bound after every exact
-    #: engine exhausted its budget (racing's graceful degradation).
+    #: engine exhausted its budget (the executor's degrade step).
     degraded: int = 0
     #: Queued jobs answered as deadline-expired without executing.
     expired: int = 0
@@ -173,13 +175,12 @@ class BatchScheduler:
     executors:
         One executor per algorithm name — anything with the
         ``run(function, timeout) -> ExecutionOutcome`` contract, i.e.
-        :class:`~repro.runtime.executor.FaultTolerantExecutor` or the
-        racing :class:`~repro.runtime.racing.RacingExecutor`.
+        :class:`~repro.runtime.executor.FaultTolerantExecutor` with
+        either lane scheduler (a sequential walk or a race).
         Executors are shared across dispatcher threads;
         `FaultTolerantExecutor` keeps all per-run state on the stack,
-        so this is safe (a racing executor's ``last_cancellations``
-        scratch attribute is the only cross-thread race, and it is
-        advisory accounting only).
+        so this is safe (``last_cancellations`` is the only
+        cross-thread race, and it is advisory accounting only).
     jobs:
         Number of dispatcher threads = maximum concurrently-alive
         synthesis workers.

@@ -6,11 +6,14 @@ The execution layer every entry point routes synthesis through:
   (:class:`SynthesisError` and friends);
 * :mod:`.worker` — process-isolated workers with hard wall-clock
   timeouts and optional memory caps;
-* :mod:`.executor` — :class:`FaultTolerantExecutor`: engine fallback
-  chains, retry with exponential backoff, result verification;
-* :mod:`.racing` — :class:`RacingExecutor`: concurrent engine lanes,
-  first exact answer wins, losers cancelled, graceful degradation to
-  stored upper bounds;
+* :mod:`.executor` — :class:`FaultTolerantExecutor`, the one resolve
+  path: store lookup, infeasible floor, health-filtered lanes, verify,
+  write-back and degradation to stored upper bounds, around two lane
+  schedulers — a sequential fallback chain with retry and backoff
+  (``width=1``) or a race of isolated lanes where the first exact
+  answer wins and losers are cancelled (``width>=2``);
+* :mod:`.racing` — :class:`RacingExecutor`, the racing preset of that
+  executor;
 * :mod:`.health` — :class:`EngineHealth`: rolling per-engine scores,
   circuit breakers, adaptive deadlines from per-class history;
 * :mod:`.checkpoint` — streaming JSONL checkpoints for resumable
@@ -18,6 +21,7 @@ The execution layer every entry point routes synthesis through:
 * :mod:`.faults` — deterministic fault injection for testing every
   degradation path.
 
+Engines are resolved by registry name through :mod:`repro.engine`.
 Only :mod:`.errors` is imported eagerly; the heavier modules (which
 import the synthesis engines) are loaded on first attribute access so
 that low-level modules such as :mod:`repro.core.spec` can depend on
@@ -66,9 +70,6 @@ __all__ = [
     "FaultSpec",
     "execute_fault",
     "busy_wait",
-    "get_engine",
-    "ENGINE_NAMES",
-    "DEFAULT_FALLBACK_CHAIN",
 ]
 
 _LAZY = {
@@ -92,9 +93,6 @@ _LAZY = {
     "FaultSpec": ("faults", "FaultSpec"),
     "execute_fault": ("faults", "execute_fault"),
     "busy_wait": ("faults", "busy_wait"),
-    "get_engine": ("engines", "get_engine"),
-    "ENGINE_NAMES": ("engines", "ENGINE_NAMES"),
-    "DEFAULT_FALLBACK_CHAIN": ("engines", "DEFAULT_FALLBACK_CHAIN"),
 }
 
 

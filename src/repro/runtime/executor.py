@@ -1,26 +1,49 @@
-"""Fault-tolerant synthesis execution: isolation, fallback, retry.
+"""Fault-tolerant synthesis execution: the one resolve path.
 
 :class:`FaultTolerantExecutor` is the single choke point every entry
-point (CLI, bench runner, NPN database) routes synthesis through.  One
-``run()`` call turns an arbitrary per-instance disaster — a hung loop,
-a crashed worker, a corrupt result, a missing engine — into a recorded
-:class:`ExecutionOutcome` instead of an aborted run:
+point (CLI, bench runner, rewriter, serving layer, NPN database) routes
+synthesis through.  One ``run()`` call resolves a single truth table or
+a joint multi-output vector, and turns any per-instance disaster — a
+hung loop, a crashed worker, a corrupt result, a missing engine — into
+a recorded :class:`ExecutionOutcome` instead of an aborted run.  The
+steps always run in this order:
 
-* each attempt runs either **in-process** (cheap, cooperative
-  deadline) or **process-isolated** (hard wall-clock kill via
-  :mod:`repro.runtime.worker`);
-* crashes are retried with exponential backoff (transient failures:
-  a flaky worker, an OOM-killed sibling);
-* persistent failures degrade down an **engine fallback chain**
-  (default: STP factorization engine, then the CNF fence-solver
-  baseline), with the full per-attempt trail recorded;
-* every returned chain is re-verified by simulation, so a corrupted
-  result is caught here and treated as an engine failure rather than
-  propagating bad circuits downstream.
+1. **lookup** — an exact store row is served through the inverse NPN
+   transform (``engine == "store"``); quarantined rows are counted;
+2. **floor** — the store's proven-infeasible gate floor reaches every
+   lane as ``min_gates``;
+3. **lanes** — the engine list, filtered by an
+   :class:`~repro.runtime.health.EngineHealth` circuit breaker when one
+   is given;
+4. **schedule** — the only fork, on ``width``:
 
-Timeouts are budgeted across the whole chain: a fallback engine only
-gets the budget its predecessors left behind, so ``run()`` honours the
-per-instance budget regardless of how many engines it tried.
+   * ``width == 1`` walks the lanes as a fallback chain, in-process
+     (cooperative deadline) or process-isolated (hard kill).  Crashes
+     are retried with exponential backoff, a timeout ends the walk
+     unless ``fallback_on_timeout`` is set, and the first verified
+     answer wins.  Joint vectors always walk: a worker carries one
+     table.
+   * ``width >= 2`` races isolated worker lanes.  The first verified
+     *exact* answer wins, inexact answers are held, and losers are
+     killed and reaped (``last_cancellations``).  When the health
+     history shortened the first round, a second round gets the full
+     remaining budget;
+
+5. **verify** — an answer must carry chains that simulate to the
+   requested table (a joint vector: pass the packed verifier), else
+   the attempt counts as ``crash``/``corrupt``;
+6. **write-back** — answers are stored graded by the answering engine's
+   exactness; exact ones also mark the gate counts below theirs
+   infeasible;
+7. **degrade** — when the schedule accepted no answer (every lane of a
+   walk failed, or a race had no exact winner), the store's best upper
+   bound is served (``status == "degraded"``, ``exact=False``), and
+   failing that a held inexact answer.  An exact engine's
+   ``infeasible`` is an answer and is never degraded.
+
+Timeouts are budgeted across the whole run: a fallback engine only gets
+the budget its predecessors left behind.  Store failures never fail a
+run; each one is counted in :attr:`ExecutionOutcome.store_errors`.
 """
 
 from __future__ import annotations
@@ -29,27 +52,34 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from ..core.circuit_sat import verify_chain_outputs
 from ..core.spec import Deadline, SynthesisResult
+from ..engine import engine_capabilities, run_engine
 from ..truthtable.table import TruthTable
-from .engines import DEFAULT_FALLBACK_CHAIN, get_engine
 from .errors import (
+    EngineUnavailable,
     VerificationFailed,
     WorkerCrash,
     classify_failure,
 )
 from .faults import FaultPlan, execute_fault
-from .worker import DEFAULT_GRACE, WorkerTask, run_isolated
+from .health import EngineHealth
+from .worker import WorkerHandle, WorkerTask, run_isolated
 
 __all__ = [
     "AttemptRecord",
+    "DEFAULT_FALLBACK_CHAIN",
     "ExecutionOutcome",
     "FaultTolerantExecutor",
     "format_trail",
 ]
 
-#: An engine is either a registry name (isolatable) or a
-#: ``(name, callable)`` pair for ad-hoc in-process engines.
-EngineRef = "str | tuple[str, Callable[..., SynthesisResult]]"
+#: The paper-motivated degradation order: the STP factorization engine
+#: first, the CNF fence-solver baseline as the fallback of last resort.
+DEFAULT_FALLBACK_CHAIN: tuple[str, ...] = ("stp", "fen")
+
+#: Parent-side polling cadence while race lanes run, in seconds.
+POLL_INTERVAL = 0.01
 
 
 @dataclass
@@ -113,14 +143,19 @@ class ExecutionOutcome:
     error: str = ""
     result: SynthesisResult | None = None
     trail: list[AttemptRecord] = field(default_factory=list)
-    #: False when the result is a degraded upper bound, not an optimum.
+    #: True when the answer is a proven optimum: a store hit, or an
+    #: engine whose capabilities claim exactness.  False for heuristic
+    #: engines and degraded upper bounds.
     exact: bool = True
     #: Corrupt store rows quarantined while serving this run.
     store_quarantined: int = 0
+    #: Store calls that raised (each one degraded to a miss or a
+    #: skipped write-back).
+    store_errors: int = 0
 
     @property
     def solved(self) -> bool:
-        """True when a verified *exact* result was produced."""
+        """True when a verified result was produced and accepted."""
         return self.status == "ok" and self.result is not None
 
     @property
@@ -141,6 +176,7 @@ class ExecutionOutcome:
             "error": self.error,
             "exact": self.exact,
             "store_quarantined": self.store_quarantined,
+            "store_errors": self.store_errors,
             "num_gates": (
                 self.result.num_gates if self.result is not None else -1
             ),
@@ -152,56 +188,61 @@ class ExecutionOutcome:
 
 
 class FaultTolerantExecutor:
-    """Runs synthesis instances with isolation, retry, and fallback.
+    """Resolves synthesis instances: store, lanes, verify, write-back.
 
     Parameters
     ----------
     engines:
-        Fallback chain, most preferred first.  Entries are registry
-        names (``"stp"``, ``"fen"``, …) or ``(name, callable)`` pairs;
-        callables run in-process only.
+        Lanes, most preferred first.  Entries are registry names
+        (``"stp"``, ``"fen"``, …) or ``(name, callable)`` pairs;
+        callables run in-process only, so they can be neither isolated
+        nor raced.
+    width:
+        The lane scheduler: ``1`` walks the lanes as a fallback chain,
+        ``>= 2`` races up to ``width`` isolated lanes per round.
+    health:
+        Optional shared :class:`EngineHealth`.  Its circuit breakers
+        filter the lanes, every attempt is recorded in it, and a race's
+        first round is shortened to the NPN class's solve-time history.
     isolate:
-        Run named engines in killable worker processes (hard timeout).
+        Walk named engines in killable worker processes (hard timeout).
+        Race lanes are always isolated.
     max_retries:
-        Extra attempts per engine after a crash (transient-failure
+        Extra walk attempts per engine after a crash (transient-failure
         retry); timeouts and infeasibility are never retried.
     backoff / backoff_factor:
         Exponential backoff between retries, in seconds.
-    grace:
-        Hard-kill multiplier for isolated workers (kill at
-        ``grace × budget``; keep below 1.5 to honour the runtime's
-        "killed within 1.5× budget" guarantee).
     memory_limit_mb:
         Optional ``RLIMIT_AS`` cap applied inside each worker.
     fault_plan:
         Deterministic fault injection (tests only).
     verify:
-        Re-simulate every returned chain and treat mismatches as
+        Re-verify every returned chain and treat mismatches as
         :class:`VerificationFailed`.
     fallback_on_timeout:
-        Also walk the fallback chain when an engine times out.  Off by
-        default: Table-I semantics charge the timeout to the engine,
-        and a later engine would inherit an empty budget anyway.
+        Also walk on when an engine times out.  Off by default:
+        Table-I semantics charge the timeout to the engine, and a later
+        engine would inherit an empty budget anyway.
     engine_kwargs:
         Per-engine tuning knobs, e.g. ``{"stp": {"max_solutions": 64}}``.
     store:
         Optional persistent chain store
-        (:class:`~repro.store.ChainStore`).  ``run()`` consults it
-        *before* the engine chain — a hit is served through the inverse
-        NPN transform with ``engine == "store"`` and no worker is ever
-        forked — and writes solved results back on a miss.  Store
-        failures never fail a run; they degrade to a plain synthesis.
+        (:class:`~repro.store.ChainStore`) behind the lookup, floor,
+        write-back and degrade steps.
+    sleep:
+        The backoff sleep (tests inject a recorder).
     """
 
     def __init__(
         self,
         engines: Sequence = DEFAULT_FALLBACK_CHAIN,
         *,
+        width: int = 1,
+        health: EngineHealth | None = None,
         isolate: bool = False,
         max_retries: int = 1,
         backoff: float = 0.05,
         backoff_factor: float = 2.0,
-        grace: float = DEFAULT_GRACE,
         memory_limit_mb: int | None = None,
         fault_plan: FaultPlan | None = None,
         verify: bool = True,
@@ -212,23 +253,28 @@ class FaultTolerantExecutor:
     ) -> None:
         if not engines:
             raise ValueError("need at least one engine")
-        self._engines: list[tuple[str, Callable | None]] = []
+        self._width = max(1, width)
+        names = []
+        #: Ad-hoc in-process engines, by name.
+        self._callables: dict[str, Callable] = {}
         for entry in engines:
             if isinstance(entry, str):
-                self._engines.append((entry, None))
-            else:
-                name, fn = entry
-                if isolate:
-                    raise ValueError(
-                        f"engine {name!r} is a bare callable and cannot "
-                        "be process-isolated; register it by name instead"
-                    )
-                self._engines.append((name, fn))
+                names.append(entry)
+                continue
+            name, fn = entry
+            if isolate or self._width > 1:
+                raise ValueError(
+                    f"engine {name!r} is a bare callable and cannot "
+                    "be process-isolated; register it by name instead"
+                )
+            names.append(name)
+            self._callables[name] = fn
+        self._names = tuple(names)
+        self.health = health
         self._isolate = isolate
         self._max_retries = max(0, max_retries)
         self._backoff = backoff
         self._backoff_factor = backoff_factor
-        self._grace = grace
         self._memory_limit_mb = memory_limit_mb
         self._fault_plan = fault_plan
         self._verify = verify
@@ -236,88 +282,122 @@ class FaultTolerantExecutor:
         self._engine_kwargs = engine_kwargs or {}
         self._store = store
         self._sleep = sleep
+        #: Race losers cancelled by the most recent ``run()`` call.
+        self.last_cancellations: list = []
 
     @property
     def engine_names(self) -> tuple[str, ...]:
-        """The configured fallback chain, most preferred first."""
-        return tuple(name for name, _ in self._engines)
+        """The configured lanes, most preferred first."""
+        return self._names
 
     # ------------------------------------------------------------------
     # main entry point
     # ------------------------------------------------------------------
     def run(
         self,
-        function: TruthTable,
+        function: TruthTable | Sequence[TruthTable],
         timeout: float | None = None,
         *,
-        key: str | None = None,
         expire_at: float | None = None,
     ) -> ExecutionOutcome:
-        """Synthesize ``function`` with full fault tolerance.
+        """Resolve ``function``: one truth table or a joint vector.
 
         Never raises for per-instance failures — the outcome records
         what happened.  ``KeyboardInterrupt`` is deliberately *not*
-        swallowed so suite runners can checkpoint and stop.
+        swallowed (in-flight race lanes are reaped first) so suite
+        runners can checkpoint and stop.
 
         ``expire_at`` is an absolute ``time.monotonic()`` deadline (the
         serving layer's request deadline): the run's budget becomes
         ``min(timeout, expire_at - now)``, so however long the job
-        waited in a queue, the engine's cooperative
-        :class:`~repro.core.spec.Deadline` (and through it every
-        ``SynthesisContext``) only ever sees the *remaining* wall
-        clock.  An already-lapsed ``expire_at`` returns a ``timeout``
-        outcome without dispatching any engine.
+        waited in a queue, the engines only ever see the *remaining*
+        wall clock.  An already-lapsed ``expire_at`` returns a
+        ``timeout`` outcome without touching the store or dispatching
+        any engine.
         """
-        fault_key = key if key is not None else function.to_hex()
+        if isinstance(function, TruthTable):
+            tables: tuple[TruthTable, ...] = (function,)
+        else:
+            tables = tuple(function)
+        single = tables[0] if len(tables) == 1 else None
+        outcome = ExecutionOutcome(
+            function_hex=",".join(table.to_hex() for table in tables),
+            num_vars=tables[0].num_vars,
+            status="crash",
+        )
+        self.last_cancellations = cancelled = []
         if expire_at is not None:
             remaining = expire_at - time.monotonic()
             if remaining <= 0:
-                return ExecutionOutcome(
-                    function_hex=function.to_hex(),
-                    num_vars=function.num_vars,
-                    status="timeout",
-                    error="request deadline lapsed before dispatch",
-                )
+                outcome.status = "timeout"
+                outcome.error = "request deadline lapsed before dispatch"
+                return outcome
             timeout = (
                 remaining if timeout is None else min(timeout, remaining)
             )
         deadline = Deadline(timeout)
-        outcome = ExecutionOutcome(
-            function_hex=function.to_hex(),
-            num_vars=function.num_vars,
-            status="crash",
-        )
-        first_engine: str | None = None
-        last_error: str = ""
-        last_status: str = "crash"
 
-        stored = self._store_lookup(function, outcome)
-        if stored is not None:
-            outcome.status = "ok"
-            outcome.engine = "store"
-            outcome.result = stored
-            outcome.runtime = deadline.elapsed
-            return outcome
-        floor = self._infeasible_floor(function)
-
-        for name, fn in self._engines:
-            if first_engine is None:
-                first_engine = name
-            engine_done, status, error = self._run_engine(
-                name, fn, function, deadline, fault_key, outcome,
-                floor,
+        floor = 0
+        if self._store is not None:
+            stored = self._store_read(
+                outcome, self._store.lookup_multi, tables
             )
-            if engine_done is not None:
-                outcome.status = "ok"
-                outcome.engine = name
-                outcome.fallback_from = (
-                    first_engine if name != first_engine else None
+            if stored is not None:
+                return self._settle(outcome, deadline, "ok", "store", stored)
+            if single is not None:
+                floor = self._store_call(
+                    outcome, self._store.min_feasible_gates, single
+                ) or 0
+
+        raced = self._width > 1 and single is not None
+        if raced:
+            answer, status, error = self._race(
+                single, floor, deadline, outcome, cancelled
+            )
+        else:
+            answer, status, error = self._walk(
+                tables, floor, deadline, outcome
+            )
+
+        if answer is not None:
+            engine, result = answer
+            exact = self._is_exact(engine)
+            self._write_back(outcome, tables, engine, result, exact)
+            if exact or not raced:
+                outcome.exact = exact
+                return self._settle(outcome, deadline, "ok", engine, result)
+
+        # No exact answer came back.  An exact engine's "infeasible" is
+        # itself the answer; anything else degrades to the best verified
+        # upper bound, the store's first.
+        outcome.error = error
+        if status != "infeasible":
+            if single is not None and self._store is not None:
+                bound = self._store_read(
+                    outcome, self._store.lookup_upper_bound, single
                 )
-                outcome.result = engine_done
-                outcome.runtime = deadline.elapsed
-                self._store_put(function, engine_done, name)
-                return outcome
-            last_status, last_error = status, error
+                if bound is not None:
+                    answer = ("store", bound[0])
+            if answer is not None:
+                outcome.exact = False
+                return self._settle(outcome, deadline, "degraded", *answer)
+        return self._settle(outcome, deadline, status, "", None)
+
+    # ------------------------------------------------------------------
+    # lane schedulers
+    # ------------------------------------------------------------------
+    def _walk(self, tables, floor, deadline, outcome):
+        """Width 1: the lanes as a fallback chain; first verified wins."""
+        lanes = self._lanes(None)
+        status, error = "crash", ""
+        for name in lanes:
+            result, status, error = self._run_engine(
+                name, tables, floor, deadline, outcome
+            )
+            if result is not None:
+                if name != lanes[0]:
+                    outcome.fallback_from = lanes[0]
+                return (name, result), status, error
             if status == "timeout" and not self._fallback_on_timeout:
                 break
             if status == "infeasible":
@@ -325,208 +405,275 @@ class FaultTolerantExecutor:
                 # remaining budget rediscovering it.
                 break
             if deadline.expired():
-                last_status, last_error = "timeout", (
-                    error or "budget exhausted during fallback"
-                )
+                status = "timeout"
+                error = error or "budget exhausted during fallback"
                 break
+        return None, status, error
 
-        outcome.status = last_status
-        outcome.engine = ""
-        outcome.fallback_from = None
-        outcome.error = last_error
-        outcome.runtime = deadline.elapsed
-        return outcome
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _store_lookup(
-        self, function: TruthTable, outcome: ExecutionOutcome
-    ):
-        """Lookup-before-synthesize; any store failure is a miss.
-
-        Corrupt rows the store quarantines while serving this call are
-        counted on the outcome (per-run accounting for suite
-        summaries); stores without the ``events`` hook still work.
-        """
-        if self._store is None:
-            return None
-        events: list = []
-        try:
-            try:
-                result = self._store.lookup(function, events=events)
-            except TypeError:
-                result = self._store.lookup(function)
-        except KeyboardInterrupt:
-            raise
-        except Exception:
-            result = None
-        outcome.store_quarantined += sum(
-            1 for kind, _ in events if kind == "quarantined"
-        )
-        return result
-
-    def _infeasible_floor(self, function: TruthTable) -> int:
-        """The store's proven-infeasible gate floor (0 on any miss).
-
-        Passed to engines as a ``min_gates`` spec override so warm
-        runs skip gate counts an earlier exhaustive search already
-        proved empty for the NPN class.
-        """
-        if self._store is None:
-            return 0
-        try:
-            return int(self._store.min_feasible_gates(function))
-        except KeyboardInterrupt:
-            raise
-        except Exception:
-            return 0
-
-    def _store_put(
-        self, function: TruthTable, result: SynthesisResult, engine: str
-    ) -> None:
-        """Write a solved result back to the store (best-effort).
-
-        Results from engines whose declared capabilities include
-        exactness are persisted as optimal rows; results from
-        heuristic engines are graded as verified **upper bounds** so
-        the degradation path can serve them without ever poisoning
-        the store's optimal-chain contract.
-        """
-        if self._store is None:
-            return
-        try:
-            from ..engine import engine_capabilities
-
-            exact = bool(engine_capabilities(engine).exact)
-            try:
-                self._store.put(
-                    function, result, engine=engine, exact=exact
-                )
-            except TypeError:
-                if exact:  # legacy stores only take optimal rows
-                    self._store.put(function, result, engine=engine)
-            if exact and result.num_gates > 0:
-                # An optimal r-gate result proves sizes below r empty;
-                # persist the mark so warm runs start at r directly.
-                mark = getattr(self._store, "mark_infeasible", None)
-                if mark is not None:
-                    mark(function, result.num_gates - 1)
-        except KeyboardInterrupt:
-            raise
-        except Exception:
-            pass
-
-    def _run_engine(
-        self,
-        name: str,
-        fn: Callable | None,
-        function: TruthTable,
-        deadline: Deadline,
-        fault_key: str,
-        outcome: ExecutionOutcome,
-        min_gates: int = 0,
-    ) -> tuple[SynthesisResult | None, str, str]:
-        """All attempts (first try + retries) on one engine."""
+    def _run_engine(self, name, tables, floor, deadline, outcome):
+        """All walk attempts (first try + retries) on one engine."""
+        single = tables[0] if len(tables) == 1 else None
         pause = self._backoff
-        status, error = "crash", ""
         for attempt in range(self._max_retries + 1):
             budget = deadline.remaining()
             if budget is not None and budget <= 0:
                 return None, "timeout", "no budget left for attempt"
             started = time.perf_counter()
-            fault = (
-                self._fault_plan.draw(fault_key, name)
-                if self._fault_plan is not None
-                else None
+            fault = self._draw(outcome, name)
+            result, exc = self._verified(
+                lambda: self._attempt(name, tables, budget, fault, floor),
+                tables,
             )
-            try:
-                result = self._attempt(
-                    name, fn, function, budget, fault, min_gates
-                )
-                if self._verify:
-                    self._check_result(result, function)
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                status = classify_failure(exc)
-                error = f"{type(exc).__name__}: {exc}"
-                outcome.attempts += 1
-                outcome.trail.append(
-                    AttemptRecord(
-                        engine=name,
-                        attempt=attempt,
-                        status=status,
-                        runtime=time.perf_counter() - started,
-                        error=error,
-                        error_class=type(exc).__name__,
-                        fault=fault.kind if fault else "",
-                    )
-                )
-                if status not in ("crash",):
-                    return None, status, error
-                if attempt < self._max_retries:
-                    remaining = deadline.remaining()
-                    nap = pause if remaining is None else min(
-                        pause, max(0.0, remaining)
-                    )
-                    if nap > 0:
-                        self._sleep(nap)
-                    pause *= self._backoff_factor
-                continue
-            outcome.attempts += 1
-            outcome.trail.append(
-                AttemptRecord(
-                    engine=name,
-                    attempt=attempt,
-                    status="ok",
-                    runtime=time.perf_counter() - started,
-                    fault=fault.kind if fault else "",
-                )
+            record = self._record(
+                outcome, single, name, attempt,
+                time.perf_counter() - started, fault, exc,
             )
-            return result, "ok", ""
-        return None, status, error
+            if record.status != "crash":
+                return result, record.status, record.error
+            if attempt < self._max_retries:
+                remaining = deadline.remaining()
+                nap = pause if remaining is None else min(pause, remaining)
+                if nap > 0:
+                    self._sleep(nap)
+                pause *= self._backoff_factor
+        return None, record.status, record.error
 
-    def _attempt(
-        self,
-        name: str,
-        fn: Callable | None,
-        function: TruthTable,
-        budget: float | None,
-        fault,
-        min_gates: int = 0,
-    ) -> SynthesisResult:
-        """One attempt: injected fault, isolated worker, or in-process."""
-        kwargs = self._engine_kwargs.get(name, {})
-        if min_gates > 0:
-            kwargs = {**kwargs, "min_gates": min_gates}
-        if self._isolate:
-            task = WorkerTask(
-                engine=name,
-                bits=function.bits,
-                num_vars=function.num_vars,
-                timeout=budget,
-                engine_kwargs=kwargs,
-                fault=fault,
-                memory_limit_mb=self._memory_limit_mb,
+    def _attempt(self, name, tables, budget, fault, floor):
+        """One walk attempt: isolated worker, injected fault, or
+        in-process engine."""
+        kwargs = self._kwargs(name, floor)
+        if self._isolate and len(tables) == 1:
+            return run_isolated(
+                self._task(name, tables[0], budget, kwargs, fault)
             )
-            return run_isolated(task, grace=self._grace)
         if fault is not None:
-            return execute_fault(fault, function, budget, isolated=False)
-        engine = get_engine(name) if fn is None else fn
-        return engine(function, budget, **kwargs)
+            return execute_fault(fault, tables[0], budget, isolated=False)
+        target = tables[0] if len(tables) == 1 else tables
+        fn = self._callables.get(name)
+        if fn is not None:
+            return fn(target, budget, **kwargs)
+        return run_engine(name, target, budget, **kwargs)
 
-    def _check_result(
-        self, result: SynthesisResult, function: TruthTable
-    ) -> None:
-        if not isinstance(result, SynthesisResult):
-            raise WorkerCrash(
-                f"engine returned {type(result).__name__}, "
-                "not a SynthesisResult"
+    def _race(self, function, floor, deadline, outcome, cancelled):
+        """Width >= 2: race isolated lanes; first verified exact wins.
+
+        Returns the exact winner, or else the first held inexact
+        answer.  Round 0 runs on the health history's suggested
+        deadline when there is one; round 1 re-races with the full
+        remaining budget only when that suggestion shrank round 0.
+        """
+        suggestion = None
+        if self.health is not None:
+            suggestion = self.health.suggest_timeout(
+                function, deadline.remaining()
             )
-        for chain in result.chains:
-            if chain.simulate_output() != function:
-                raise VerificationFailed(
-                    "engine returned a chain that does not realise "
-                    f"0x{function.to_hex()}"
+        held = None
+        status, error = "timeout", ""
+        for round_index in (0, 1):
+            remaining = deadline.remaining()
+            if remaining is not None and remaining <= 0:
+                break
+            budget = remaining
+            if round_index == 0 and suggestion is not None:
+                budget = (
+                    suggestion
+                    if remaining is None
+                    else min(suggestion, remaining)
                 )
+            won, status, error, inexact = self._race_round(
+                function, self._lanes(self._width), budget, floor,
+                outcome, cancelled,
+            )
+            held = held or inexact
+            if won is not None or status == "infeasible":
+                return won, status, error
+            if round_index == 0 and (
+                suggestion is None
+                or (remaining is not None and budget >= remaining)
+            ):
+                break
+        return held, status, error
+
+    def _race_round(self, function, lanes, budget, floor, outcome, cancelled):
+        """Launch ``lanes`` at once and resolve one round.
+
+        Returns ``(winner, status, error, held)``: the first verified
+        exact ``(engine, result)`` or None, the last failure, and the
+        first verified inexact answer.  ``infeasible`` from an exact
+        lane also ends the round.  Every worker is dead and reaped on
+        return, however the round ends.
+        """
+        from .racing import CancellationRecord
+
+        pending: list[WorkerHandle] = []
+        held = None
+        status, error = "timeout", ""
+        try:
+            for name in lanes:
+                fault = self._draw(outcome, name)
+                task = self._task(
+                    name, function, budget, self._kwargs(name, floor), fault
+                )
+                pending.append(WorkerHandle(task))
+            while pending:
+                done = [h for h in pending if h.ready() or h.overdue()]
+                if not done:
+                    time.sleep(POLL_INTERVAL)
+                for handle in done:
+                    pending.remove(handle)
+                    result, exc = self._verified(
+                        lambda: handle.result(block=False), (function,)
+                    )
+                    record = self._record(
+                        outcome, function, handle.engine, 0,
+                        handle.elapsed, handle.task.fault, exc,
+                    )
+                    exact = self._is_exact(handle.engine)
+                    if record.status == "ok" and exact:
+                        return (handle.engine, result), "ok", "", held
+                    if record.status == "ok":
+                        held = held or (handle.engine, result)
+                        continue
+                    status, error = record.status, record.error
+                    if status == "infeasible" and exact:
+                        return None, status, error, held
+        finally:
+            # Reap every lane not yet collected: the winner's early
+            # return and a KeyboardInterrupt both land here.
+            for handle in pending:
+                pid = handle.pid
+                seconds = handle.cancel()
+                cancelled.append(
+                    CancellationRecord(handle.engine, pid, seconds)
+                )
+        return None, status, error, held
+
+    # ------------------------------------------------------------------
+    # shared steps
+    # ------------------------------------------------------------------
+    def _lanes(self, limit):
+        """Health-filtered lanes (all of them without a health)."""
+        if self.health is not None:
+            return self.health.select(self._names, limit=limit)
+        return self._names[:limit]
+
+    def _kwargs(self, name, floor):
+        kwargs = self._engine_kwargs.get(name, {})
+        if floor > 0:
+            kwargs = {**kwargs, "min_gates": floor}
+        return kwargs
+
+    def _task(self, name, function, budget, kwargs, fault):
+        return WorkerTask(
+            engine=name,
+            bits=function.bits,
+            num_vars=function.num_vars,
+            timeout=budget,
+            engine_kwargs=kwargs,
+            fault=fault,
+            memory_limit_mb=self._memory_limit_mb,
+        )
+
+    def _draw(self, outcome, name):
+        """The injected fault for this attempt, keyed by the run's hex."""
+        if self._fault_plan is None:
+            return None
+        return self._fault_plan.draw(outcome.function_hex, name)
+
+    def _verified(self, produce, tables):
+        """The one verify: ``(result, None)`` for a result whose every
+        chain realises ``tables`` — by simulation, a joint vector by the
+        packed verifier — else ``(None, exception)``."""
+        try:
+            result = produce()
+            if self._verify:
+                if not isinstance(result, SynthesisResult):
+                    raise WorkerCrash(
+                        f"engine returned {type(result).__name__}, "
+                        "not a SynthesisResult"
+                    )
+                if not result.chains:
+                    raise WorkerCrash("engine returned no chains")
+                for chain in result.chains:
+                    if len(tables) == 1:
+                        realised = chain.simulate_output() == tables[0]
+                    else:
+                        realised = verify_chain_outputs(chain, tables)
+                    if not realised:
+                        raise VerificationFailed(
+                            "engine returned a chain that does not "
+                            f"realise 0x{','.join(t.to_hex() for t in tables)}"
+                        )
+        except Exception as exc:
+            return None, exc
+        return result, None
+
+    def _record(
+        self, outcome, function, engine, attempt, runtime, fault, exc
+    ) -> AttemptRecord:
+        """Append one attempt to the trail and to the health score."""
+        record = AttemptRecord(
+            engine=engine,
+            attempt=attempt,
+            status="ok" if exc is None else classify_failure(exc),
+            runtime=runtime,
+            error="" if exc is None else f"{type(exc).__name__}: {exc}",
+            error_class="" if exc is None else type(exc).__name__,
+            fault=fault.kind if fault else "",
+        )
+        outcome.attempts += 1
+        outcome.trail.append(record)
+        if self.health is not None:
+            self.health.record(
+                engine, record.status, runtime, function=function
+            )
+        return record
+
+    @staticmethod
+    def _is_exact(engine: str) -> bool:
+        try:
+            return bool(engine_capabilities(engine).exact)
+        except EngineUnavailable:  # ad-hoc callables declare nothing
+            return False
+
+    def _write_back(self, outcome, tables, engine, result, exact) -> None:
+        """Store an answer graded by its engine's exactness."""
+        if self._store is None:
+            return
+        self._store_call(
+            outcome, self._store.put_multi, tables, result,
+            engine=engine, exact=exact,
+        )
+        if exact and len(tables) == 1 and result.num_gates > 0:
+            # An optimal r-gate result proves sizes below r empty;
+            # persist the mark so warm runs start at r directly.
+            self._store_call(
+                outcome, self._store.mark_infeasible, tables[0],
+                result.num_gates - 1,
+            )
+
+    @staticmethod
+    def _store_call(outcome, method, *args, **kwargs):
+        """One store call; a failure is counted, never raised."""
+        try:
+            return method(*args, **kwargs)
+        except Exception:
+            outcome.store_errors += 1
+            return None
+
+    def _store_read(self, outcome, method, function):
+        """A store read that also counts the rows it quarantined."""
+        events: list = []
+        found = self._store_call(outcome, method, function, events=events)
+        outcome.store_quarantined += sum(
+            1 for kind, _ in events if kind == "quarantined"
+        )
+        return found
+
+    @staticmethod
+    def _settle(outcome, deadline, status, engine, result):
+        outcome.status = status
+        outcome.engine = engine
+        outcome.result = result
+        outcome.runtime = deadline.elapsed
+        return outcome

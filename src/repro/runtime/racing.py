@@ -1,57 +1,40 @@
-"""Engine racing: concurrent lanes, first exact answer wins.
+"""Engine racing: the ``width >= 2`` preset of the one resolve path.
 
-The fallback chain in :class:`~repro.runtime.executor.FaultTolerantExecutor`
-is sequential: a hard instance burns the whole budget in engine #1
-before engine #2 — which might have solved it in a second — even
-starts.  :class:`RacingExecutor` runs a small set of registered
-engines *concurrently* on the same specification, each in its own
-killable worker process (:class:`~repro.runtime.worker.WorkerHandle`),
-and resolves the race with exact-synthesis semantics:
-
-* the first lane to return a **verified** result from an engine whose
-  capabilities claim exactness wins; every other lane is cancelled
-  immediately (killed and reaped — no zombies), with the per-loser
-  kill-to-reap latency recorded in :attr:`last_cancellations`;
-* a verified result from a *non-exact* engine does not stop the race —
-  it is held as the best inexact answer while the exact lanes keep
-  running;
-* ``infeasible`` from an exact lane is an authoritative answer about
-  the problem (all exact engines agree on feasibility), so it also
-  ends the race;
-* when every lane fails, the executor **degrades gracefully** instead
-  of crashing: it serves the best-known upper bound — from the
-  persistent :class:`~repro.store.ChainStore` (either row grade) or
-  the held inexact result — as an outcome with ``status ==
-  "degraded"`` and ``exact=False``, leaving a plain failure only when
-  nothing verified is available at all.
-
-Lane selection and budgets are **health-aware**: an
-:class:`~repro.runtime.health.EngineHealth` instance filters out
-engines whose circuit breaker is open (periodically letting a probe
-through) and suggests a shortened first-round deadline from the NPN
-class's solve-time history, so losing lanes on easy classes are reaped
-early; a second round with the full remaining budget covers the case
-where the suggestion was too optimistic.
+A sequential fallback chain lets a hard instance burn the whole budget
+in engine #1 before engine #2 — which might have solved it in a second
+— even starts.  :class:`RacingExecutor` is a
+:class:`~repro.runtime.executor.FaultTolerantExecutor` preset whose
+lane scheduler races a small set of registered engines concurrently,
+each in its own killable worker process: the first verified *exact*
+answer wins, inexact answers are held, and every loser is cancelled
+and reaped, with its kill-to-reap latency recorded as a
+:class:`CancellationRecord` in ``last_cancellations``.  Store lookup,
+the infeasible floor, verification, write-back and degradation to
+upper bounds are the executor's shared steps.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..core.spec import Deadline, SynthesisResult
-from ..truthtable.table import TruthTable
-from .errors import classify_failure
-from .executor import AttemptRecord, ExecutionOutcome
+from .executor import FaultTolerantExecutor
 from .health import EngineHealth
-from .worker import DEFAULT_GRACE, WorkerHandle, WorkerTask
 
-__all__ = ["CancellationRecord", "RacingExecutor", "DEFAULT_RACE_ENGINES"]
+__all__ = [
+    "CancellationRecord",
+    "RacingExecutor",
+    "DEFAULT_RACE_ENGINES",
+    "RACE_WIDTH",
+]
 
 #: Default racing lanes: the paper's STP pipeline, the fence baseline,
 #: and the CEGIS engine — three genuinely different search strategies.
 DEFAULT_RACE_ENGINES = ("stp", "fen", "cegis")
+
+#: Concurrent lanes per round when a caller races (2–3 is the sweet
+#: spot; more mostly burns cores).
+RACE_WIDTH = 3
 
 
 @dataclass(frozen=True)
@@ -70,424 +53,41 @@ class CancellationRecord:
         }
 
 
-class RacingExecutor:
+class RacingExecutor(FaultTolerantExecutor):
     """Race registered engines in isolated workers; first exact wins.
-
-    Drop-in for :class:`FaultTolerantExecutor` at suite level — the
-    same ``run(function, timeout, key=...) -> ExecutionOutcome``
-    interface — but every lane is a registry *name*: the race crosses
-    a pickle boundary, so ad-hoc callables cannot ride along.
 
     Parameters
     ----------
     engines:
-        Candidate lanes, preference order (used for health tie-breaks
-        and for attributing the race's primary engine).
+        Candidate lanes, preference order (used for health tie-breaks).
     width:
-        Maximum concurrent lanes per round (2–3 is the sweet spot;
-        more mostly burns cores).
+        Maximum concurrent lanes per round.
     health:
         Shared :class:`EngineHealth`; a fresh private instance when
         omitted.  Sharing one across executors lets a suite's breaker
         state and class-time history inform every race.
-    store:
-        Optional :class:`~repro.store.ChainStore`: consulted before
-        racing (exact rows), written back by winners, and consulted
-        again — either row grade — on the degradation path.
-    fault_plan:
-        Deterministic fault injection, drawn per lane in the parent
-        (tests).
-    grace / memory_limit_mb / engine_kwargs:
+    store / fault_plan / memory_limit_mb / engine_kwargs:
         As on :class:`FaultTolerantExecutor`.
-    poll_interval:
-        Parent-side polling cadence while lanes run, in seconds.
     """
 
     def __init__(
         self,
         engines: Sequence[str] = DEFAULT_RACE_ENGINES,
         *,
-        width: int = 3,
+        width: int = RACE_WIDTH,
         health: EngineHealth | None = None,
         store=None,
         fault_plan=None,
-        grace: float = DEFAULT_GRACE,
         memory_limit_mb: int | None = None,
         engine_kwargs: dict[str, dict] | None = None,
-        poll_interval: float = 0.01,
     ) -> None:
-        if not engines:
-            raise ValueError("need at least one engine to race")
-        for entry in engines:
-            if not isinstance(entry, str):
-                raise ValueError(
-                    f"racing lane {entry!r} is not a registry name; "
-                    "racing workers cross a pickle boundary"
-                )
-        self._engines = tuple(engines)
-        self._width = max(1, width)
-        self.health = health if health is not None else EngineHealth()
-        self._store = store
-        self._fault_plan = fault_plan
-        self._grace = grace
-        self._memory_limit_mb = memory_limit_mb
-        self._engine_kwargs = engine_kwargs or {}
-        self._poll_interval = poll_interval
-        #: Losers cancelled by the most recent ``run()`` call.
-        self.last_cancellations: list[CancellationRecord] = []
-        #: Lifetime cancellation accounting across all runs.
-        self.cancellations = 0
-        self.cancel_seconds = 0.0
-
-    @property
-    def engine_names(self) -> tuple[str, ...]:
-        """The configured racing lanes, preference order."""
-        return self._engines
-
-    # ------------------------------------------------------------------
-    # main entry point
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        function: TruthTable,
-        timeout: float | None = None,
-        *,
-        key: str | None = None,
-    ) -> ExecutionOutcome:
-        """Race the configured engines on ``function``.
-
-        Never raises for per-instance failures; the outcome records
-        what happened (``KeyboardInterrupt`` still propagates, with
-        every in-flight lane cancelled first).
-        """
-        fault_key = key if key is not None else function.to_hex()
-        deadline = Deadline(timeout)
-        outcome = ExecutionOutcome(
-            function_hex=function.to_hex(),
-            num_vars=function.num_vars,
-            status="crash",
+        super().__init__(
+            engines,
+            width=width,
+            health=health if health is not None else EngineHealth(),
+            isolate=True,
+            store=store,
+            fault_plan=fault_plan,
+            memory_limit_mb=memory_limit_mb,
+            engine_kwargs=engine_kwargs,
         )
-        self.last_cancellations = []
-
-        stored = self._store_lookup(function, outcome, exact_only=True)
-        if stored is not None:
-            result, _exact = stored
-            outcome.status = "ok"
-            outcome.engine = "store"
-            outcome.result = result
-            outcome.runtime = deadline.elapsed
-            return outcome
-
-        best_inexact: tuple[str, SynthesisResult] | None = None
-        last_status, last_error = "timeout", ""
-        suggestion = self.health.suggest_timeout(
-            function, deadline.remaining()
-        )
-        for round_index in (0, 1):
-            remaining = deadline.remaining()
-            if remaining is not None and remaining <= 0:
-                break
-            lane_budget = remaining
-            if round_index == 0 and suggestion is not None:
-                lane_budget = (
-                    min(suggestion, remaining)
-                    if remaining is not None
-                    else suggestion
-                )
-            lanes = self.health.select(self._engines, limit=self._width)
-            won, status, error, inexact = self._race_round(
-                function, lanes, lane_budget, fault_key, outcome
-            )
-            if inexact is not None and best_inexact is None:
-                best_inexact = inexact
-            if won is not None:
-                engine, result = won
-                outcome.status = (
-                    "ok" if result is not None else "infeasible"
-                )
-                outcome.engine = engine
-                outcome.result = result
-                outcome.error = error
-                outcome.runtime = deadline.elapsed
-                if result is not None:
-                    self._store_put(function, result, engine, exact=True)
-                return outcome
-            last_status, last_error = status, error
-            # A full-budget round leaves nothing for a second one; only
-            # re-race when the adaptive suggestion shrank round 0.
-            if round_index == 0 and (
-                suggestion is None
-                or (remaining is not None and lane_budget >= remaining)
-            ):
-                break
-
-        if best_inexact is not None:
-            engine, result = best_inexact
-            self._store_put(function, result, engine, exact=False)
-        return self._degrade(
-            function, outcome, best_inexact, last_status, last_error,
-            deadline,
-        )
-
-    # ------------------------------------------------------------------
-    # one racing round
-    # ------------------------------------------------------------------
-    def _race_round(
-        self,
-        function: TruthTable,
-        lanes: Sequence[str],
-        budget: float | None,
-        fault_key: str,
-        outcome: ExecutionOutcome,
-    ):
-        """Launch ``lanes`` concurrently and resolve one round.
-
-        Returns ``(winner, status, error, inexact)`` where ``winner``
-        is ``(engine, result)`` for an exact verified win, ``(engine,
-        None)`` for an authoritative infeasible, or ``None``;
-        ``inexact`` is a held ``(engine, result)`` from a non-exact
-        lane.  All workers are dead (reaped) on return, no matter how
-        the round ends.
-        """
-        from ..engine import engine_capabilities
-
-        handles: list[WorkerHandle] = []
-        collected: set[int] = set()
-        winner = None
-        inexact: tuple[str, SynthesisResult] | None = None
-        last_status, last_error = "timeout", ""
-        try:
-            for name in lanes:
-                fault = (
-                    self._fault_plan.draw(fault_key, name)
-                    if self._fault_plan is not None
-                    else None
-                )
-                handles.append(
-                    WorkerHandle(
-                        WorkerTask(
-                            engine=name,
-                            bits=function.bits,
-                            num_vars=function.num_vars,
-                            timeout=budget,
-                            engine_kwargs=self._engine_kwargs.get(
-                                name, {}
-                            ),
-                            fault=fault,
-                            memory_limit_mb=self._memory_limit_mb,
-                        ),
-                        grace=self._grace,
-                    )
-                )
-            pending = list(handles)
-            while pending and winner is None:
-                progressed = False
-                for handle in list(pending):
-                    if not (handle.ready() or handle.overdue()):
-                        continue
-                    progressed = True
-                    pending.remove(handle)
-                    collected.add(id(handle))
-                    status, error, result = self._collect(
-                        handle, function
-                    )
-                    outcome.attempts += 1
-                    outcome.trail.append(
-                        AttemptRecord(
-                            engine=handle.engine,
-                            attempt=0,
-                            status=status,
-                            runtime=handle.elapsed,
-                            error=error,
-                            error_class=(
-                                error.split(":", 1)[0] if error else ""
-                            ),
-                            fault=(
-                                handle.task.fault.kind
-                                if handle.task.fault
-                                else ""
-                            ),
-                        )
-                    )
-                    self.health.record(
-                        handle.engine,
-                        status,
-                        handle.elapsed,
-                        function=function,
-                    )
-                    if status == "ok":
-                        exact = self._is_exact(
-                            handle.engine, engine_capabilities
-                        )
-                        if exact:
-                            winner = (handle.engine, result)
-                            break
-                        if inexact is None:
-                            inexact = (handle.engine, result)
-                    elif status == "infeasible" and self._is_exact(
-                        handle.engine, engine_capabilities
-                    ):
-                        winner = (handle.engine, None)
-                        last_error = error
-                        break
-                    else:
-                        last_status, last_error = status, error
-                if not progressed:
-                    time.sleep(self._poll_interval)
-        finally:
-            # Reap every lane not yet collected — the winner's early
-            # return and a KeyboardInterrupt both land here.  Collected
-            # handles are already closed by ``result()``.
-            for handle in handles:
-                if id(handle) not in collected:
-                    self._cancel(handle)
-        if winner is not None:
-            _engine, result = winner
-            status = "ok" if result is not None else "infeasible"
-            return winner, status, last_error, inexact
-        return None, last_status, last_error, inexact
-
-    def _collect(self, handle: WorkerHandle, function: TruthTable):
-        """Harvest one finished (or overdue) lane into a status triple."""
-        try:
-            result = handle.result(block=False)
-        except KeyboardInterrupt:
-            raise
-        except Exception as exc:
-            return (
-                classify_failure(exc),
-                f"{type(exc).__name__}: {exc}",
-                None,
-            )
-        if not isinstance(result, SynthesisResult):
-            return (
-                "crash",
-                f"engine returned {type(result).__name__}, "
-                "not a SynthesisResult",
-                None,
-            )
-        # Winner-side verification: a corrupt lane must lose the race.
-        for chain in result.chains:
-            if chain.simulate_output() != function:
-                return (
-                    "corrupt",
-                    "VerificationFailed: racing lane "
-                    f"{handle.engine!r} returned a chain that does "
-                    f"not realise 0x{function.to_hex()}",
-                    None,
-                )
-        if not result.chains:
-            return ("crash", "engine returned no chains", None)
-        return ("ok", "", result)
-
-    def _cancel(self, handle: WorkerHandle) -> None:
-        pid = handle.pid
-        seconds = handle.cancel()
-        record = CancellationRecord(
-            engine=handle.engine, pid=pid, seconds=seconds
-        )
-        self.last_cancellations.append(record)
-        self.cancellations += 1
-        self.cancel_seconds += seconds
-
-    @staticmethod
-    def _is_exact(engine: str, engine_capabilities) -> bool:
-        try:
-            return bool(engine_capabilities(engine).exact)
-        except Exception:
-            return False
-
-    # ------------------------------------------------------------------
-    # graceful degradation
-    # ------------------------------------------------------------------
-    def _degrade(
-        self,
-        function: TruthTable,
-        outcome: ExecutionOutcome,
-        best_inexact: tuple[str, SynthesisResult] | None,
-        last_status: str,
-        last_error: str,
-        deadline: Deadline,
-    ) -> ExecutionOutcome:
-        """All exact lanes failed: serve the best-known upper bound.
-
-        Preference order: the store's best row of either grade (it may
-        know a tighter bound from an earlier run than this race's held
-        inexact result), then the held inexact result.  When neither
-        exists the original failure stands.
-        """
-        served = self._store_lookup(function, outcome, exact_only=False)
-        if served is not None:
-            result, _row_exact = served
-            outcome.status = "degraded"
-            outcome.engine = "store"
-            outcome.result = result
-            # Even an exact-graded row is only an upper bound here: the
-            # smaller row that made the plain lookup miss may have been
-            # quarantined, so optimality is no longer established.
-            outcome.exact = False
-            outcome.error = last_error
-            outcome.runtime = deadline.elapsed
-            return outcome
-        if best_inexact is not None:
-            engine, result = best_inexact
-            outcome.status = "degraded"
-            outcome.engine = engine
-            outcome.result = result
-            outcome.exact = False
-            outcome.error = last_error
-            outcome.runtime = deadline.elapsed
-            return outcome
-        outcome.status = last_status
-        outcome.engine = ""
-        outcome.error = last_error
-        outcome.runtime = deadline.elapsed
-        return outcome
-
-    # ------------------------------------------------------------------
-    # store plumbing
-    # ------------------------------------------------------------------
-    def _store_lookup(
-        self,
-        function: TruthTable,
-        outcome: ExecutionOutcome,
-        *,
-        exact_only: bool,
-    ):
-        """Best-effort store read; returns ``(result, exact)`` or None."""
-        if self._store is None:
-            return None
-        events: list = []
-        try:
-            if exact_only:
-                result = self._store.lookup(function, events=events)
-                served = (result, True) if result is not None else None
-            else:
-                served = self._store.lookup_upper_bound(
-                    function, events=events
-                )
-        except KeyboardInterrupt:
-            raise
-        except Exception:
-            served = None
-        outcome.store_quarantined += sum(
-            1 for kind, _ in events if kind == "quarantined"
-        )
-        return served
-
-    def _store_put(
-        self,
-        function: TruthTable,
-        result: SynthesisResult,
-        engine: str,
-        *,
-        exact: bool,
-    ) -> None:
-        if self._store is None:
-            return
-        try:
-            self._store.put(function, result, engine=engine, exact=exact)
-        except KeyboardInterrupt:
-            raise
-        except Exception:
-            pass

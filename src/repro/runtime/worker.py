@@ -3,9 +3,9 @@
 The cooperative :class:`~repro.core.spec.Deadline` is only as reliable
 as the hottest loop's polling discipline.  This module provides the
 uncooperative backstop: the engine runs in a child process, the parent
-waits at most ``grace × budget`` for a result, and a worker that is
-still running past that point is killed outright.  A killed or crashed
-worker surfaces as a structured :class:`BudgetExceeded` /
+waits at most ``DEFAULT_GRACE × budget`` for a result, and a worker
+that is still running past that point is killed outright.  A killed or
+crashed worker surfaces as a structured :class:`BudgetExceeded` /
 :class:`WorkerCrash` instead of wedging the suite.
 
 An optional ``resource.setrlimit(RLIMIT_AS)`` cap turns pathological
@@ -20,8 +20,8 @@ import time
 from dataclasses import dataclass, field
 
 from ..core.spec import SynthesisResult
+from ..engine import run_engine
 from ..truthtable.table import TruthTable
-from .engines import get_engine
 from .errors import (
     BudgetExceeded,
     EngineUnavailable,
@@ -32,9 +32,10 @@ from .faults import FaultSpec, execute_fault
 
 __all__ = ["WorkerTask", "WorkerHandle", "run_isolated", "DEFAULT_GRACE"]
 
-#: Hard-kill multiplier: a worker is allowed ``grace × budget`` seconds
-#: of wall clock before the parent kills it.  1.4 keeps the guarantee
-#: "killed within 1.5× its budget" with margin for kill/join overhead.
+#: Hard-kill multiplier: a worker is allowed ``DEFAULT_GRACE × budget``
+#: seconds of wall clock before the parent kills it.  1.4 keeps the
+#: guarantee "killed within 1.5× its budget" with margin for kill/join
+#: overhead.
 DEFAULT_GRACE = 1.4
 
 #: Floor on the hard timeout so tiny budgets still cover process
@@ -86,8 +87,9 @@ def _child_main(task: WorkerTask, conn) -> None:
                 task.fault, function, task.timeout, isolated=True
             )
         else:
-            engine = get_engine(task.engine)
-            result = engine(function, task.timeout, **task.engine_kwargs)
+            result = run_engine(
+                task.engine, function, task.timeout, **task.engine_kwargs
+            )
         try:
             conn.send(("ok", result))
         except Exception as exc:
@@ -126,9 +128,7 @@ class WorkerHandle:
     is killed and reaped: a handle never leaks a zombie.
     """
 
-    def __init__(
-        self, task: WorkerTask, *, grace: float = DEFAULT_GRACE
-    ) -> None:
+    def __init__(self, task: WorkerTask) -> None:
         self.task = task
         ctx = _context()
         self._conn, child_conn = ctx.Pipe(duplex=False)
@@ -137,14 +137,14 @@ class WorkerHandle:
         )
         # The hard deadline is measured from *before* the fork so
         # process start-up overhead cannot push the kill past
-        # grace × budget.
+        # DEFAULT_GRACE × budget.
         self._start = time.perf_counter()
         self._process.start()
         child_conn.close()
         self._hard_deadline: float | None = None
         if task.timeout is not None:
             self._hard_deadline = self._start + max(
-                task.timeout * grace, _MIN_HARD_TIMEOUT
+                task.timeout * DEFAULT_GRACE, _MIN_HARD_TIMEOUT
             )
         self._closed = False
 
@@ -266,16 +266,14 @@ class WorkerHandle:
             self._process.join(timeout=5.0)
 
 
-def run_isolated(
-    task: WorkerTask, *, grace: float = DEFAULT_GRACE
-) -> SynthesisResult:
+def run_isolated(task: WorkerTask) -> SynthesisResult:
     """Run one synthesis attempt in a worker process.
 
     Blocks until the worker reports, crashes, or exceeds the hard
-    timeout ``max(grace × timeout, 0.25s)``; a worker still alive at
+    timeout ``max(DEFAULT_GRACE × timeout, 0.25s)``; a worker still alive at
     that point is killed and reported as :class:`BudgetExceeded`.
     """
-    return WorkerHandle(task, grace=grace).result()
+    return WorkerHandle(task).result()
 
 
 def _kill(process) -> None:

@@ -34,7 +34,8 @@ import tempfile
 from typing import Sequence
 
 from ..parallel.scheduler import BatchScheduler
-from ..runtime.engines import DEFAULT_FALLBACK_CHAIN, ENGINE_NAMES
+from ..engine import engine_names
+from ..runtime.executor import DEFAULT_FALLBACK_CHAIN
 from .multiproc import SiblingRegistry, reserve_port, supervise
 from .ratelimit import RateLimiter
 from .server import SynthesisServer
@@ -78,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        choices=ENGINE_NAMES,
+        choices=engine_names(),
         default=None,
         help="primary engine (prepended to the default fallback chain)",
     )

@@ -15,14 +15,16 @@ same funnel:
    back through *its own* inverse transform.
 3. **Engine path.**  Otherwise the canonical representative is
    submitted to the persistent :class:`~repro.parallel.BatchScheduler`
-   pool.  Dispatch is health-aware — the shared
+   pool as one :meth:`FaultTolerantExecutor.run
+   <repro.runtime.executor.FaultTolerantExecutor.run>` call — the
+   runtime's one resolve path.  Dispatch is health-aware — the shared
    :class:`~repro.runtime.health.EngineHealth` breaker picks the lanes
    — and optionally races engines (``race=True``).  Solved results are
    written back to the store, so the whole orbit is warm afterwards.
-4. **Degradation.**  When every exact lane fails, the store's
-   best-known upper bound for the class is served with
-   ``exact: false`` and a ``degraded`` status the HTTP layer maps to
-   its own (non-failure) status code.
+4. **Degradation.**  When no exact answer comes back, the executor
+   serves the store's best-known upper bound for the class, which
+   leaves here with ``exact: false`` and a ``degraded`` status the
+   HTTP layer maps to its own (non-failure) status code.
 
 Every response's first chain is re-verified against the *caller's*
 tables with the packed AllSAT verifier before it leaves the service —
@@ -46,16 +48,19 @@ from typing import Mapping, Sequence
 
 from ..chain.transform import npn_transform_chain, npn_transform_chain_multi
 from ..core.circuit_sat import verify_chain, verify_chain_outputs
-from ..core.spec import SynthesisSpec, SynthesisStats
+from ..core.spec import SynthesisStats
 from ..parallel.dispatch import (
     PRIORITY_BANDS,
     DeadlineExpired,
     normalize_priority,
 )
-from ..runtime.engines import DEFAULT_FALLBACK_CHAIN
-from ..runtime.errors import classify_failure
-from ..runtime.executor import ExecutionOutcome, FaultTolerantExecutor
+from ..runtime.executor import (
+    DEFAULT_FALLBACK_CHAIN,
+    ExecutionOutcome,
+    FaultTolerantExecutor,
+)
 from ..runtime.health import EngineHealth
+from ..runtime.racing import RACE_WIDTH
 from ..truthtable import from_hex
 from ..truthtable.npn import canonicalize, canonicalize_multi
 from ..truthtable.table import TruthTable
@@ -265,7 +270,8 @@ class SynthesisService:
         Exact-lane preference order.  Health-filtered per dispatch.
     race:
         Race the healthy lanes in isolated workers per miss instead of
-        walking them as an in-process fallback chain.
+        walking them as an in-process fallback chain (the executor's
+        ``width``).  Joint vectors always walk.
     default_timeout / max_timeout:
         Per-request synthesis budget when the caller names none, and
         the hard cap a caller may request.
@@ -274,8 +280,9 @@ class SynthesisService:
         (``overloaded``) while the scheduler backlog is at or past it.
         Coalescing joins and warm hits are never shed.
     fault_plan:
-        Deterministic fault injection, threaded into the exact lanes
-        (tests drive the degraded path with a wildcard crash plan).
+        Deterministic fault injection, threaded into the executor's
+        lanes (tests drive the degraded path with a wildcard crash
+        plan).
     """
 
     def __init__(
@@ -292,22 +299,24 @@ class SynthesisService:
         max_backlog: int = 256,
         fault_plan=None,
         engine_kwargs: dict[str, dict] | None = None,
-        verify_responses: bool = True,
     ) -> None:
-        if not engines:
-            raise ValueError("need at least one engine")
         self._scheduler = scheduler
         self._store = store
-        self._engines = tuple(engines)
-        self._race = race
         self.health = health if health is not None else EngineHealth()
         self.metrics = metrics if metrics is not None else ServingMetrics()
         self._default_timeout = default_timeout
         self._max_timeout = max_timeout
         self._max_backlog = max(1, max_backlog)
-        self._fault_plan = fault_plan
-        self._engine_kwargs = engine_kwargs or {}
-        self._verify_responses = verify_responses
+        #: Shared by every dispatcher thread; it keeps per-run state on
+        #: the stack.
+        self._executor = FaultTolerantExecutor(
+            engines,
+            width=RACE_WIDTH if race else 1,
+            health=self.health,
+            store=store,
+            fault_plan=fault_plan,
+            engine_kwargs=engine_kwargs,
+        )
         #: Monotone admission ids: every admitted request gets the
         #: next integer, so a gap-free, strictly increasing sequence
         #: is an invariant the soak harness can assert.
@@ -499,20 +508,11 @@ class SynthesisService:
         loop = asyncio.get_running_loop()
         shared: asyncio.Future = loop.create_future()
         expire_at = request.expire_at
-        if len(canon_tables) == 1:
-            canon = canon_tables[0]
 
-            def job() -> ExecutionOutcome:
-                return self._run_canonical_single(
-                    canon, timeout, expire_at
-                )
-
-        else:
-
-            def job() -> ExecutionOutcome:
-                return self._run_canonical_multi(
-                    canon_tables, timeout, expire_at
-                )
+        def job() -> ExecutionOutcome:
+            return self._executor.run(
+                canon_tables, timeout, expire_at=expire_at
+            )
 
         try:
             handle = self._scheduler.submit_call(
@@ -570,180 +570,6 @@ class SynthesisService:
             self.stats.merge(outcome.result.stats)
         shared.set_result(outcome)
 
-    def _run_canonical_single(
-        self,
-        canon: TruthTable,
-        timeout: float,
-        expire_at: float | None = None,
-    ) -> ExecutionOutcome:
-        """One exact synthesis of a canonical representative.
-
-        Health-aware: the breaker picks the lanes; outcomes are folded
-        back so a persistently failing engine stops being dispatched.
-        Failures degrade to the store's best upper bound for the class.
-        ``expire_at`` caps the engine budget at the request deadline's
-        remaining wall clock (computed here, at dispatch, so queueing
-        time is charged against the deadline).
-        """
-        lanes = tuple(self.health.select(self._engines))
-        if not lanes:  # pragma: no cover - select() never returns empty
-            lanes = self._engines
-        if self._race and len(lanes) > 1:
-            from ..runtime.racing import RacingExecutor
-
-            if expire_at is not None:
-                timeout = min(
-                    timeout, max(0.05, expire_at - time.monotonic())
-                )
-            executor = RacingExecutor(
-                lanes,
-                health=self.health,
-                store=self._store,
-                fault_plan=self._fault_plan,
-                engine_kwargs={
-                    name: dict(self._engine_kwargs.get(name, {}))
-                    for name in lanes
-                },
-            )
-            return executor.run(canon, timeout=timeout)
-        executor = FaultTolerantExecutor(
-            lanes,
-            store=self._store,
-            fault_plan=self._fault_plan,
-            engine_kwargs=self._engine_kwargs,
-        )
-        outcome = executor.run(canon, timeout=timeout, expire_at=expire_at)
-        for record in outcome.trail:
-            self.health.record(
-                record.engine,
-                record.status,
-                record.runtime,
-                function=canon if record.status == "ok" else None,
-            )
-        if not outcome.solved and self._store is not None:
-            outcome = self._degrade_from_store(canon, outcome)
-        return outcome
-
-    def _degrade_from_store(
-        self, canon: TruthTable, outcome: ExecutionOutcome
-    ) -> ExecutionOutcome:
-        """Swap a hard failure for the class's best stored upper bound."""
-        try:
-            found = self._store.lookup_upper_bound(canon)
-        except Exception:
-            found = None
-        if found is None:
-            return outcome
-        result, _exact = found
-        outcome.status = "degraded"
-        outcome.engine = "store"
-        outcome.exact = False
-        outcome.result = result
-        return outcome
-
-    def _run_canonical_multi(
-        self,
-        canon_tables: tuple[TruthTable, ...],
-        timeout: float,
-        expire_at: float | None = None,
-    ) -> ExecutionOutcome:
-        """Joint multi-output synthesis of a canonical vector.
-
-        Walks the healthy lanes through decompose-and-share; solved
-        results are written back under the joint canonical key.  The
-        fault plan does not apply here — injection targets the
-        single-output executor path.
-        """
-        from ..engine import create_engine, engine_capabilities
-        from ..engine.multioutput import decompose_and_share
-
-        if expire_at is not None:
-            timeout = min(
-                timeout, max(0.05, expire_at - time.monotonic())
-            )
-        key_hex = ",".join(t.to_hex() for t in canon_tables)
-        outcome = ExecutionOutcome(
-            function_hex=key_hex,
-            num_vars=canon_tables[0].num_vars,
-            status="crash",
-        )
-        started = time.perf_counter()
-        if self._store is not None:
-            try:
-                stored = self._store.lookup_multi(list(canon_tables))
-            except Exception:
-                stored = None
-            if stored is not None:
-                outcome.status = "ok"
-                outcome.engine = "store"
-                outcome.result = stored
-                outcome.runtime = time.perf_counter() - started
-                return outcome
-        min_gates = 0
-        if self._store is not None and len(canon_tables) == 1:
-            try:
-                min_gates = int(
-                    self._store.min_feasible_gates(canon_tables[0])
-                )
-            except Exception:
-                min_gates = 0
-        spec = SynthesisSpec(
-            function=canon_tables[0],
-            functions=tuple(canon_tables),
-            timeout=timeout,
-            min_gates=min_gates,
-        )
-        for name in self.health.select(self._engines) or list(
-            self._engines
-        ):
-            attempt_started = time.perf_counter()
-            try:
-                engine = create_engine(
-                    name, **self._engine_kwargs.get(name, {})
-                )
-                result = engine_run = decompose_and_share(engine, spec)
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                status = classify_failure(exc)
-                self.health.record(
-                    name, status, time.perf_counter() - attempt_started
-                )
-                outcome.status = status
-                outcome.error = f"{type(exc).__name__}: {exc}"
-                if status in ("timeout", "infeasible"):
-                    break
-                continue
-            self.health.record(
-                name, "ok", time.perf_counter() - attempt_started
-            )
-            outcome.status = "ok"
-            outcome.engine = name
-            outcome.result = result
-            outcome.runtime = time.perf_counter() - started
-            if self._store is not None:
-                try:
-                    exact = bool(engine_capabilities(name).exact)
-                    self._store.put_multi(
-                        list(canon_tables),
-                        engine_run,
-                        engine=name,
-                        exact=exact,
-                    )
-                    if (
-                        exact
-                        and len(canon_tables) == 1
-                        and engine_run.num_gates > 0
-                    ):
-                        self._store.mark_infeasible(
-                            canon_tables[0], engine_run.num_gates - 1
-                        )
-                except Exception:
-                    pass
-            return outcome
-        outcome.runtime = time.perf_counter() - started
-        return outcome
-
     # ------------------------------------------------------------------
     # caller-space mapping
     # ------------------------------------------------------------------
@@ -774,13 +600,12 @@ class SynthesisService:
             rewrite(chain, inverse)
             for chain in outcome.result.chains[: request.max_chains]
         ]
-        degraded = outcome.degraded
-        if degraded:
+        if outcome.degraded:
             self.metrics.degraded += 1
         return self._finish(
             request,
-            status="degraded" if degraded else "ok",
-            exact=not degraded,
+            status=outcome.status,
+            exact=outcome.exact,
             source="engine" if outcome.engine != "store" else "store",
             engine=outcome.engine,
             chains=chains,
@@ -804,7 +629,7 @@ class SynthesisService:
     ) -> SynthesisResponse:
         """Final response assembly + the caller-space verification gate."""
         chains = list(chains[: request.max_chains])
-        if self._verify_responses and chains:
+        if chains:
             ok = (
                 verify_chain_outputs(chains[0], request.functions)
                 if request.is_multi
@@ -838,9 +663,7 @@ class SynthesisService:
     def _store_lookup(self, functions: tuple[TruthTable, ...]):
         """Exact warm-path lookup, caller space (worker thread)."""
         try:
-            if len(functions) == 1:
-                return self._store.lookup(functions[0])
-            return self._store.lookup_multi(list(functions))
+            return self._store.lookup_multi(functions)
         except Exception:
             return None
 

@@ -45,3 +45,19 @@ def random_chain(rnd, num_inputs: int = 4, num_gates: int = 5) -> BooleanChain:
         chain.add_gate(rnd.randrange(16), (a, b))
     chain.set_output(chain.num_signals - 1, bool(rnd.getrandbits(1)))
     return chain
+
+
+def record_race_lanes(monkeypatch) -> list:
+    """Record the :class:`~repro.runtime.worker.WorkerTask` of every
+    race lane the executor spawns (the returned list fills in place)."""
+    import repro.runtime.executor as executor_mod
+
+    tasks: list = []
+
+    class RecordingHandle(executor_mod.WorkerHandle):
+        def __init__(self, task):
+            tasks.append(task)
+            super().__init__(task)
+
+    monkeypatch.setattr(executor_mod, "WorkerHandle", RecordingHandle)
+    return tasks

@@ -93,26 +93,19 @@ class TestSynthesizeDispatch:
         assert result.num_gates == 2
 
 
-class TestRuntimeShim:
-    def test_get_engine_resolves_names(self):
-        from repro.runtime.engines import ENGINE_NAMES, get_engine
-
-        assert set(ENGINE_NAMES) == set(engine_names())
-        fn = get_engine("stp")
-        result = fn(parity(3), 120, max_solutions=8)
+class TestRunEngine:
+    def test_run_engine_resolves_names(self):
+        result = run_engine("stp", parity(3), 120, max_solutions=8)
         assert result.num_gates == 2
         assert result.num_solutions <= 8
 
-    def test_get_engine_unknown(self):
-        from repro.runtime.engines import get_engine
-
+    def test_run_engine_unknown(self):
         with pytest.raises(EngineUnavailable):
-            get_engine("missing")
+            run_engine("missing", parity(3), 120)
 
-    def test_get_engine_is_picklable(self):
-        import pickle
-
-        from repro.runtime.engines import get_engine
-
-        fn = pickle.loads(pickle.dumps(get_engine("fen")))
-        assert fn(parity(3), 120).num_gates == 2
+    def test_run_engine_joint_vector(self):
+        # A sequence of tables is one joint multi-output spec.
+        functions = (majority(3), parity(3))
+        result = run_engine("fen", functions, 120)
+        assert result.spec.functions == functions
+        assert len(result.chains[0].outputs) == 2

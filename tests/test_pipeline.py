@@ -8,11 +8,8 @@ import pytest
 from repro.chain import BooleanChain
 from repro.chain.transform import npn_transform_chain
 from repro.core import SynthesisContext, SynthesisSpec, run_pipeline
-from repro.core.synthesizer import (
-    STPSynthesizer,
-    _canonicalize_dont_cares,
-    _dedup,
-)
+from repro.core.pipeline import canonicalize_dont_cares, dedup_chains
+from repro.core.synthesizer import STPSynthesizer
 from repro.runtime.errors import BudgetExceeded
 from repro.truthtable import from_hex, majority, parity
 from repro.truthtable.npn import NPNTransform, canonicalize
@@ -133,7 +130,7 @@ class TestDedup:
         )
         chains = result.chains
         doubled = chains + list(chains)
-        unique = _dedup(doubled)
+        unique = dedup_chains(doubled)
         assert [c.signature() for c in unique] == [
             c.signature() for c in chains
         ]
@@ -145,7 +142,7 @@ class TestDedup:
         b = BooleanChain(2)
         b.add_gate(0xE, (0, 1))
         b.set_output(2)
-        assert _dedup([a, b, a, b, a]) == [a, b]
+        assert dedup_chains([a, b, a, b, a]) == [a, b]
 
 
 class TestCanonicalizeDontCares:
@@ -164,21 +161,21 @@ class TestCanonicalizeDontCares:
 
         assert first.simulate_output() == second.simulate_output()
         assert first.signature() != second.signature()
-        fixed_first = _canonicalize_dont_cares(first)
-        fixed_second = _canonicalize_dont_cares(second)
+        fixed_first = canonicalize_dont_cares(first)
+        fixed_second = canonicalize_dont_cares(second)
         assert fixed_first.signature() == fixed_second.signature()
-        assert len(_dedup([fixed_first, fixed_second])) == 1
+        assert len(dedup_chains([fixed_first, fixed_second])) == 1
 
     def test_behaviour_unchanged(self):
         result = run_pipeline(
             SynthesisSpec(function=EXAMPLE7, timeout=120, max_solutions=32)
         )
         for chain in result.chains:
-            fixed = _canonicalize_dont_cares(chain)
+            fixed = canonicalize_dont_cares(chain)
             assert fixed.simulate_output() == chain.simulate_output()
             # Idempotent: already-canonical chains are fixed points.
             assert (
-                _canonicalize_dont_cares(fixed).signature()
+                canonicalize_dont_cares(fixed).signature()
                 == fixed.signature()
             )
 
@@ -186,5 +183,5 @@ class TestCanonicalizeDontCares:
         chain = BooleanChain(2)
         chain.add_gate(0x6, (0, 1))  # XOR over independent inputs
         chain.set_output(2)
-        fixed = _canonicalize_dont_cares(chain)
+        fixed = canonicalize_dont_cares(chain)
         assert fixed.gates[0].op == 0x6  # all four rows reachable

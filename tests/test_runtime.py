@@ -10,11 +10,7 @@ import time
 
 import pytest
 
-from repro.runtime.engines import (
-    DEFAULT_FALLBACK_CHAIN,
-    ENGINE_NAMES,
-    get_engine,
-)
+from repro.engine import create_engine, engine_names, run_engine
 from repro.runtime.errors import (
     BudgetExceeded,
     EngineUnavailable,
@@ -24,10 +20,15 @@ from repro.runtime.errors import (
     WorkerCrash,
     classify_failure,
 )
-from repro.runtime.executor import FaultTolerantExecutor
+from repro.runtime.executor import (
+    DEFAULT_FALLBACK_CHAIN,
+    FaultTolerantExecutor,
+)
 from repro.runtime.faults import FaultPlan, FaultSpec, execute_fault
 from repro.runtime.worker import WorkerTask, run_isolated
 from repro.truthtable import from_hex
+
+from tests.helpers import record_race_lanes
 
 EASY = from_hex("8ff8", 4)  # paper Example 7: optimum is 3 gates
 
@@ -66,19 +67,21 @@ class TestErrorHierarchy:
 
 class TestEngineRegistry:
     def test_known_engines(self):
-        assert set(DEFAULT_FALLBACK_CHAIN) <= set(ENGINE_NAMES)
-        for name in ENGINE_NAMES:
-            assert callable(get_engine(name))
+        assert set(DEFAULT_FALLBACK_CHAIN) <= set(engine_names())
+        for name in engine_names():
+            assert callable(create_engine(name).synthesize)
 
     def test_unknown_engine(self):
         with pytest.raises(EngineUnavailable):
-            get_engine("abc9000")
+            create_engine("abc9000")
+        with pytest.raises(EngineUnavailable):
+            run_engine("abc9000", EASY, 30.0)
 
     def test_adapters_ignore_foreign_kwargs(self):
         # One shared kwargs dict must be usable across a heterogeneous
         # chain; engines silently drop the knobs they don't support.
-        result = get_engine("fen")(
-            EASY, 30.0, max_solutions=4, all_solutions=True
+        result = run_engine(
+            "fen", EASY, 30.0, max_solutions=4, all_solutions=True
         )
         assert result.chains[0].simulate_output() == EASY
 
@@ -351,3 +354,24 @@ class TestExecutorFallback:
     def test_needs_at_least_one_engine(self):
         with pytest.raises(ValueError):
             FaultTolerantExecutor(())
+
+    def test_inexact_engine_is_not_reported_exact(self):
+        # hier's capabilities do not claim exactness: its answer is
+        # accepted by the walk but is not a proven optimum.
+        outcome = FaultTolerantExecutor(("hier",)).run(
+            from_hex("e8", 3), 30.0
+        )
+        assert outcome.solved and outcome.engine == "hier"
+        assert outcome.exact is False
+
+    def test_lapsed_deadline_never_spawns_a_lane(self, monkeypatch):
+        from repro.runtime.racing import RacingExecutor
+
+        spawned = record_race_lanes(monkeypatch)
+        executor = RacingExecutor(("stp", "fen"))
+        outcome = executor.run(
+            EASY, 30.0, expire_at=time.monotonic() - 1.0
+        )
+        assert outcome.status == "timeout"
+        assert outcome.trail == []
+        assert spawned == []

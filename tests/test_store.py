@@ -21,7 +21,7 @@ from repro.store import ChainStore, chain_from_record, chain_to_record
 from repro.truthtable import from_hex
 from repro.truthtable.npn import NPNTransform, npn_classes
 
-from tests.helpers import assert_chain_realizes
+from tests.helpers import assert_chain_realizes, record_race_lanes
 
 
 class TestSerialization:
@@ -117,6 +117,59 @@ class TestExecutorIntegration:
         executor = FaultTolerantExecutor(("fen",), store=store)
         outcome = executor.run(function, 30.0)
         assert outcome.solved and outcome.engine == "fen"
+
+    def test_store_failures_are_counted(self, tmp_path):
+        store = ChainStore(str(tmp_path / "chains.db"))
+        store.close()
+        executor = FaultTolerantExecutor(("fen",), store=store)
+        outcome = executor.run(from_hex("e8", 3), 30.0)
+        assert outcome.solved and outcome.engine == "fen"
+        assert outcome.store_errors >= 1
+        assert outcome.to_record()["store_errors"] == outcome.store_errors
+
+    def test_failed_walk_serves_stored_upper_bound(self, tmp_path):
+        function = from_hex("e8", 3)
+        plan = FaultPlan(
+            {FaultPlan.WILDCARD: FaultSpec("crash", times=None)}
+        )
+        with ChainStore(tmp_path / "chains.db") as store:
+            bound = run_engine("fen", function, 30.0)
+            assert store.put(function, bound, "hier", exact=False)
+            executor = FaultTolerantExecutor(
+                ("stp", "fen"), store=store, fault_plan=plan,
+                max_retries=0,
+            )
+            outcome = executor.run(function, 30.0)
+        assert outcome.status == "degraded"
+        assert outcome.engine == "store" and outcome.exact is False
+        assert outcome.result.num_gates == bound.num_gates
+        assert_chain_realizes(function, outcome.result.chains[0])
+
+    def test_race_uses_and_extends_the_floor(self, tmp_path, monkeypatch):
+        from repro.runtime.racing import RacingExecutor
+
+        tasks = record_race_lanes(monkeypatch)
+        function = from_hex("e8", 3)  # majority-3: optimum 4 gates
+        with ChainStore(tmp_path / "chains.db") as store:
+            store.mark_infeasible(function, 2)
+            executor = RacingExecutor(("stp", "fen", "cegis"), store=store)
+            outcome = executor.run(function, 30.0)
+            assert outcome.solved and outcome.exact
+            assert outcome.result.num_gates == 4
+            assert store.min_feasible_gates(function) == 4
+        assert len(tasks) == 3
+        assert all(task.engine_kwargs["min_gates"] == 3 for task in tasks)
+
+    def test_joint_vector_is_written_back_and_served(self, tmp_path):
+        functions = (from_hex("e8", 3), from_hex("96", 3))
+        with ChainStore(tmp_path / "chains.db") as store:
+            executor = FaultTolerantExecutor(("fen",), store=store)
+            cold = executor.run(functions, 30.0)
+            assert cold.solved and cold.engine == "fen"
+            warm = executor.run(functions, 30.0)
+        assert warm.solved and warm.engine == "store"
+        assert warm.function_hex == "e8,96"
+        assert len(warm.result.chains[0].outputs) == 2
 
     def test_inexact_engines_only_write_upper_bounds(self, tmp_path):
         # A heuristic engine's result lands as an upper-bound row:
