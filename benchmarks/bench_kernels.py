@@ -1,11 +1,15 @@
 """Old-vs-new kernel benchmark: packed bit-parallel kernels against the
 original pure-Python implementations (``repro.kernels.reference``).
 
-Produces ``BENCH_kernels_npn4.json`` with three sections:
+Produces ``BENCH_kernels_npn4.json`` with these sections:
 
 * ``chain_allsat`` — the headline microbenchmark: tuple-cube AllSAT vs
   the packed two-plane solver on random chains of several shapes, plus
   the aggregate speedup the CI gate checks;
+* ``verify_chain`` — end-to-end verification old/new on the same shapes;
+* ``chain_simulate`` — per-row chain simulation plus don't-care
+  canonicalization vs the word-parallel ``lut_apply`` path, on the same
+  shapes plus one 8-input shape, with its aggregate speedup;
 * ``micro`` — onset expansion and exact NPN canonicalization old/new;
 * ``npn4`` — end-to-end pipeline wall-clock over an NPN4 subset at
   ``jobs=1``, with the folded per-kernel stats, and an old-vs-new
@@ -14,11 +18,14 @@ Produces ``BENCH_kernels_npn4.json`` with three sections:
 Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py \
-        --out BENCH_kernels_npn4.json --min-allsat-speedup 1.0
+        --out BENCH_kernels_npn4.json --min-allsat-speedup 1.0 \
+        --min-simulate-speedup 1.0
 
 ``--min-allsat-speedup`` turns the report into a regression gate: the
 process exits non-zero when the geometric-mean AllSAT speedup falls
 below the threshold (CI pins 1.0 — packed must never be slower).
+``--min-simulate-speedup`` gates the ``chain_simulate`` geomean the
+same way.
 ``--max-npn4-wall`` gates the end-to-end section the same way: CI pins
 it at half the recorded pre-batching seed wall (40.0s for the 8-class
 subset → 20.0s), so losing the batched-factorization win fails the
@@ -39,11 +46,14 @@ from repro.bench.suites import get_suite
 from repro.chain import BooleanChain
 from repro.core import SynthesisSpec, chain_all_sat, run_pipeline, verify_chain
 from repro.core.circuit_sat import cubes_to_onset
+from repro.core.pipeline import canonicalize_dont_cares
 from repro.kernels import KERNEL_STATS, npn_minimum, packed_all_sat
 from repro.kernels.reference import (
+    canonicalize_dont_cares_ref,
     chain_all_sat_ref,
     cubes_to_onset_ref,
     npn_apply_ref,
+    simulate_signals_ref,
     verify_chain_ref,
 )
 from repro.runtime.errors import BudgetExceeded
@@ -73,6 +83,13 @@ ALLSAT_SHAPES = [
     (6, 14, 32, 10, 4),
     (7, 14, 64, 10, 4),
 ]
+
+
+#: (num_inputs, num_gates, #chains, #repeats) per simulation shape: the
+#: AllSAT shapes plus one 8-input shape.
+SIMULATE_SHAPES = [
+    (n, gates, count, repeats) for n, gates, _, count, repeats in ALLSAT_SHAPES
+] + [(8, 16, 10, 4)]
 
 
 def _time(fn, repeats: int) -> float:
@@ -157,6 +174,45 @@ def bench_verify() -> list[dict]:
             for chain, function in pairs:
                 verify_chain(chain, function)
 
+        old_s = _time(run_old, repeats)
+        new_s = _time(run_new, repeats)
+        rows.append(
+            {
+                "shape": f"{n}in{gates}g",
+                "chains": count,
+                "old_s": round(old_s, 6),
+                "new_s": round(new_s, 6),
+                "speedup": round(old_s / new_s, 3),
+            }
+        )
+    return rows
+
+
+def bench_chain_simulate() -> list[dict]:
+    """Chain simulation plus don't-care canonicalization, per shape:
+    the per-row references against ``simulate_signals`` and
+    ``canonicalize_dont_cares``, which evaluate every gate with one
+    word-parallel :func:`repro.kernels.lut_apply`."""
+    rows = []
+    for n, gates, count, repeats in SIMULATE_SHAPES:
+        rnd = random.Random(n * 100 + gates)
+        chains = [random_chain(rnd, n, gates) for _ in range(count)]
+
+        def run_old():
+            for chain in chains:
+                simulate_signals_ref(chain)
+                canonicalize_dont_cares_ref(chain)
+
+        def run_new():
+            for chain in chains:
+                chain.simulate_signals()
+                canonicalize_dont_cares(chain)
+
+        for chain in chains:
+            assert chain.simulate_signals() == simulate_signals_ref(chain)
+            assert canonicalize_dont_cares(
+                chain
+            ) == canonicalize_dont_cares_ref(chain)
         old_s = _time(run_old, repeats)
         new_s = _time(run_new, repeats)
         rows.append(
@@ -303,6 +359,12 @@ def print_histogram(histogram: dict, width: int = 40) -> None:
         )
 
 
+def _geomean(rows: list[dict]) -> float:
+    return math.exp(
+        sum(math.log(r["speedup"]) for r in rows) / len(rows)
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -328,6 +390,13 @@ def main(argv=None) -> int:
         "drops below this value",
     )
     parser.add_argument(
+        "--min-simulate-speedup",
+        type=float,
+        default=None,
+        help="fail (exit 1) when the geometric-mean chain simulation "
+        "speedup drops below this value",
+    )
+    parser.add_argument(
         "--max-npn4-wall",
         type=float,
         default=None,
@@ -343,10 +412,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     allsat_rows = bench_chain_allsat()
-    geomean = math.exp(
-        sum(math.log(r["speedup"]) for r in allsat_rows)
-        / len(allsat_rows)
-    )
+    geomean = _geomean(allsat_rows)
+    simulate_rows = bench_chain_simulate()
+    simulate_geomean = _geomean(simulate_rows)
     report = {
         "benchmark": "kernels_npn4",
         "chain_allsat": allsat_rows,
@@ -355,6 +423,8 @@ def main(argv=None) -> int:
             r["speedup"] for r in allsat_rows
         ),
         "verify_chain": bench_verify(),
+        "chain_simulate": simulate_rows,
+        "chain_simulate_speedup_geomean": round(simulate_geomean, 3),
         "micro": bench_micro(),
         "npn4": bench_npn4(args.npn4_count, args.timeout),
     }
@@ -373,6 +443,12 @@ def main(argv=None) -> int:
             f"verify_chain {row['shape']}: {row['old_s']:.4f}s -> "
             f"{row['new_s']:.4f}s ({row['speedup']:.2f}x)"
         )
+    for row in simulate_rows:
+        print(
+            f"chain_simulate {row['shape']}: {row['old_s']:.4f}s -> "
+            f"{row['new_s']:.4f}s ({row['speedup']:.2f}x)"
+        )
+    print(f"chain_simulate geomean speedup: {simulate_geomean:.2f}x")
     micro = report["micro"]
     for name, entry in micro.items():
         print(
@@ -402,6 +478,17 @@ def main(argv=None) -> int:
         print(
             f"FAIL: AllSAT geomean speedup {geomean:.2f}x is below the "
             f"required {args.min_allsat_speedup:.2f}x",
+            file=sys.stderr,
+        )
+        failed = True
+    if (
+        args.min_simulate_speedup is not None
+        and simulate_geomean < args.min_simulate_speedup
+    ):
+        print(
+            f"FAIL: chain simulation geomean speedup "
+            f"{simulate_geomean:.2f}x is below the required "
+            f"{args.min_simulate_speedup:.2f}x",
             file=sys.stderr,
         )
         failed = True

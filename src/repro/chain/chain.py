@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ..kernels import lut_apply, var_mask
 from ..truthtable.operations import binary_op_name
-from ..truthtable.table import TruthTable, constant, projection
+from ..truthtable.table import TruthTable
 
 __all__ = ["Gate", "BooleanChain"]
 
@@ -182,27 +183,46 @@ class BooleanChain:
     # ------------------------------------------------------------------
     # semantics
     # ------------------------------------------------------------------
+    def simulate_packed(self) -> tuple[list[int], list[int]]:
+        """Word-parallel simulation over the whole input space.
+
+        Returns ``(patterns, reachable)``: the packed truth table of
+        every signal (bit ``m`` is its value on input row ``m``), and
+        per gate the mask of local rows its fanins can exercise — one
+        :func:`~repro.kernels.lut_apply` per gate.
+        """
+        n = self._num_inputs
+        mask = (1 << (1 << n)) - 1
+        patterns = [var_mask(v, n) for v in range(n)]
+        reachable = []
+        for gate in self._gates:
+            pattern, rows = lut_apply(
+                gate.op, [patterns[f] for f in gate.fanins], mask
+            )
+            patterns.append(pattern)
+            reachable.append(rows)
+        return patterns, reachable
+
     def simulate_signals(self) -> list[TruthTable]:
         """Truth table of every signal over the chain's inputs."""
-        tables = [projection(v, self._num_inputs) for v in range(self._num_inputs)]
-        for gate in self._gates:
-            local = gate.local_table()
-            tables.append(local.compose([tables[f] for f in gate.fanins]))
-        return tables
+        n = self._num_inputs
+        return [TruthTable(p, n) for p in self.simulate_packed()[0]]
 
     def simulate(self) -> list[TruthTable]:
         """Truth table of every declared output."""
         if not self._outputs:
             raise ValueError("chain has no outputs")
-        tables = self.simulate_signals()
-        result = []
-        for signal, complemented in self._outputs:
-            if signal == self.CONST0:
-                table = constant(0, self._num_inputs)
-            else:
-                table = tables[signal]
-            result.append(~table if complemented else table)
-        return result
+        n = self._num_inputs
+        mask = (1 << (1 << n)) - 1
+        patterns = self.simulate_packed()[0]
+        return [
+            TruthTable(
+                (0 if signal == self.CONST0 else patterns[signal])
+                ^ (mask if complemented else 0),
+                n,
+            )
+            for signal, complemented in self._outputs
+        ]
 
     def simulate_output(self, index: int = 0) -> TruthTable:
         """Truth table of one output (default: the first)."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, Sequence
 
+from ..kernels import FLIP_INPUT0, FLIP_INPUT1, lut_apply
 from ..truthtable.table import TruthTable
 from .chain import BooleanChain
 
@@ -22,6 +23,7 @@ __all__ = [
     "lift_chain",
     "trivial_chain",
     "flip_signal",
+    "polarity_closure",
     "polarity_variants",
     "npn_transform_chain",
     "npn_transform_chain_multi",
@@ -82,6 +84,8 @@ def trivial_chain(f: TruthTable) -> BooleanChain | None:
 
 def _flip_code_input(code: int, arity: int, position: int) -> int:
     """Gate code with local input ``position`` complemented."""
+    if arity == 2:
+        return (FLIP_INPUT1 if position else FLIP_INPUT0)[code]
     out = 0
     for row in range(1 << arity):
         if (code >> (row ^ (1 << position))) & 1:
@@ -110,6 +114,105 @@ def flip_signal(chain: BooleanChain, signal: int) -> BooleanChain:
             out_signal, complemented ^ (out_signal == signal)
         )
     return flipped
+
+
+def polarity_closure(
+    base: BooleanChain,
+    seen: set[tuple],
+    *,
+    canonicalize: bool = True,
+    max_combos: int | None = None,
+    target: TruthTable | None = None,
+    deadline=None,
+) -> Iterator[BooleanChain]:
+    """The polarity variants of ``base`` whose signatures are not in
+    ``seen`` (each one is added to it), in combination order.
+
+    Combination ``c`` complements, as :func:`flip_signal` would, every
+    gate signal except the first output's with bit ``j`` of ``c`` set
+    (``j`` counts those signals in order); ``max_combos`` caps how
+    many combinations are tried.  With ``canonicalize`` each variant
+    comes out as :func:`~repro.core.pipeline.canonicalize_dont_cares`
+    would return it.  With ``target`` every combination but the first
+    is simulated and must compute ``target`` on the first output.
+    ``deadline.check(every=32)`` is polled once per combination.
+
+    The base chain is simulated once.  Complementing a set ``S`` of
+    signals complements exactly their patterns, so gate ``g``'s
+    variant code is its base code ``C_g`` with the inputs read from
+    ``S`` complemented, XOR-ed with the full mask when ``g`` is in
+    ``S``; its reachable rows are the base rows ``R_g`` under the same
+    input complement.  Both are table lookups by the input-flip mask,
+    and a variant's chain is built only when its signature is new.
+    """
+    n = base.num_inputs
+    outputs = base.outputs
+    patterns, reachable = base.simulate_packed()
+    flippable = [
+        n + i for i in range(base.num_gates) if n + i != outputs[0][0]
+    ]
+    bit_of = {signal: 1 << j for j, signal in enumerate(flippable)}
+    mask = (1 << (1 << n)) - 1
+    gates = []
+    for i, gate in enumerate(base.gates):
+        full = (1 << (1 << gate.arity)) - 1
+        codes = [gate.op]
+        keeps = [reachable[i] if canonicalize else full]
+        for pos in range(gate.arity):
+            codes += [_flip_code_input(c, gate.arity, pos) for c in codes]
+            keeps += [_flip_code_input(k, gate.arity, pos) for k in keeps]
+        reads = tuple(
+            (bit_of[f], 1 << pos)
+            for pos, f in enumerate(gate.fanins)
+            if f in bit_of
+        )
+        gates.append(
+            (codes, keeps, full, reads, bit_of.get(n + i, 0), gate.fanins)
+        )
+    output_bits = [
+        (signal, complemented, bit_of.get(signal, 0))
+        for signal, complemented in outputs
+    ]
+    combos = 1 << len(flippable)
+    if max_combos is not None:
+        combos = min(combos, max_combos)
+    for combo in range(combos):
+        if deadline is not None:
+            deadline.check(every=32)
+        flipped_codes = []
+        variant_gates = []
+        for codes, keeps, full, reads, own, fanins in gates:
+            flips = 0
+            for bit, pos_bit in reads:
+                if combo & bit:
+                    flips |= pos_bit
+            code = codes[flips] ^ full if combo & own else codes[flips]
+            flipped_codes.append(code)
+            variant_gates.append((code & keeps[flips], fanins))
+        variant_outputs = tuple(
+            (signal, complemented ^ bool(combo & bit))
+            for signal, complemented, bit in output_bits
+        )
+        if target is not None and combo:
+            signals = patterns[:n]
+            for code, (_, fanins) in zip(flipped_codes, variant_gates):
+                signals.append(
+                    lut_apply(code, [signals[f] for f in fanins], mask)[0]
+                )
+            signal, complemented = variant_outputs[0]
+            value = 0 if signal == BooleanChain.CONST0 else signals[signal]
+            if TruthTable(value ^ (mask if complemented else 0), n) != target:
+                raise AssertionError("polarity variant changed the function")
+        key = (n, tuple(variant_gates), variant_outputs)
+        if key in seen:
+            continue
+        seen.add(key)
+        variant = BooleanChain(n)
+        for code, fanins in variant_gates:
+            variant.add_gate(code, fanins)
+        for signal, complemented in variant_outputs:
+            variant.set_output(signal, complemented)
+        yield variant
 
 
 def npn_transform_chain(chain: BooleanChain, transform) -> BooleanChain:

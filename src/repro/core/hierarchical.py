@@ -30,8 +30,9 @@ from typing import Sequence
 
 from ..chain.chain import BooleanChain
 from ..chain.transform import (
-    flip_signal,
+    _flip_code_input,
     lift_chain,
+    polarity_closure,
     shrink_to_support,
     trivial_chain,
 )
@@ -40,7 +41,7 @@ from ..truthtable.operations import NONTRIVIAL_BINARY_OPS
 from ..truthtable.table import TruthTable
 from .context import SynthesisContext
 from .pipeline import canonicalize_dont_cares
-from .spec import Deadline, SynthesisResult, SynthesisSpec
+from .spec import SynthesisResult, SynthesisSpec
 
 __all__ = ["HierarchicalSynthesizer", "hierarchical_synthesize"]
 
@@ -137,11 +138,12 @@ class HierarchicalSynthesizer:
             base = canonicalize_dont_cares(built)
             if base.simulate_output() != local:
                 raise AssertionError("hierarchical chain is incorrect")
-            for variant in self._polarity_closure(base, local, deadline):
-                key = variant.signature()
-                if key in seen:
-                    continue
-                seen.add(key)
+            for variant in polarity_closure(
+                base,
+                seen,
+                max_combos=self._max_solutions if self._all_solutions else 1,
+                deadline=deadline,
+            ):
                 chains.append(variant)
                 if len(chains) >= self._max_solutions:
                     break
@@ -184,28 +186,6 @@ class HierarchicalSynthesizer:
         engine = create_engine(self._prime_engine)
         return engine.synthesize(prime_spec, ctx.child(fresh_stats=True))
 
-    def _polarity_closure(
-        self, base: BooleanChain, local: TruthTable, deadline: Deadline
-    ):
-        """Variants of a base chain under internal-signal complement."""
-        if not self._all_solutions:
-            yield base
-            return
-        output_signal = base.outputs[0][0]
-        flippable = [
-            base.num_inputs + i
-            for i in range(base.num_gates)
-            if base.num_inputs + i != output_signal
-        ]
-        limit = self._max_solutions
-        for combo in range(min(1 << len(flippable), limit)):
-            deadline.check(every=32)
-            variant = base
-            for j, signal in enumerate(flippable):
-                if (combo >> j) & 1:
-                    variant = flip_signal(variant, signal)
-            yield canonicalize_dont_cares(variant)
-
 
 def _collect_primes(tree: DSDNode) -> list[DSDNode]:
     out: list[DSDNode] = []
@@ -229,9 +209,9 @@ def _build(
         (sig_b, comp_b) = _build(node.children[1], chain, picked)
         code = node.op_code
         if comp_a:
-            code = _flip_input(code, 0)
+            code = _flip_code_input(code, 2, 0)
         if comp_b:
-            code = _flip_input(code, 1)
+            code = _flip_code_input(code, 2, 1)
         return chain.add_gate(code, (sig_a, sig_b)), False
     # Prime block: splice the selected sub-chain onto the child signals.
     assert node.prime_table is not None
@@ -252,21 +232,13 @@ def _build(
         # Absorb complemented child drivers into the gate codes.
         for pos, f in enumerate(gate.fanins):
             if f < sub.num_inputs and f in complemented_pis:
-                code = _flip_input(code, pos)
+                code = _flip_code_input(code, gate.arity, pos)
         new_signal = chain.add_gate(code, new_fanins)
         mapping[sub.num_inputs + gi] = new_signal
     out_signal, out_comp = sub.outputs[0]
     if out_signal == BooleanChain.CONST0:
         raise AssertionError("prime blocks are never constant")
     return mapping[out_signal], out_comp
-
-
-def _flip_input(code: int, position: int) -> int:
-    out = 0
-    for row in range(4):
-        if (code >> (row ^ (1 << position))) & 1:
-            out |= 1 << row
-    return out
 
 
 def hierarchical_synthesize(

@@ -30,9 +30,9 @@ from typing import Iterator
 
 from ..chain.chain import BooleanChain
 from ..chain.transform import (
-    flip_signal,
     lift_chain,
     npn_transform_chain,
+    polarity_closure,
     shrink_to_support,
     trivial_chain,
 )
@@ -213,13 +213,26 @@ def search_stage(state: PipelineState, ctx: SynthesisContext) -> None:
             target, r, engine, spec, ctx, split_profile
         )
         if normal:
+            state.chains = normal
             if spec.all_solutions:
+                # Blow the normal forms up to the full optimal set by
+                # complementing internal (non-output) signals; every
+                # variant is simulated against the target.
                 with ctx.stage("expand"):
-                    state.chains = _expand_polarities(
-                        normal, target, spec, ctx.deadline
+                    seen: set[tuple] = set()
+                    variants = (
+                        variant
+                        for base in normal
+                        for variant in polarity_closure(
+                            base,
+                            seen,
+                            canonicalize=spec.canonicalize_dont_cares,
+                            target=target,
+                            deadline=ctx.deadline,
+                        )
                     )
-            else:
-                state.chains = normal
+                    cap = max(1, spec.max_solutions)
+                    state.chains = list(itertools.islice(variants, cap))
             state.num_gates = r
             return
     raise SynthesisInfeasible(
@@ -298,45 +311,6 @@ def _search_at_size(
                     if len(normal_solutions) >= normal_cap:
                         return normal_solutions
     return normal_solutions
-
-
-def _expand_polarities(
-    normal_solutions: list[BooleanChain],
-    f: TruthTable,
-    spec: SynthesisSpec,
-    deadline: Deadline,
-) -> list[BooleanChain]:
-    """Blow the normal-form solutions up to the full optimal set by
-    complementing internal (non-output) signals."""
-    expanded: list[BooleanChain] = []
-    seen: set[tuple] = set()
-    for base in normal_solutions:
-        output_signal = base.outputs[0][0]
-        flippable = [
-            base.num_inputs + i
-            for i in range(base.num_gates)
-            if base.num_inputs + i != output_signal
-        ]
-        for combo in range(1 << len(flippable)):
-            deadline.check(every=32)
-            variant = base
-            for j, signal in enumerate(flippable):
-                if (combo >> j) & 1:
-                    variant = flip_signal(variant, signal)
-            if combo and variant.simulate_output() != f:
-                raise AssertionError(
-                    "polarity variant changed the function"
-                )
-            if spec.canonicalize_dont_cares:
-                variant = canonicalize_dont_cares(variant)
-            key = variant.signature()
-            if key in seen:
-                continue
-            seen.add(key)
-            expanded.append(variant)
-            if len(expanded) >= spec.max_solutions:
-                return expanded
-    return expanded
 
 
 def _dag_info(dag: DagTopology) -> tuple:
@@ -957,19 +931,14 @@ def canonicalize_dont_cares(chain: BooleanChain) -> BooleanChain:
     Factorizations through shared variables (power-reduce don't-cares,
     Property 3) leave some gate-code rows unconstrained, so chains that
     behave identically can differ in unobservable LUT bits.  Forcing
-    those bits to 0 gives each behaviour a single representative.
+    those bits to 0 gives each behaviour a single representative.  The
+    reachable rows come from one word-parallel simulation of the chain
+    (:meth:`~repro.chain.chain.BooleanChain.simulate_packed`).
     """
-    tables = chain.simulate_signals()
+    reachable = chain.simulate_packed()[1]
     fixed = BooleanChain(chain.num_inputs)
-    for gate in chain.gates:
-        reachable = 0
-        child = [tables[f] for f in gate.fanins]
-        for m in range(1 << chain.num_inputs):
-            row = 0
-            for i, t in enumerate(child):
-                row |= t.value(m) << i
-            reachable |= 1 << row
-        fixed.add_gate(gate.op & reachable, gate.fanins)
+    for gate, rows in zip(chain.gates, reachable):
+        fixed.add_gate(gate.op & rows, gate.fanins)
     for signal, complemented in chain.outputs:
         fixed.set_output(signal, complemented)
     return fixed

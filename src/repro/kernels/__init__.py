@@ -10,6 +10,9 @@ The synthesis core dispatches its hot paths through this package:
   2-input operator flip tables;
 * :mod:`~repro.kernels.tables` — truth-table cofactor/support/permute
   kernels and batch exact NPN canonicalization;
+* :mod:`~repro.kernels.simulate` — :func:`lut_apply`, one LUT evaluated
+  over whole packed truth tables (chain, network and cut simulation,
+  don't-care canonicalization, the polarity closure);
 * :mod:`~repro.kernels.stats` — the per-kernel invocation/time
   registry (:data:`KERNEL_STATS`) that
   :func:`repro.core.pipeline.run_pipeline` folds into
@@ -56,6 +59,7 @@ from .factorization import (
     quartering_profiles,
     solve_disjoint_batch,
 )
+from .simulate import lut_apply
 from .stats import KERNEL_STATS, KernelCounters, SampledTimer
 from .tables import (
     cofactor_bits,
@@ -84,6 +88,7 @@ __all__ = [
     "FLIP_INPUT1",
     "index_maps",
     "localize_array",
+    "lut_apply",
     "merge_packed_sets",
     "npn_apply_bits",
     "npn_minimum",

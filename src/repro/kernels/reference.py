@@ -1,15 +1,20 @@
 """Reference (pre-kernel) pure-Python implementations.
 
 Verbatim relocations of the tuple-cube AllSAT solver, the loop-based
-quartering/column grouping, and the per-row truth-table manipulations
-that the kernel layer replaced.  They exist for two reasons only:
+quartering/column grouping, the per-row truth-table manipulations, the
+per-row chain/network/cut simulation loops and the ``flip_signal``
+polarity closures that the kernel layer replaced.  They exist for two
+reasons only:
 
 * the randomized old-vs-new equivalence tests in
   ``tests/test_kernels.py`` compare every kernel against its original;
 * ``benchmarks/bench_kernels.py`` measures the speedup against them,
   so ``BENCH_kernels_npn4.json`` records old *and* new timings.
 
-Nothing in the synthesis path imports this module.
+Nothing in the synthesis path imports this module.  The simulation
+references take and return the repository's own objects (truth tables,
+chains, networks), imported inside the functions so that the kernel
+package itself still imports nothing from the rest of :mod:`repro`.
 """
 
 from __future__ import annotations
@@ -29,6 +34,12 @@ __all__ = [
     "support_bits_ref",
     "npn_apply_ref",
     "stp_assignments_ref",
+    "compose_ref",
+    "simulate_signals_ref",
+    "canonicalize_dont_cares_ref",
+    "simulate_nodes_ref",
+    "cut_function_ref",
+    "polarity_closure_ref",
 ]
 
 _FREE = None
@@ -316,3 +327,181 @@ def stp_assignments_ref(top_row, num_vars: int) -> list[tuple[int, ...]]:
 
     descend(0, len(top_row), ())
     return out
+
+
+def compose_ref(table, inner):
+    """Original ``TruthTable.compose``: one pass per row of the inner
+    space, assembling each row's outer input bit by bit."""
+    from ..truthtable.table import TruthTable
+
+    if len(inner) != table.num_vars:
+        raise ValueError(
+            f"need {table.num_vars} inner functions, got {len(inner)}"
+        )
+    if not inner:
+        return TruthTable(table.bits, 0)
+    n_inner = inner[0].num_vars
+    for g in inner:
+        if g.num_vars != n_inner:
+            raise ValueError("inner functions disagree on variable count")
+    bits = 0
+    for m in range(1 << n_inner):
+        row = 0
+        for i, g in enumerate(inner):
+            if (g.bits >> m) & 1:
+                row |= 1 << i
+        if (table.bits >> row) & 1:
+            bits |= 1 << m
+    return TruthTable(bits, n_inner)
+
+
+def simulate_signals_ref(chain):
+    """Original ``BooleanChain.simulate_signals``: one per-row
+    composition per gate."""
+    from ..truthtable.table import projection
+
+    tables = [
+        projection(v, chain.num_inputs) for v in range(chain.num_inputs)
+    ]
+    for gate in chain.gates:
+        local = gate.local_table()
+        tables.append(compose_ref(local, [tables[f] for f in gate.fanins]))
+    return tables
+
+
+def canonicalize_dont_cares_ref(chain):
+    """Original ``canonicalize_dont_cares``: every gate's reachable
+    local rows collected one input row at a time."""
+    from ..chain.chain import BooleanChain
+
+    tables = simulate_signals_ref(chain)
+    fixed = BooleanChain(chain.num_inputs)
+    for gate in chain.gates:
+        reachable = 0
+        child = [tables[f] for f in gate.fanins]
+        for m in range(1 << chain.num_inputs):
+            row = 0
+            for i, t in enumerate(child):
+                row |= t.value(m) << i
+            reachable |= 1 << row
+        fixed.add_gate(gate.op & reachable, gate.fanins)
+    for signal, complemented in chain.outputs:
+        fixed.set_output(signal, complemented)
+    return fixed
+
+
+def simulate_nodes_ref(network) -> dict[int, int]:
+    """Original ``LogicNetwork.simulate_nodes``: every PI pattern and
+    every node value assembled row by row."""
+    n = len(network.pis)
+    if n > 16:
+        raise ValueError("bit-parallel simulation capped at 16 PIs")
+    rows = 1 << n
+    patterns: dict[int, int] = {}
+    pi_index = {uid: i for i, uid in enumerate(network.pis)}
+    for uid in network.topological_order():
+        node = network.node(uid)
+        if node.is_pi:
+            i = pi_index[uid]
+            pattern = 0
+            for m in range(rows):
+                if (m >> i) & 1:
+                    pattern |= 1 << m
+            patterns[uid] = pattern
+        else:
+            fanin_patterns = [patterns[f] for f in node.fanins]
+            pattern = 0
+            for m in range(rows):
+                row = 0
+                for j, fp in enumerate(fanin_patterns):
+                    row |= ((fp >> m) & 1) << j
+                if node.function.value(row):
+                    pattern |= 1 << m
+            patterns[uid] = pattern
+    return patterns
+
+
+def cut_function_ref(network, cut):
+    """Original ``cut_function``: the cone simulated row by row over
+    the cut leaves."""
+    from ..truthtable.table import TruthTable
+
+    k = cut.size
+    rows = 1 << k
+    patterns: dict[int, int] = {}
+    for i, leaf in enumerate(cut.leaves):
+        pattern = 0
+        for m in range(rows):
+            if (m >> i) & 1:
+                pattern |= 1 << m
+        patterns[leaf] = pattern
+
+    def value_of(uid: int) -> int:
+        cached = patterns.get(uid)
+        if cached is not None:
+            return cached
+        node = network.node(uid)
+        if node.is_pi:
+            raise ValueError(
+                f"PI {uid} reached outside the cut {cut.leaves}"
+            )
+        fanin_patterns = [value_of(f) for f in node.fanins]
+        pattern = 0
+        for m in range(rows):
+            row = 0
+            for j, fp in enumerate(fanin_patterns):
+                row |= ((fp >> m) & 1) << j
+            if node.function.value(row):
+                pattern |= 1 << m
+        patterns[uid] = pattern
+        return pattern
+
+    return TruthTable(value_of(cut.root), k)
+
+
+def polarity_closure_ref(
+    base,
+    seen: set,
+    *,
+    canonicalize: bool = True,
+    max_combos: int | None = None,
+    target=None,
+    deadline=None,
+):
+    """The original polarity closures (the pipeline's
+    ``_expand_polarities`` and ``HierarchicalSynthesizer.
+    _polarity_closure``) under the contract of
+    :func:`repro.chain.transform.polarity_closure`: every variant is
+    rebuilt through one ``flip_signal`` per complemented signal,
+    simulated again against ``target`` and canonicalized row by row."""
+    from ..chain.transform import flip_signal
+
+    output_signal = base.outputs[0][0]
+    flippable = [
+        base.num_inputs + i
+        for i in range(base.num_gates)
+        if base.num_inputs + i != output_signal
+    ]
+    combos = 1 << len(flippable)
+    if max_combos is not None:
+        combos = min(combos, max_combos)
+    for combo in range(combos):
+        if deadline is not None:
+            deadline.check(every=32)
+        variant = base
+        for j, signal in enumerate(flippable):
+            if (combo >> j) & 1:
+                variant = flip_signal(variant, signal)
+        if (
+            target is not None
+            and combo
+            and variant.simulate_output() != target
+        ):
+            raise AssertionError("polarity variant changed the function")
+        if canonicalize:
+            variant = canonicalize_dont_cares_ref(variant)
+        key = variant.signature()
+        if key in seen:
+            continue
+        seen.add(key)
+        yield variant

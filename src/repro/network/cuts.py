@@ -4,7 +4,7 @@ Standard bottom-up cut enumeration: the cut set of a node is the
 pairwise merge of its fanins' cut sets plus the trivial cut, keeping
 only cuts with at most ``k`` leaves, filtering dominated cuts and
 capping the per-node set size (priority: fewer leaves first).  Each
-cut's local function is computed bit-parallel over the cut leaves so
+cut's local function is computed word-parallel over the cut leaves so
 rewriting can hand it straight to an exact synthesizer.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..kernels import lut_apply, var_mask
 from ..truthtable.table import TruthTable
 from .network import LogicNetwork
 
@@ -90,16 +91,11 @@ def enumerate_cuts(
 
 def cut_function(network: LogicNetwork, cut: Cut) -> TruthTable:
     """The root's function over the cut leaves (leaf ``i`` = variable
-    ``i``), computed by bit-parallel cone simulation."""
+    ``i``), computed by word-parallel cone simulation: one
+    :func:`~repro.kernels.lut_apply` per cone node."""
     k = cut.size
-    rows = 1 << k
-    patterns: dict[int, int] = {}
-    for i, leaf in enumerate(cut.leaves):
-        pattern = 0
-        for m in range(rows):
-            if (m >> i) & 1:
-                pattern |= 1 << m
-        patterns[leaf] = pattern
+    mask = (1 << (1 << k)) - 1
+    patterns = {leaf: var_mask(i, k) for i, leaf in enumerate(cut.leaves)}
 
     def value_of(uid: int) -> int:
         cached = patterns.get(uid)
@@ -110,14 +106,9 @@ def cut_function(network: LogicNetwork, cut: Cut) -> TruthTable:
             raise ValueError(
                 f"PI {uid} reached outside the cut {cut.leaves}"
             )
-        fanin_patterns = [value_of(f) for f in node.fanins]
-        pattern = 0
-        for m in range(rows):
-            row = 0
-            for j, fp in enumerate(fanin_patterns):
-                row |= ((fp >> m) & 1) << j
-            if node.function.value(row):
-                pattern |= 1 << m
+        pattern, _ = lut_apply(
+            node.function.bits, [value_of(f) for f in node.fanins], mask
+        )
         patterns[uid] = pattern
         return pattern
 

@@ -11,9 +11,11 @@ Design notes:
   convention as :class:`~repro.chain.BooleanChain` gates.
 * Node ids are stable; deletion marks nodes dead and cleanup is
   explicit, so iteration during rewriting stays simple.
-* Simulation is bit-parallel: every node's global function over the
+* Simulation is word-parallel: every node's global function over the
   primary inputs is a Python int of ``2^num_pis`` bits (fine for the
-  network sizes exact synthesis plays at).
+  network sizes exact synthesis plays at), and each node is evaluated
+  with a handful of whole-pattern ANDs (:func:`~repro.kernels.lut_apply`),
+  not row by row.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from ..chain.chain import BooleanChain
+from ..kernels import lut_apply, var_mask
 from ..truthtable.table import TruthTable
 
 __all__ = ["Node", "LogicNetwork"]
@@ -198,33 +201,21 @@ class LogicNetwork:
         return out
 
     def simulate_nodes(self) -> dict[int, int]:
-        """Bit-parallel global pattern (int over 2^num_pis rows) per
-        live node."""
+        """Global pattern (int over 2^num_pis rows) per live node, one
+        word-parallel :func:`~repro.kernels.lut_apply` per node."""
         n = len(self._pis)
         if n > 16:
             raise ValueError("bit-parallel simulation capped at 16 PIs")
-        rows = 1 << n
-        patterns: dict[int, int] = {}
-        pi_index = {uid: i for i, uid in enumerate(self._pis)}
+        mask = (1 << (1 << n)) - 1
+        patterns = {uid: var_mask(i, n) for i, uid in enumerate(self._pis)}
         for uid in self.topological_order():
             node = self._nodes[uid]
-            if node.is_pi:
-                i = pi_index[uid]
-                pattern = 0
-                for m in range(rows):
-                    if (m >> i) & 1:
-                        pattern |= 1 << m
-                patterns[uid] = pattern
-            else:
-                fanin_patterns = [patterns[f] for f in node.fanins]
-                pattern = 0
-                for m in range(rows):
-                    row = 0
-                    for j, fp in enumerate(fanin_patterns):
-                        row |= ((fp >> m) & 1) << j
-                    if node.function.value(row):
-                        pattern |= 1 << m
-                patterns[uid] = pattern
+            if not node.is_pi:
+                patterns[uid], _ = lut_apply(
+                    node.function.bits,
+                    [patterns[f] for f in node.fanins],
+                    mask,
+                )
         return patterns
 
     # ------------------------------------------------------------------

@@ -62,6 +62,9 @@ __all__ = ["ChainStore", "DEFAULT_MAX_CHAINS_PER_CLASS"]
 #: sets are capped at 256 in the harness as well.
 DEFAULT_MAX_CHAINS_PER_CLASS = 256
 
+#: How long a connection waits on another writer's lock.
+_BUSY_TIMEOUT_S = 30.0
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS chains (
     num_vars    INTEGER NOT NULL,
@@ -164,9 +167,22 @@ class ChainStore:
                 "Cannot operate on a closed database."
             )
         conn = sqlite3.connect(
-            self._path, timeout=30.0, check_same_thread=False
+            self._path, timeout=_BUSY_TIMEOUT_S, check_same_thread=False
         )
-        conn.execute("PRAGMA journal_mode=WAL")
+        # Openers racing to switch a fresh file to WAL get "database is
+        # locked" at once (SQLite skips the busy handler for a lock
+        # upgrade inside a read); the winner's switch makes the retry a
+        # no-op.
+        deadline = time.monotonic() + _BUSY_TIMEOUT_S
+        while True:
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() > deadline:
+                    conn.close()
+                    raise
+                time.sleep(0.005)
         self._local.conn = conn
         with self._conns_lock:
             alive = {t.ident for t in threading.enumerate()}

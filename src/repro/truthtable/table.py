@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ..kernels.bitops import var_mask as _kernel_var_mask
+from ..kernels.simulate import lut_apply
 from ..kernels.tables import (
     cofactor_bits,
     depends_bits,
@@ -290,7 +291,8 @@ class TruthTable:
         """Functional composition ``f(g_0(x), ..., g_{n-1}(x))``.
 
         Every ``inner`` table must share a common variable count, which
-        becomes the variable count of the result.
+        becomes the variable count of the result.  Evaluated
+        word-parallel over the inner tables (:func:`~repro.kernels.lut_apply`).
         """
         if len(inner) != self._num_vars:
             raise ValueError(
@@ -302,14 +304,9 @@ class TruthTable:
         for g in inner:
             if g.num_vars != n_inner:
                 raise ValueError("inner functions disagree on variable count")
-        bits = 0
-        for m in range(1 << n_inner):
-            row = 0
-            for i, g in enumerate(inner):
-                if (g.bits >> m) & 1:
-                    row |= 1 << i
-            if (self._bits >> row) & 1:
-                bits |= 1 << m
+        bits, _ = lut_apply(
+            self._bits, [g._bits for g in inner], (1 << (1 << n_inner)) - 1
+        )
         return TruthTable(bits, n_inner)
 
 

@@ -96,8 +96,9 @@ class TestRunner:
         algorithms = [
             Algorithm("STP", default_algorithms()[3].run, True)
         ]
+        # The instance takes ~13 ms warm; the budget stays ~50x below it.
         reports = run_suite(
-            "pdsd6", functions, algorithms, timeout=0.01
+            "pdsd6", functions, algorithms, timeout=2e-4
         )
         assert reports[0].num_timeouts == 1
 

@@ -103,7 +103,8 @@ class TestModes:
             assert chain.num_gates == result.num_gates
 
     def test_timeout_propagates(self):
+        # The instance takes ~10 ms warm; the budget stays ~50x below it.
         with pytest.raises(TimeoutError):
             hierarchical_synthesize(
-                pdsd_suite(6, 1, seed=99)[0], timeout=0.01
+                pdsd_suite(6, 1, seed=99)[0], timeout=2e-4
             )

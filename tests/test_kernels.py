@@ -4,7 +4,8 @@ Every kernel is compared against the original pure-Python
 implementation it replaced (relocated verbatim into
 ``repro.kernels.reference``): the tuple-cube AllSAT solver, the
 loop-based quartering construction, the per-row truth-table
-manipulations, and the recursive STP descent.
+manipulations, the recursive STP descent, the per-row chain, network
+and cut simulation loops, and the ``flip_signal`` polarity closures.
 """
 
 import itertools
@@ -41,13 +42,19 @@ from repro.kernels import (
     unpack_cubes,
 )
 from repro.kernels.reference import (
+    canonicalize_dont_cares_ref,
     chain_all_sat_ref,
     cofactor_bits_ref,
+    compose_ref,
     cubes_to_onset_ref,
+    cut_function_ref,
     merge_cube_sets_ref,
     npn_apply_ref,
     permute_bits_ref,
+    polarity_closure_ref,
     quartering_blocks_ref,
+    simulate_nodes_ref,
+    simulate_signals_ref,
     stp_assignments_ref,
     support_bits_ref,
     verify_chain_ref,
@@ -402,3 +409,220 @@ class TestSolveDisjointBatchEquivalence:
                 gv, cold.pair_info(cone_a, cone_b), fa, None
             )
             assert got == want, (gv, cone_a, cone_b, fa)
+
+
+def random_lut_chain(rnd, num_inputs, num_gates, num_outputs=1):
+    """A random chain of 1-3-input LUTs (fanins may repeat); outputs may
+    be complemented or point at CONST0."""
+    chain = BooleanChain(num_inputs)
+    for _ in range(num_gates if num_inputs else 0):
+        arity = rnd.randint(1, 3)
+        fanins = [rnd.randrange(chain.num_signals) for _ in range(arity)]
+        chain.add_gate(rnd.getrandbits(1 << arity), fanins)
+    for _ in range(num_outputs):
+        signal = rnd.randrange(-1, chain.num_signals)
+        chain.set_output(signal, bool(rnd.getrandbits(1)))
+    return chain
+
+
+def random_network_with_constants(rnd, num_pis, num_nodes):
+    """A random LUT network whose nodes have 0-3 fanins (0 = constant)."""
+    from repro.network import LogicNetwork
+
+    net = LogicNetwork()
+    uids = [net.add_pi() for _ in range(num_pis)]
+    for _ in range(num_nodes):
+        arity = rnd.randint(0, 3)
+        fanins = [rnd.choice(uids) for _ in range(arity)]
+        function = TruthTable(rnd.getrandbits(1 << arity), arity)
+        uids.append(net.add_node(function, fanins))
+    for uid in uids[-2:]:
+        net.add_po(uid, bool(rnd.getrandbits(1)))
+    return net
+
+
+class TestPackedSimulationEquivalence:
+    """Word-parallel simulation (``lut_apply``) against the per-row
+    loops it replaced, and the table-lookup polarity closure against
+    the ``flip_signal`` closures."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_chains_match_reference(self, seed):
+        from repro.core.pipeline import canonicalize_dont_cares
+
+        rnd = random.Random(seed)
+        for num_inputs in range(9):
+            chain = random_lut_chain(
+                rnd, num_inputs, rnd.randint(1, 8), rnd.randint(1, 3)
+            )
+            tables = simulate_signals_ref(chain)
+            assert chain.simulate_signals() == tables
+            want = [
+                TruthTable(0, num_inputs)
+                if signal == BooleanChain.CONST0
+                else tables[signal]
+                for signal, _ in chain.outputs
+            ]
+            want = [
+                ~table if complemented else table
+                for table, (_, complemented) in zip(want, chain.outputs)
+            ]
+            assert chain.simulate() == want
+            assert (
+                canonicalize_dont_cares(chain).signature()
+                == canonicalize_dont_cares_ref(chain).signature()
+            ), f"seed={seed} n={num_inputs}"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_networks_and_cuts_match_reference(self, seed):
+        from repro.network import cut_function, enumerate_cuts
+
+        rnd = random.Random(100 + seed)
+        net = random_network_with_constants(
+            rnd, rnd.randint(1, 6), rnd.randint(3, 12)
+        )
+        assert net.simulate_nodes() == simulate_nodes_ref(net)
+        for cuts in enumerate_cuts(net, k=4).values():
+            for cut in cuts:
+                assert cut_function(net, cut) == cut_function_ref(net, cut)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_compose_matches_reference(self, seed):
+        rnd = random.Random(200 + seed)
+        for outer_vars in range(6):
+            # Inner variable counts on both sides of the outer arity.
+            for inner_vars in {0, max(0, outer_vars - 2), outer_vars + 2}:
+                outer = TruthTable(
+                    rnd.getrandbits(1 << outer_vars), outer_vars
+                )
+                inner = [
+                    TruthTable(rnd.getrandbits(1 << inner_vars), inner_vars)
+                    for _ in range(outer_vars)
+                ]
+                assert outer.compose(inner) == compose_ref(outer, inner)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("cap", [1, 7, 256])
+    @pytest.mark.parametrize("canonicalize", [True, False])
+    def test_polarity_closure_matches_reference(
+        self, seed, cap, canonicalize
+    ):
+        from repro.chain.transform import polarity_closure
+
+        rnd = random.Random(300 + seed)
+        for num_inputs in (2, 3, 4, 6):
+            base = random_lut_chain(
+                rnd, num_inputs, rnd.randint(1, 7), rnd.randint(1, 2)
+            )
+            target = base.simulate_output()
+            # A shared ``seen`` across bases, as both callers use it.
+            seen_new: set = set()
+            seen_ref: set = set()
+            for chain in (base, canonicalize_dont_cares_ref(base)):
+                got = list(
+                    itertools.islice(
+                        polarity_closure(
+                            chain,
+                            seen_new,
+                            canonicalize=canonicalize,
+                            max_combos=cap,
+                            target=target,
+                        ),
+                        cap,
+                    )
+                )
+                want = list(
+                    itertools.islice(
+                        polarity_closure_ref(
+                            chain,
+                            seen_ref,
+                            canonicalize=canonicalize,
+                            max_combos=cap,
+                            target=target,
+                        ),
+                        cap,
+                    )
+                )
+                assert [c.signature() for c in got] == [
+                    c.signature() for c in want
+                ], f"seed={seed} n={num_inputs} cap={cap}"
+            assert seen_new == seen_ref
+
+    def test_closure_rejects_a_variant_that_changes_the_function(self):
+        from repro.chain.transform import polarity_closure
+
+        chain = BooleanChain(2)
+        chain.add_gate(0x8, (0, 1))
+        chain.add_gate(0x6, (0, 2))
+        chain.set_output(3)
+        wrong = ~chain.simulate_output()
+        # Combination 0 is the base itself and is never re-checked.
+        closure = polarity_closure(
+            chain, set(), canonicalize=False, target=wrong
+        )
+        assert next(closure).signature() == chain.signature()
+        with pytest.raises(AssertionError):
+            next(closure)
+
+
+class TestOrderedSolutionSetsLocked:
+    """Engine-level lock: ``hier`` and flat ``stp`` return the same
+    chains in the same order whether the polarity closure and don't-care
+    canonicalization run packed or as the ``flip_signal``/per-row
+    references.  Comparing counts alone would miss a reordering that
+    changes which variants survive the 256-solution cap."""
+
+    #: (suite, pool, picks, engines).  Flat ``stp`` stays on the suites
+    #: it solves in about a second; ``hier`` covers all four (its prime
+    #: blocks run the pipeline's closure).
+    SUITES = (
+        ("npn4", 222, 3, ("hier", "stp")),
+        ("fdsd6", 40, 3, ("hier", "stp")),
+        ("fdsd8", 20, 2, ("hier",)),
+        ("pdsd6", 20, 3, ("hier",)),
+    )
+
+    @classmethod
+    def _solve_all(cls):
+        from repro.bench.suites import get_suite
+        from repro.engine import run_engine
+
+        rnd = random.Random(2)
+        out = []
+        for suite, pool, picks, engines in cls.SUITES:
+            for function in rnd.sample(get_suite(suite, pool), picks):
+                for engine in engines:
+                    result = run_engine(
+                        engine,
+                        function,
+                        timeout=60,
+                        max_solutions=256,
+                        all_solutions=True,
+                    )
+                    out.append(
+                        (
+                            suite,
+                            function.to_hex(),
+                            engine,
+                            [c.signature() for c in result.chains],
+                        )
+                    )
+        return out
+
+    def test_packed_matches_reference(self, monkeypatch):
+        import repro.core.hierarchical as hier_mod
+        import repro.core.pipeline as pipeline_mod
+
+        shipped = self._solve_all()
+        for module in (pipeline_mod, hier_mod):
+            monkeypatch.setattr(
+                module, "polarity_closure", polarity_closure_ref
+            )
+            monkeypatch.setattr(
+                module, "canonicalize_dont_cares", canonicalize_dont_cares_ref
+            )
+        reference = self._solve_all()
+        assert [row[:3] for row in shipped] == [row[:3] for row in reference]
+        for got, want in zip(shipped, reference):
+            assert got[3], got[:3]
+            assert got[3] == want[3], got[:3]

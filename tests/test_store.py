@@ -244,6 +244,45 @@ class TestCorruptionAndConcurrency:
             for rep in reps:
                 assert store.lookup(rep) is not None
 
+    def test_writers_opening_a_fresh_file_together(self, tmp_path):
+        """Writers that open a fresh file at the same instant race on
+        its switch to WAL; every one of them must still get in."""
+        import sys
+
+        reps = npn_classes(3)[:6]
+        results = {r: run_engine("fen", r, 30.0) for r in reps}
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for trial in range(100):
+                path = str(tmp_path / f"chains{trial}.db")
+                barrier = threading.Barrier(len(reps))
+                errors = []
+
+                def writer(rep):
+                    try:
+                        barrier.wait(timeout=30)
+                        with ChainStore(path) as store:
+                            assert store.put(rep, results[rep], "fen")
+                    except Exception as exc:  # pragma: no cover
+                        errors.append(exc)
+
+                threads = [
+                    threading.Thread(target=writer, args=(rep,))
+                    for rep in reps
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert not errors, f"trial {trial}: {errors}"
+                with ChainStore(path) as store:
+                    for rep in reps:
+                        assert store.lookup(rep) is not None
+        finally:
+            sys.setswitchinterval(switch)
+
     def test_one_instance_hammered_from_many_threads(self, tmp_path):
         """One shared ChainStore must survive concurrent lookup/put
         from many threads (the serving layer's access pattern): every
