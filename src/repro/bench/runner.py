@@ -17,13 +17,18 @@ completed instances and executes only the unfinished ones — a
 mid-flight.
 
 ``jobs > 1`` shards the remaining instances across the parallel batch
-scheduler (:mod:`repro.parallel`): each instance runs in its own
-isolated, rlimit-capped worker process with a hard wall-clock kill,
-at most ``jobs`` alive at once.  Aggregate counters are byte-identical
-to a sequential run; only timings (and the ``worker`` attribution)
-differ.  With ``store_path``, every executor consults the persistent
-chain store before synthesizing and writes optimal results back — a
-warm store serves a repeated suite with zero new synthesis calls.
+scheduler (:mod:`repro.parallel`): each instance runs in an isolated,
+rlimit-capped worker process with a hard wall-clock kill.  Workers are
+resident: each algorithm's executor keeps a pool that grows to at most
+``jobs`` workers, each serving one instance after another with warm
+engine memos, and a worker that times out or crashes is retired so the
+next instance gets a fresh fork.  Every executor is closed (its
+workers stopped) before ``run_suite`` returns.  Aggregate counters and
+ordered solution lists are identical to a sequential run; only timings
+(and the ``worker`` attribution) differ.  With ``store_path``, every
+executor consults the persistent chain store before synthesizing and
+writes optimal results back — a warm store serves a repeated suite
+with zero new synthesis calls.
 """
 
 from __future__ import annotations
@@ -354,7 +359,9 @@ def run_suite(
             )
         reports = []
         for algorithm in algorithms:
-            executor = _executor_for(
+            report = SuiteReport(algorithm.name, suite_name)
+            reports.append(report)
+            with _executor_for(
                 algorithm,
                 isolate=isolate,
                 fault_plan=fault_plan,
@@ -363,26 +370,25 @@ def run_suite(
                 store=store,
                 race=race,
                 health=health,
-            )
-            report = SuiteReport(algorithm.name, suite_name)
-            reports.append(report)
-            for function in functions:
-                key = instance_key(
-                    suite_name, algorithm.name, function.to_hex()
-                )
-                record = done.get(key)
-                if record is not None:
-                    outcome = InstanceOutcome.from_record(record)
-                else:
-                    # KeyboardInterrupt propagates from here: completed
-                    # instances are already streamed to the log, so only
-                    # the in-flight instance is lost (and re-runs later).
-                    outcome = _run_instance(executor, function, timeout)
-                    if log is not None:
-                        log.append(outcome.to_record(key))
-                report.outcomes.append(outcome)
-                if verbose:
-                    _print_progress(algorithm.name, outcome)
+            ) as executor:
+                for function in functions:
+                    key = instance_key(
+                        suite_name, algorithm.name, function.to_hex()
+                    )
+                    record = done.get(key)
+                    if record is not None:
+                        outcome = InstanceOutcome.from_record(record)
+                    else:
+                        # KeyboardInterrupt propagates from here:
+                        # completed instances are already streamed to the
+                        # log, so only the in-flight instance is lost
+                        # (and re-runs later).
+                        outcome = _run_instance(executor, function, timeout)
+                        if log is not None:
+                            log.append(outcome.to_record(key))
+                    report.outcomes.append(outcome)
+                    if verbose:
+                        _print_progress(algorithm.name, outcome)
         return reports
     finally:
         if cache_path:
@@ -466,7 +472,11 @@ def _run_suite_parallel(
     )
     # KeyboardInterrupt propagates from here; everything completed is
     # checkpointed via on_complete already.
-    scheduler.run(tasks)
+    try:
+        scheduler.run(tasks)
+    finally:
+        for executor in executors.values():
+            executor.close()
 
     reports = []
     slot = 0

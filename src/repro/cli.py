@@ -215,6 +215,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if store is not None:
             store_counters = store.counters()
     finally:
+        executor.close()
         if store is not None:
             store.close()
 

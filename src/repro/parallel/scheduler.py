@@ -8,9 +8,12 @@ rlimit-capped worker process with a hard wall-clock kill
 and drive one :class:`~repro.runtime.executor.FaultTolerantExecutor`
 call each — the runtime's one resolve path (store lookup, lanes,
 verify, write-back, degradation) — so at any moment at most ``jobs``
-forked synthesis workers are alive, each with its own deadline,
+walk attempts hold a synthesis worker, each with its own deadline,
 retry/fallback chain, and memory cap, while the parent threads merely
-block on worker pipes.
+block on worker pipes.  The workers are resident and belong to the
+executor's pool: a dispatcher leases one per attempt and hands it
+back after a clean report, so a suite forks about one worker per
+dispatcher slot rather than one per instance.
 This reuses the whole fault-tolerance stack instead of a bare
 ``ProcessPoolExecutor`` (which has no per-task hard kill and dies with
 its workers).
@@ -182,8 +185,9 @@ class BatchScheduler:
         so this is safe (``last_cancellations`` is the only
         cross-thread race, and it is advisory accounting only).
     jobs:
-        Number of dispatcher threads = maximum concurrently-alive
-        synthesis workers.
+        Number of dispatcher threads = maximum concurrent executor
+        runs (and so the most workers a walking executor's pool grows
+        to).
     queue_depth:
         Bound on the work queue (default ``2 × jobs``): submitters
         block instead of materialising the whole suite in the queue.

@@ -4,14 +4,17 @@ The execution layer every entry point routes synthesis through:
 
 * :mod:`.errors` — structured exception hierarchy
   (:class:`SynthesisError` and friends);
-* :mod:`.worker` — process-isolated workers with hard wall-clock
-  timeouts and optional memory caps;
+* :mod:`.worker` — resident process-isolated workers with hard
+  wall-clock timeouts and optional memory caps, leased one attempt at a
+  time from a :class:`WorkerPool` and retired on any failure;
 * :mod:`.executor` — :class:`FaultTolerantExecutor`, the one resolve
   path: store lookup, infeasible floor, health-filtered lanes, verify,
   write-back and degradation to stored upper bounds, around two lane
   schedulers — a sequential fallback chain with retry and backoff
   (``width=1``) or a race of isolated lanes where the first exact
-  answer wins and losers are cancelled (``width>=2``);
+  answer wins and losers are cancelled (``width>=2``); every isolated
+  attempt leases a worker from the executor's own pool, which
+  :meth:`FaultTolerantExecutor.close` stops;
 * :mod:`.racing` — :class:`RacingExecutor`, the racing preset of that
   executor;
 * :mod:`.health` — :class:`EngineHealth`: rolling per-engine scores,
@@ -63,6 +66,7 @@ __all__ = [
     "BREAKER_HALF_OPEN",
     "WorkerTask",
     "WorkerHandle",
+    "WorkerPool",
     "run_isolated",
     "CheckpointLog",
     "instance_key",
@@ -86,6 +90,7 @@ _LAZY = {
     "BREAKER_HALF_OPEN": ("health", "BREAKER_HALF_OPEN"),
     "WorkerTask": ("worker", "WorkerTask"),
     "WorkerHandle": ("worker", "WorkerHandle"),
+    "WorkerPool": ("worker", "WorkerPool"),
     "run_isolated": ("worker", "run_isolated"),
     "CheckpointLog": ("checkpoint", "CheckpointLog"),
     "instance_key": ("checkpoint", "instance_key"),

@@ -44,11 +44,20 @@ steps always run in this order:
 Timeouts are budgeted across the whole run: a fallback engine only gets
 the budget its predecessors left behind.  Store failures never fail a
 run; each one is counted in :attr:`ExecutionOutcome.store_errors`.
+
+Every isolated attempt — a walk's :func:`~repro.runtime.worker.run_isolated`
+call and each race lane's :class:`~repro.runtime.worker.WorkerHandle` —
+leases a resident worker from the executor's one
+:class:`~repro.runtime.worker.WorkerPool`, which forks lazily, on the
+first isolated attempt.  :meth:`FaultTolerantExecutor.close` (or leaving
+a ``with`` block) stops the idle workers; an executor nobody closes
+stops them when it is garbage-collected.
 """
 
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -64,7 +73,7 @@ from .errors import (
 )
 from .faults import FaultPlan, execute_fault
 from .health import EngineHealth
-from .worker import WorkerHandle, WorkerTask, run_isolated
+from .worker import WorkerHandle, WorkerPool, WorkerTask, run_isolated
 
 __all__ = [
     "AttemptRecord",
@@ -206,14 +215,16 @@ class FaultTolerantExecutor:
         first round is shortened to the NPN class's solve-time history.
     isolate:
         Walk named engines in killable worker processes (hard timeout).
-        Race lanes are always isolated.
+        Race lanes are always isolated.  Isolated attempts lease
+        resident workers from the executor's pool.
     max_retries:
         Extra walk attempts per engine after a crash (transient-failure
         retry); timeouts and infeasibility are never retried.
     backoff / backoff_factor:
         Exponential backoff between retries, in seconds.
     memory_limit_mb:
-        Optional ``RLIMIT_AS`` cap applied inside each worker.
+        Optional ``RLIMIT_AS`` cap applied inside each worker, for the
+        worker's whole life.
     fault_plan:
         Deterministic fault injection (tests only).
     verify:
@@ -284,6 +295,18 @@ class FaultTolerantExecutor:
         self._sleep = sleep
         #: Race losers cancelled by the most recent ``run()`` call.
         self.last_cancellations: list = []
+        self._pool = WorkerPool()
+        weakref.finalize(self, self._pool.close)
+
+    def close(self) -> None:
+        """Stop the pool's idle workers (idempotent)."""
+        self._pool.close()
+
+    def __enter__(self) -> "FaultTolerantExecutor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     @property
     def engine_names(self) -> tuple[str, ...]:
@@ -444,7 +467,8 @@ class FaultTolerantExecutor:
         kwargs = self._kwargs(name, floor)
         if self._isolate and len(tables) == 1:
             return run_isolated(
-                self._task(name, tables[0], budget, kwargs, fault)
+                self._task(name, tables[0], budget, kwargs, fault),
+                self._pool,
             )
         if fault is not None:
             return execute_fault(fault, tables[0], budget, isolated=False)
@@ -500,8 +524,8 @@ class FaultTolerantExecutor:
         Returns ``(winner, status, error, held)``: the first verified
         exact ``(engine, result)`` or None, the last failure, and the
         first verified inexact answer.  ``infeasible`` from an exact
-        lane also ends the round.  Every worker is dead and reaped on
-        return, however the round ends.
+        lane also ends the round.  On return every lane's worker is
+        back in the pool or dead and reaped, however the round ends.
         """
         from .racing import CancellationRecord
 
@@ -514,7 +538,7 @@ class FaultTolerantExecutor:
                 task = self._task(
                     name, function, budget, self._kwargs(name, floor), fault
                 )
-                pending.append(WorkerHandle(task))
+                pending.append(WorkerHandle(task, self._pool))
             while pending:
                 done = [h for h in pending if h.ready() or h.overdue()]
                 if not done:

@@ -227,6 +227,7 @@ async def _amain(
         if registry is not None:
             registry.unregister(proc_index)
         scheduler.shutdown(cancel_queued=True)
+        service.close()
         if store is not None:
             store.close()
     print("stopped", file=sys.stderr, flush=True)

@@ -333,6 +333,11 @@ class SynthesisService:
         """The resident pool this service dispatches onto."""
         return self._scheduler
 
+    def close(self) -> None:
+        """Stop the executor's idle race workers (idempotent).  Call it
+        after the scheduler has shut down."""
+        self._executor.close()
+
     @property
     def inflight_classes(self) -> int:
         """NPN classes with a synthesis currently in flight."""

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+
+import pytest
+
 from repro.chain import BooleanChain
 from repro.core.circuit_sat import verify_chain
 from repro.core.spec import SynthesisSpec
@@ -55,9 +59,60 @@ def record_race_lanes(monkeypatch) -> list:
     tasks: list = []
 
     class RecordingHandle(executor_mod.WorkerHandle):
-        def __init__(self, task):
+        def __init__(self, task, pool):
             tasks.append(task)
-            super().__init__(task)
+            super().__init__(task, pool)
 
     monkeypatch.setattr(executor_mod, "WorkerHandle", RecordingHandle)
     return tasks
+
+
+def record_attempts(monkeypatch) -> list:
+    """Record ``(engine, worker pid)`` for every isolated attempt, walk
+    or race lane (the returned list fills in place)."""
+    from repro.runtime.worker import WorkerHandle
+
+    attempts: list = []
+    original = WorkerHandle.__init__
+
+    def init(self, task, pool):
+        original(self, task, pool)
+        attempts.append((task.engine, self.pid))
+
+    monkeypatch.setattr(WorkerHandle, "__init__", init)
+    return attempts
+
+
+def record_worker_forks(monkeypatch) -> list:
+    """Record every worker process the runtime forks, by wrapping the
+    process start (the returned list fills in place)."""
+    import multiprocessing
+
+    process_cls = multiprocessing.get_context("fork").Process
+    original = process_cls.start
+    forked: list = []
+
+    def start(self):
+        original(self)
+        forked.append(self)
+
+    monkeypatch.setattr(process_cls, "start", start)
+    return forked
+
+
+def assert_reaped(pid: int) -> None:
+    """``pid`` names no process and no zombie: it was killed and reaped."""
+    with pytest.raises((ProcessLookupError, ChildProcessError)):
+        # Reaped children are gone from the process table; a pid
+        # still probe-able here would be an orphan (or a zombie).
+        os.kill(pid, 0)
+        os.waitpid(pid, os.WNOHANG)
+
+
+def assert_no_orphans(records) -> None:
+    """Every cancelled race loser must be dead and reaped (bounded
+    join)."""
+    for record in records:
+        assert record.pid is not None
+        assert record.seconds < 5.0  # the bounded-join guarantee
+        assert_reaped(record.pid)

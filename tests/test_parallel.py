@@ -9,6 +9,7 @@ checkpoint/resume keeps working under concurrency.
 
 import io
 import json
+import random
 import threading
 import time
 
@@ -27,7 +28,7 @@ from repro.parallel import (
     expected_cost,
 )
 from repro.runtime.checkpoint import CheckpointLog, instance_key
-from repro.runtime.executor import ExecutionOutcome
+from repro.runtime.executor import ExecutionOutcome, FaultTolerantExecutor
 from repro.truthtable import from_hex
 
 
@@ -346,6 +347,58 @@ class TestJobsDeterminism:
             "npn4", functions, algorithms, 60.0, jobs=4
         )
         assert fingerprint(sequential) == fingerprint(parallel)
+
+    def test_ordered_solutions_identical_across_isolation_modes(self):
+        """Warm resident workers must not reorder, add or drop
+        solutions: one fresh executor (one fork) per instance and one
+        shared executor at jobs=2, fed in shuffled order, return equal
+        ordered solution lists."""
+        rng = random.Random(15)
+        functions = (
+            rng.sample(get_suite("fdsd6", 60), 6)
+            + rng.sample(get_suite("fdsd8", 16), 3)
+            + rng.sample(get_suite("pdsd6", 30), 4)
+            + rng.sample(get_suite("npn4", 20), 6)
+        )
+        stp_kwargs = {
+            "hier": {"max_solutions": 256, "all_solutions": True}
+        }
+
+        def executor():
+            return FaultTolerantExecutor(
+                ("hier",), isolate=True, engine_kwargs=stp_kwargs
+            )
+
+        def answer(outcome):
+            result = outcome.result
+            return (
+                outcome.status,
+                result.num_gates,
+                [chain.signature() for chain in result.chains],
+            )
+
+        fresh = []
+        for function in functions:
+            with executor() as one:
+                fresh.append(answer(one.run(function, 60.0)))
+
+        order = list(range(len(functions)))
+        rng.shuffle(order)
+        with executor() as shared:
+            scheduler = BatchScheduler({"STP": shared}, 2).start()
+            try:
+                futures = {
+                    index: scheduler.submit(
+                        BatchTask(index, "STP", functions[index], 60.0)
+                    )
+                    for index in order
+                }
+                assert scheduler.drain(timeout=120.0)
+            finally:
+                scheduler.shutdown()
+        pooled = [answer(futures[i].result()) for i in range(len(functions))]
+        assert all(status == "ok" for status, _, _ in fresh)
+        assert pooled == fresh
 
     def test_parallel_outcomes_carry_worker_attribution(self):
         functions = get_suite("npn4", 3)

@@ -1,7 +1,5 @@
 """The racing executor: cancellation, stragglers, degradation."""
 
-import os
-
 import pytest
 
 from repro.engine import run_engine
@@ -12,17 +10,7 @@ from repro.runtime.racing import RacingExecutor
 from repro.store import ChainStore
 from repro.truthtable import from_hex
 
-
-def assert_no_orphans(records):
-    """Every cancelled loser must be dead and reaped (bounded join)."""
-    for record in records:
-        assert record.pid is not None
-        assert record.seconds < 5.0  # the bounded-join guarantee
-        with pytest.raises((ProcessLookupError, ChildProcessError)):
-            # Reaped children are gone from the process table; a pid
-            # still probe-able here would be an orphan (or a zombie).
-            os.kill(record.pid, 0)
-            os.waitpid(record.pid, os.WNOHANG)
+from tests.helpers import assert_no_orphans
 
 
 class TestWinnerCancelsLosers:

@@ -3,13 +3,20 @@
 Every degradation path the runtime promises is exercised here via the
 deterministic fault-injection harness — hung workers, crashed workers,
 corrupt results, missing engines, retry with backoff, and the
-STP → FEN fallback chain.
+STP → FEN fallback chain — together with the resident worker pool's
+lease rules: reuse, retirement, close, and the fork/pipe race.
 """
 
+import gc
+import sys
+import threading
 import time
+from collections import deque
 
 import pytest
 
+from repro.bench.runner import default_algorithms, run_suite
+from repro.bench.suites import get_suite
 from repro.engine import create_engine, engine_names, run_engine
 from repro.runtime.errors import (
     BudgetExceeded,
@@ -25,10 +32,17 @@ from repro.runtime.executor import (
     FaultTolerantExecutor,
 )
 from repro.runtime.faults import FaultPlan, FaultSpec, execute_fault
-from repro.runtime.worker import WorkerTask, run_isolated
+from repro.runtime.racing import RacingExecutor
+from repro.runtime.worker import WorkerPool, WorkerTask, run_isolated
 from repro.truthtable import from_hex
 
-from tests.helpers import record_race_lanes
+from tests.helpers import (
+    assert_no_orphans,
+    assert_reaped,
+    record_attempts,
+    record_race_lanes,
+    record_worker_forks,
+)
 
 EASY = from_hex("8ff8", 4)  # paper Example 7: optimum is 3 gates
 
@@ -365,8 +379,6 @@ class TestExecutorFallback:
         assert outcome.exact is False
 
     def test_lapsed_deadline_never_spawns_a_lane(self, monkeypatch):
-        from repro.runtime.racing import RacingExecutor
-
         spawned = record_race_lanes(monkeypatch)
         executor = RacingExecutor(("stp", "fen"))
         outcome = executor.run(
@@ -375,3 +387,176 @@ class TestExecutorFallback:
         assert outcome.status == "timeout"
         assert outcome.trail == []
         assert spawned == []
+
+
+def _stp_executor(**kwargs):
+    return FaultTolerantExecutor(
+        ("stp",),
+        isolate=True,
+        engine_kwargs={"stp": {"max_solutions": 2}},
+        **kwargs,
+    )
+
+
+class TestResidentWorkers:
+    """Lease rules of the executor's worker pool."""
+
+    def test_consecutive_attempts_share_one_worker(self, monkeypatch):
+        forked = record_worker_forks(monkeypatch)
+        attempts = record_attempts(monkeypatch)
+        with _stp_executor() as executor:
+            for function in (EASY, from_hex("e8", 3), EASY):
+                assert executor.run(function, 30.0).solved
+        assert len(forked) == 1
+        assert [pid for _, pid in attempts] == [forked[0].pid] * 3
+
+    def test_run_suite_forks_at_most_jobs_workers(self, monkeypatch):
+        forked = record_worker_forks(monkeypatch)
+        stp = [
+            a for a in default_algorithms(max_solutions=16)
+            if a.name == "STP"
+        ]
+        reports = run_suite(
+            "npn4", get_suite("npn4", 20), stp, 60.0, jobs=2
+        )
+        assert reports[0].num_ok == 20
+        assert 1 <= len(forked) <= 2
+        # run_suite closed its executor: no worker outlives it.
+        assert not any(process.is_alive() for process in forked)
+
+    @pytest.mark.parametrize(
+        "kind, status, timeout",
+        [
+            ("hang", "timeout", 1.0),  # hard kill
+            ("hard-crash", "crash", 10.0),
+            ("crash", "crash", 10.0),
+            ("hog", "crash", 10.0),
+            ("timeout", "timeout", 10.0),  # cooperative
+        ],
+    )
+    def test_failure_retires_the_worker(
+        self, monkeypatch, kind, status, timeout
+    ):
+        attempts = record_attempts(monkeypatch)
+        plan = FaultPlan()
+        executor = _stp_executor(
+            max_retries=0,
+            fault_plan=plan,
+            memory_limit_mb=256 if kind == "hog" else None,
+        )
+        with executor:
+            assert executor.run(EASY, 30.0).solved
+            plan.add(EASY.to_hex(), FaultSpec(kind))
+            started = time.perf_counter()
+            failed = executor.run(EASY, timeout)
+            assert time.perf_counter() - started < 1.5 * timeout
+            assert failed.status == status
+            if kind == "hard-crash":
+                assert "exit code 66" in failed.error
+            assert executor.run(EASY, 30.0).solved
+        warm, faulted, fresh = [pid for _, pid in attempts]
+        assert faulted == warm  # the fault hit the resident worker
+        assert fresh != warm
+        assert_reaped(warm)
+
+    def test_close_is_idempotent_and_leaves_no_live_child(
+        self, monkeypatch
+    ):
+        forked = record_worker_forks(monkeypatch)
+        executor = _stp_executor()
+        assert forked == []  # forks lazily, never in the constructor
+        assert executor.run(EASY, 30.0).solved
+        assert [process.is_alive() for process in forked] == [True]
+        executor.close()
+        executor.close()
+        assert not forked[0].is_alive()
+        assert forked[0].exitcode == 0  # stopped, not killed
+        # A closed executor still answers, but keeps no worker.
+        assert executor.run(EASY, 30.0).solved
+        assert len(forked) == 2
+        assert not any(process.is_alive() for process in forked)
+
+    def test_unclosed_executor_stops_its_workers_when_collected(
+        self, monkeypatch
+    ):
+        forked = record_worker_forks(monkeypatch)
+        executor = _stp_executor()
+        assert executor.run(EASY, 30.0).solved
+        del executor
+        gc.collect()
+        assert not forked[0].is_alive()
+
+    def test_race_losers_are_reaped_and_the_winner_serves_on(
+        self, monkeypatch
+    ):
+        attempts = record_attempts(monkeypatch)
+        function = from_hex("e8", 3)
+        with RacingExecutor(("stp", "fen", "cegis")) as executor:
+            first = executor.run(function, 30.0)
+            assert first.solved
+            assert len(executor.last_cancellations) == 2
+            assert_no_orphans(executor.last_cancellations)
+            lanes = len(attempts)
+            winner = [
+                pid for engine, pid in attempts if engine == first.engine
+            ]
+            assert executor.run(function, 30.0).solved
+            assert_no_orphans(executor.last_cancellations)
+        assert winner[0] in [pid for _, pid in attempts[lanes:]]
+
+
+class TestForkPipeRace:
+    def test_hard_crash_is_seen_at_once_beside_forking_siblings(self):
+        """Sibling threads fork resident workers while the main thread's
+        workers hard-crash: a sibling forked between another worker's
+        pipe creation and the parent's close of its child end would
+        hold that end open, and the crash would surface only at the
+        hard deadline (7 s here) instead of at once."""
+        stop = threading.Event()
+        errors: list = []
+        unavailable = WorkerTask("nonesuch", EASY.bits, 4, 5.0)
+
+        def churn():
+            # Each sibling stays resident for ~1 s after its fork.
+            live: deque = deque()
+            try:
+                while not stop.is_set():
+                    pool = WorkerPool()
+                    try:
+                        run_isolated(unavailable, pool)
+                    except EngineUnavailable:
+                        pass
+                    live.append((time.perf_counter(), pool))
+                    while live and time.perf_counter() - live[0][0] > 1.0:
+                        live.popleft()[1].close()
+                    time.sleep(0.02)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+            finally:
+                for _, pool in live:
+                    pool.close()
+
+        crash = WorkerTask(
+            "stp", EASY.bits, 4, 5.0, fault=FaultSpec("hard-crash")
+        )
+        siblings = [threading.Thread(target=churn) for _ in range(2)]
+        slowest = 0.0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in siblings:
+                thread.start()
+            for _ in range(150):
+                started = time.perf_counter()
+                with pytest.raises(WorkerCrash) as info:
+                    run_isolated(crash)
+                slowest = max(slowest, time.perf_counter() - started)
+                assert info.value.exitcode == 66
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            for thread in siblings:
+                thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in siblings)
+        assert errors == []
+        assert slowest < 0.75
