@@ -10,6 +10,10 @@ Produces ``BENCH_kernels_npn4.json`` with these sections:
 * ``chain_simulate`` — per-row chain simulation plus don't-care
   canonicalization vs the word-parallel ``lut_apply`` path, on the same
   shapes plus one 8-input shape, with its aggregate speedup;
+* ``solution_set_check`` — the store's and the executor's check of a
+  whole solution set: one ``verify_chain`` AllSAT per chain vs one
+  ``check_solution_set`` over the set's records, on seeded FDSD6 and
+  PDSD6 solution sets, with its aggregate speedup;
 * ``micro`` — onset expansion and exact NPN canonicalization old/new;
 * ``npn4`` — end-to-end pipeline wall-clock over an NPN4 subset at
   ``jobs=1``, with the folded per-kernel stats, and an old-vs-new
@@ -19,13 +23,14 @@ Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py \
         --out BENCH_kernels_npn4.json --min-allsat-speedup 1.0 \
-        --min-simulate-speedup 1.0
+        --min-simulate-speedup 1.0 --min-set-check-speedup 1.0
 
 ``--min-allsat-speedup`` turns the report into a regression gate: the
 process exits non-zero when the geometric-mean AllSAT speedup falls
 below the threshold (CI pins 1.0 — packed must never be slower).
 ``--min-simulate-speedup`` gates the ``chain_simulate`` geomean the
-same way.
+same way, and ``--min-set-check-speedup`` the ``solution_set_check``
+geomean.
 ``--max-npn4-wall`` gates the end-to-end section the same way: CI pins
 it at half the recorded pre-batching seed wall (40.0s for the 8-class
 subset → 20.0s), so losing the batched-factorization win fails the
@@ -47,7 +52,13 @@ from repro.chain import BooleanChain
 from repro.core import SynthesisSpec, chain_all_sat, run_pipeline, verify_chain
 from repro.core.circuit_sat import cubes_to_onset
 from repro.core.pipeline import canonicalize_dont_cares
-from repro.kernels import KERNEL_STATS, npn_minimum, packed_all_sat
+from repro.engine import run_engine
+from repro.kernels import (
+    KERNEL_STATS,
+    check_solution_set,
+    npn_minimum,
+    packed_all_sat,
+)
 from repro.kernels.reference import (
     canonicalize_dont_cares_ref,
     chain_all_sat_ref,
@@ -227,6 +238,64 @@ def bench_chain_simulate() -> list[dict]:
     return rows
 
 
+#: (suite, #instances, #repeats) per solution-set shape: every optimal
+#: chain of the first instances of each seeded suite.
+SET_CHECK_SUITES = [("fdsd6", 8, 5), ("pdsd6", 8, 3)]
+
+
+def bench_solution_set_check() -> list[dict]:
+    """Checking a whole solution set, per suite: one ``verify_chain``
+    AllSAT per chain (the store's old write-back check) against one
+    ``check_solution_set`` call over the set's records."""
+    rows = []
+    for suite, count, repeats in SET_CHECK_SUITES:
+        solutions = [
+            (function, run_engine("hier", function, 60.0).chains)
+            for function in get_suite(suite, count)
+        ]
+        sets = [
+            (function, [chain.signature() for chain in chains])
+            for function, chains in solutions
+        ]
+
+        def run_old():
+            for function, chains in solutions:
+                for chain in chains:
+                    verify_chain(chain, function)
+
+        def run_new():
+            for function, records in sets:
+                check_solution_set(records, [function.bits], function.num_vars)
+
+        # Same verdicts before timing, on each set and on a corrupt
+        # copy of it (every chain's first gate complemented).
+        for function, records in sets:
+            corrupt = []
+            for n, gates, outputs in records:
+                op, fanins = gates[0]
+                op ^= (1 << (1 << len(fanins))) - 1
+                corrupt.append((n, ((op, fanins),) + gates[1:], outputs))
+            assert check_solution_set(
+                records + corrupt, [function.bits], function.num_vars
+            ) == [
+                verify_chain(BooleanChain.from_record(record), function)
+                for record in records + corrupt
+            ]
+        old_s = _time(run_old, repeats)
+        new_s = _time(run_new, repeats)
+        rows.append(
+            {
+                "suite": suite,
+                "sets": len(sets),
+                "chains": sum(len(records) for _, records in sets),
+                "old_s": round(old_s, 6),
+                "new_s": round(new_s, 6),
+                "speedup": round(old_s / new_s, 3),
+            }
+        )
+    return rows
+
+
 def bench_micro() -> dict:
     rnd = random.Random(42)
     n = 8
@@ -397,6 +466,13 @@ def main(argv=None) -> int:
         "speedup drops below this value",
     )
     parser.add_argument(
+        "--min-set-check-speedup",
+        type=float,
+        default=None,
+        help="fail (exit 1) when the geometric-mean solution-set check "
+        "speedup over per-chain AllSAT drops below this value",
+    )
+    parser.add_argument(
         "--max-npn4-wall",
         type=float,
         default=None,
@@ -415,6 +491,8 @@ def main(argv=None) -> int:
     geomean = _geomean(allsat_rows)
     simulate_rows = bench_chain_simulate()
     simulate_geomean = _geomean(simulate_rows)
+    set_check_rows = bench_solution_set_check()
+    set_check_geomean = _geomean(set_check_rows)
     report = {
         "benchmark": "kernels_npn4",
         "chain_allsat": allsat_rows,
@@ -425,6 +503,8 @@ def main(argv=None) -> int:
         "verify_chain": bench_verify(),
         "chain_simulate": simulate_rows,
         "chain_simulate_speedup_geomean": round(simulate_geomean, 3),
+        "solution_set_check": set_check_rows,
+        "solution_set_check_speedup_geomean": round(set_check_geomean, 3),
         "micro": bench_micro(),
         "npn4": bench_npn4(args.npn4_count, args.timeout),
     }
@@ -449,6 +529,13 @@ def main(argv=None) -> int:
             f"{row['new_s']:.4f}s ({row['speedup']:.2f}x)"
         )
     print(f"chain_simulate geomean speedup: {simulate_geomean:.2f}x")
+    for row in set_check_rows:
+        print(
+            f"solution_set_check {row['suite']} ({row['chains']} chains): "
+            f"{row['old_s']:.4f}s -> {row['new_s']:.4f}s "
+            f"({row['speedup']:.2f}x)"
+        )
+    print(f"solution_set_check geomean speedup: {set_check_geomean:.2f}x")
     micro = report["micro"]
     for name, entry in micro.items():
         print(
@@ -489,6 +576,17 @@ def main(argv=None) -> int:
             f"FAIL: chain simulation geomean speedup "
             f"{simulate_geomean:.2f}x is below the required "
             f"{args.min_simulate_speedup:.2f}x",
+            file=sys.stderr,
+        )
+        failed = True
+    if (
+        args.min_set_check_speedup is not None
+        and set_check_geomean < args.min_set_check_speedup
+    ):
+        print(
+            f"FAIL: solution-set check geomean speedup "
+            f"{set_check_geomean:.2f}x is below the required "
+            f"{args.min_set_check_speedup:.2f}x",
             file=sys.stderr,
         )
         failed = True

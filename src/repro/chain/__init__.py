@@ -8,6 +8,7 @@ from .transform import (
     merge_chains_shared,
     npn_transform_chain,
     npn_transform_chain_multi,
+    npn_transform_record,
 )
 from .costs import (
     COST_MODELS,
@@ -31,6 +32,7 @@ __all__ = [
     "merge_chains_shared",
     "npn_transform_chain",
     "npn_transform_chain_multi",
+    "npn_transform_record",
     "COST_MODELS",
     "DEFAULT_OP_WEIGHTS",
     "depth",

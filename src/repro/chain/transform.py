@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from ..kernels import FLIP_INPUT0, FLIP_INPUT1, lut_apply
+from ..kernels import FLIP_INPUT0, FLIP_INPUT1, MAX_LUT_INPUTS, lut_apply
 from ..truthtable.table import TruthTable
 from .chain import BooleanChain
 
@@ -25,6 +25,7 @@ __all__ = [
     "flip_signal",
     "polarity_closure",
     "polarity_variants",
+    "npn_transform_record",
     "npn_transform_chain",
     "npn_transform_chain_multi",
     "merge_chains_shared",
@@ -215,93 +216,90 @@ def polarity_closure(
         yield variant
 
 
-def npn_transform_chain(chain: BooleanChain, transform) -> BooleanChain:
-    """A chain computing ``transform.apply(f)`` from one computing ``f``.
+def npn_transform_record(
+    record: tuple,
+    perm: Sequence[int],
+    input_flips: int,
+    output_flips: Sequence[bool],
+) -> tuple:
+    """The chain record computing an NPN image of ``record``'s outputs.
 
-    ``g(y) = f(x) ^ out`` with ``x_i = y_{perm[i]} ^ flips_i``, so the
+    ``record`` is a :meth:`~repro.chain.BooleanChain.signature` tuple
+    computing ``f``; the result computes ``g_j(y) = f_j(x) ^
+    output_flips[j]`` with ``x_i = y_{perm[i]} ^ flips_i``.  The
     rewrite permutes the input signals, absorbs each input complement
     into the reading gates' codes (and the output flag for direct
-    input outputs), and XORs the output complement flag.  Gate count is
-    unchanged, making this the bijection that maps the optimal solution
-    set of an NPN class representative onto any orbit member's.
+    input outputs), and XORs the output complement flags.  Gate count
+    is unchanged, making this the bijection that maps the optimal
+    solution set of an NPN class representative onto any orbit
+    member's.
+
+    Only in-range fanins, outputs and op codes are rewritten, so a
+    malformed record stays malformed (and fails
+    :func:`~repro.kernels.check_solution_set`) rather than wrapping a
+    negative index into a valid one, and a gate wider than
+    :data:`~repro.kernels.MAX_LUT_INPUTS` costs no ``2**arity`` work.
     """
-    n = chain.num_inputs
-    perm = transform.perm
-    flips = transform.input_flips
+    n, gates, outputs = record
     if len(perm) != n:
         raise ValueError("transform arity does not match chain")
+    if len(output_flips) != len(outputs):
+        raise ValueError("transform output count does not match chain")
+    rewritten = []
+    for code, fanins in gates:
+        arity = len(fanins)
+        well_formed = arity <= MAX_LUT_INPUTS and 0 <= code < 1 << (1 << arity)
+        remapped = []
+        for pos, fanin in enumerate(fanins):
+            if 0 <= fanin < n:
+                remapped.append(perm[fanin])
+                if well_formed and (input_flips >> fanin) & 1:
+                    code = _flip_code_input(code, arity, pos)
+            else:
+                remapped.append(fanin)
+        rewritten.append((code, tuple(remapped)))
+    return (
+        n,
+        tuple(rewritten),
+        tuple(
+            (
+                perm[signal] if 0 <= signal < n else signal,
+                complemented
+                ^ (0 <= signal < n and bool((input_flips >> signal) & 1))
+                ^ bool(out_flip),
+            )
+            for (signal, complemented), out_flip in zip(
+                outputs, output_flips
+            )
+        ),
+    )
 
-    def remap(signal: int) -> int:
-        if signal != BooleanChain.CONST0 and signal < n:
-            return perm[signal]
-        return signal
 
-    rewritten = BooleanChain(n)
-    for gate in chain.gates:
-        code = gate.op
-        for pos, fanin in enumerate(gate.fanins):
-            if fanin != BooleanChain.CONST0 and fanin < n:
-                if (flips >> fanin) & 1:
-                    code = _flip_code_input(code, gate.arity, pos)
-        rewritten.add_gate(code, tuple(remap(f) for f in gate.fanins))
-    for signal, complemented in chain.outputs:
-        flipped_input = (
-            signal != BooleanChain.CONST0
-            and signal < n
-            and bool((flips >> signal) & 1)
+def npn_transform_chain(chain: BooleanChain, transform) -> BooleanChain:
+    """A chain computing ``transform.apply(f)`` from one computing ``f``
+    (:func:`npn_transform_record`; every output takes the flip)."""
+    return BooleanChain.from_record(
+        npn_transform_record(
+            chain.signature(),
+            transform.perm,
+            transform.input_flips,
+            (transform.output_flip,) * len(chain.outputs),
         )
-        rewritten.set_output(
-            remap(signal),
-            complemented ^ flipped_input ^ bool(transform.output_flip),
-        )
-    return rewritten
+    )
 
 
 def npn_transform_chain_multi(chain: BooleanChain, transform) -> BooleanChain:
-    """Rewrite a multi-output chain through a joint NPN transform.
-
-    ``transform`` is a :class:`~repro.truthtable.npn.MultiNPNTransform`:
-    one shared input permutation/negation plus a *per-output* negation
-    flag.  Same absorption rules as :func:`npn_transform_chain` — the
-    gate codes swallow the input complements, the output flags swallow
-    the rest — so gate count is preserved and the rewrite is the
-    bijection between a multi-output orbit member's solution set and
-    the canonical representative's.
-    """
-    n = chain.num_inputs
-    perm = transform.perm
-    flips = transform.input_flips
-    output_flips = transform.output_flips
-    if len(perm) != n:
-        raise ValueError("transform arity does not match chain")
-    if len(output_flips) != len(chain.outputs):
-        raise ValueError("transform output count does not match chain")
-
-    def remap(signal: int) -> int:
-        if signal != BooleanChain.CONST0 and signal < n:
-            return perm[signal]
-        return signal
-
-    rewritten = BooleanChain(n)
-    for gate in chain.gates:
-        code = gate.op
-        for pos, fanin in enumerate(gate.fanins):
-            if fanin != BooleanChain.CONST0 and fanin < n:
-                if (flips >> fanin) & 1:
-                    code = _flip_code_input(code, gate.arity, pos)
-        rewritten.add_gate(code, tuple(remap(f) for f in gate.fanins))
-    for (signal, complemented), out_flip in zip(
-        chain.outputs, output_flips
-    ):
-        flipped_input = (
-            signal != BooleanChain.CONST0
-            and signal < n
-            and bool((flips >> signal) & 1)
+    """Rewrite a multi-output chain through a joint NPN transform
+    (:class:`~repro.truthtable.npn.MultiNPNTransform`: one shared input
+    permutation/negation plus a per-output negation flag)."""
+    return BooleanChain.from_record(
+        npn_transform_record(
+            chain.signature(),
+            transform.perm,
+            transform.input_flips,
+            transform.output_flips,
         )
-        rewritten.set_output(
-            remap(signal), complemented ^ flipped_input ^ bool(out_flip)
-        )
-    return rewritten
+    )
 
 
 def _merge_one(

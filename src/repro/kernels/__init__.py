@@ -12,7 +12,9 @@ The synthesis core dispatches its hot paths through this package:
   kernels and batch exact NPN canonicalization;
 * :mod:`~repro.kernels.simulate` — :func:`lut_apply`, one LUT evaluated
   over whole packed truth tables (chain, network and cut simulation,
-  don't-care canonicalization, the polarity closure);
+  don't-care canonicalization, the polarity closure), and
+  :func:`check_solution_set`, one verdict per chain record of a
+  solution set (the executor's, the store's and the service's check);
 * :mod:`~repro.kernels.stats` — the per-kernel invocation/time
   registry (:data:`KERNEL_STATS`) that
   :func:`repro.core.pipeline.run_pipeline` folds into
@@ -59,7 +61,7 @@ from .factorization import (
     quartering_profiles,
     solve_disjoint_batch,
 )
-from .simulate import lut_apply
+from .simulate import MAX_LUT_INPUTS, check_solution_set, lut_apply
 from .stats import KERNEL_STATS, KernelCounters, SampledTimer
 from .tables import (
     cofactor_bits,
@@ -74,11 +76,13 @@ from .tables import (
 __all__ = [
     "KERNEL_STATS",
     "KernelCounters",
+    "MAX_LUT_INPUTS",
     "SampledTimer",
     "array_to_bits",
     "bits_to_array",
     "chain_onset",
     "chain_output_onsets",
+    "check_solution_set",
     "cofactor_bits",
     "collapse_indices",
     "depends_bits",

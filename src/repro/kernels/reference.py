@@ -2,8 +2,9 @@
 
 Verbatim relocations of the tuple-cube AllSAT solver, the loop-based
 quartering/column grouping, the per-row truth-table manipulations, the
-per-row chain/network/cut simulation loops and the ``flip_signal``
-polarity closures that the kernel layer replaced.  They exist for two
+per-row chain/network/cut simulation loops, the ``flip_signal``
+polarity closures and the chain-building NPN transforms that the kernel
+layer and the chain record replaced.  They exist for two
 reasons only:
 
 * the randomized old-vs-new equivalence tests in
@@ -40,6 +41,8 @@ __all__ = [
     "simulate_nodes_ref",
     "cut_function_ref",
     "polarity_closure_ref",
+    "npn_transform_chain_ref",
+    "npn_transform_chain_multi_ref",
 ]
 
 _FREE = None
@@ -505,3 +508,98 @@ def polarity_closure_ref(
             continue
         seen.add(key)
         yield variant
+
+
+def npn_transform_chain_ref(chain, transform):
+    """A chain computing ``transform.apply(f)`` from one computing ``f``.
+
+    ``g(y) = f(x) ^ out`` with ``x_i = y_{perm[i]} ^ flips_i``, so the
+    rewrite permutes the input signals, absorbs each input complement
+    into the reading gates' codes (and the output flag for direct
+    input outputs), and XORs the output complement flag.  Gate count is
+    unchanged, making this the bijection that maps the optimal solution
+    set of an NPN class representative onto any orbit member's.
+    """
+    from ..chain.chain import BooleanChain
+    from ..chain.transform import _flip_code_input
+
+    n = chain.num_inputs
+    perm = transform.perm
+    flips = transform.input_flips
+    if len(perm) != n:
+        raise ValueError("transform arity does not match chain")
+
+    def remap(signal: int) -> int:
+        if signal != BooleanChain.CONST0 and signal < n:
+            return perm[signal]
+        return signal
+
+    rewritten = BooleanChain(n)
+    for gate in chain.gates:
+        code = gate.op
+        for pos, fanin in enumerate(gate.fanins):
+            if fanin != BooleanChain.CONST0 and fanin < n:
+                if (flips >> fanin) & 1:
+                    code = _flip_code_input(code, gate.arity, pos)
+        rewritten.add_gate(code, tuple(remap(f) for f in gate.fanins))
+    for signal, complemented in chain.outputs:
+        flipped_input = (
+            signal != BooleanChain.CONST0
+            and signal < n
+            and bool((flips >> signal) & 1)
+        )
+        rewritten.set_output(
+            remap(signal),
+            complemented ^ flipped_input ^ bool(transform.output_flip),
+        )
+    return rewritten
+
+
+def npn_transform_chain_multi_ref(chain, transform):
+    """Rewrite a multi-output chain through a joint NPN transform.
+
+    ``transform`` is a :class:`~repro.truthtable.npn.MultiNPNTransform`:
+    one shared input permutation/negation plus a *per-output* negation
+    flag.  Same absorption rules as :func:`npn_transform_chain` — the
+    gate codes swallow the input complements, the output flags swallow
+    the rest — so gate count is preserved and the rewrite is the
+    bijection between a multi-output orbit member's solution set and
+    the canonical representative's.
+    """
+    from ..chain.chain import BooleanChain
+    from ..chain.transform import _flip_code_input
+
+    n = chain.num_inputs
+    perm = transform.perm
+    flips = transform.input_flips
+    output_flips = transform.output_flips
+    if len(perm) != n:
+        raise ValueError("transform arity does not match chain")
+    if len(output_flips) != len(chain.outputs):
+        raise ValueError("transform output count does not match chain")
+
+    def remap(signal: int) -> int:
+        if signal != BooleanChain.CONST0 and signal < n:
+            return perm[signal]
+        return signal
+
+    rewritten = BooleanChain(n)
+    for gate in chain.gates:
+        code = gate.op
+        for pos, fanin in enumerate(gate.fanins):
+            if fanin != BooleanChain.CONST0 and fanin < n:
+                if (flips >> fanin) & 1:
+                    code = _flip_code_input(code, gate.arity, pos)
+        rewritten.add_gate(code, tuple(remap(f) for f in gate.fanins))
+    for (signal, complemented), out_flip in zip(
+        chain.outputs, output_flips
+    ):
+        flipped_input = (
+            signal != BooleanChain.CONST0
+            and signal < n
+            and bool((flips >> signal) & 1)
+        )
+        rewritten.set_output(
+            remap(signal), complemented ^ flipped_input ^ bool(out_flip)
+        )
+    return rewritten

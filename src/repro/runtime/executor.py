@@ -29,9 +29,10 @@ steps always run in this order:
      history shortened the first round, a second round gets the full
      remaining budget;
 
-5. **verify** — an answer must carry chains that simulate to the
-   requested table (a joint vector: pass the packed verifier), else
-   the attempt counts as ``crash``/``corrupt``;
+5. **verify** — every chain of an answer must have one output per
+   requested table and simulate to it (one packed simulation of the
+   whole solution set), else the attempt counts as
+   ``crash``/``corrupt``;
 6. **write-back** — answers are stored graded by the answering engine's
    exactness; exact ones also mark the gate counts below theirs
    infeasible;
@@ -61,9 +62,9 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from ..core.circuit_sat import verify_chain_outputs
 from ..core.spec import Deadline, SynthesisResult
 from ..engine import engine_capabilities, run_engine
+from ..kernels import check_solution_set
 from ..truthtable.table import TruthTable
 from .errors import (
     EngineUnavailable,
@@ -606,8 +607,9 @@ class FaultTolerantExecutor:
 
     def _verified(self, produce, tables):
         """The one verify: ``(result, None)`` for a result whose every
-        chain realises ``tables`` — by simulation, a joint vector by the
-        packed verifier — else ``(None, exception)``."""
+        chain has one output per table and realises ``tables`` — one
+        packed simulation of the whole solution set — else ``(None,
+        exception)``."""
         try:
             result = produce()
             if self._verify:
@@ -618,16 +620,16 @@ class FaultTolerantExecutor:
                     )
                 if not result.chains:
                     raise WorkerCrash("engine returned no chains")
-                for chain in result.chains:
-                    if len(tables) == 1:
-                        realised = chain.simulate_output() == tables[0]
-                    else:
-                        realised = verify_chain_outputs(chain, tables)
-                    if not realised:
-                        raise VerificationFailed(
-                            "engine returned a chain that does not "
-                            f"realise 0x{','.join(t.to_hex() for t in tables)}"
-                        )
+                verdicts = check_solution_set(
+                    [chain.signature() for chain in result.chains],
+                    [table.bits for table in tables],
+                    tables[0].num_vars,
+                )
+                if not all(verdicts):
+                    raise VerificationFailed(
+                        "engine returned a chain that does not "
+                        f"realise 0x{','.join(t.to_hex() for t in tables)}"
+                    )
         except Exception as exc:
             return None, exc
         return result, None

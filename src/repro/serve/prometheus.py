@@ -66,6 +66,7 @@ _COUNTER_LEAVES = (
     "shed",
     "rejected",
     "quarantined",
+    "dropped",
     "solved",
     "timeouts",
     "crashes",

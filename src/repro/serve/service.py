@@ -26,10 +26,11 @@ same funnel:
    leaves here with ``exact: false`` and a ``degraded`` status the
    HTTP layer maps to its own (non-failure) status code.
 
-Every response's first chain is re-verified against the *caller's*
-tables with the packed AllSAT verifier before it leaves the service —
-a transform bug or corrupt store row becomes a counted ``corrupt``
-failure, never a silently wrong circuit.
+Every chain of a response is checked against the *caller's* tables
+before it leaves the service — one packed simulation of the whole set,
+plus the paper's AllSAT verifier on the first chain as a second
+opinion — so a transform bug or corrupt store row becomes a counted
+``corrupt`` failure, never a silently wrong circuit.
 
 Single-threaded discipline: all coalescing state (``_inflight``) is
 touched from the event-loop thread only.  Scheduler futures resolve on
@@ -49,6 +50,7 @@ from typing import Mapping, Sequence
 from ..chain.transform import npn_transform_chain, npn_transform_chain_multi
 from ..core.circuit_sat import verify_chain, verify_chain_outputs
 from ..core.spec import SynthesisStats
+from ..kernels import check_solution_set
 from ..parallel.dispatch import (
     PRIORITY_BANDS,
     DeadlineExpired,
@@ -635,10 +637,17 @@ class SynthesisService:
         """Final response assembly + the caller-space verification gate."""
         chains = list(chains[: request.max_chains])
         if chains:
-            ok = (
-                verify_chain_outputs(chains[0], request.functions)
+            tables = request.functions
+            ok = all(
+                check_solution_set(
+                    [chain.signature() for chain in chains],
+                    [table.bits for table in tables],
+                    tables[0].num_vars,
+                )
+            ) and (
+                verify_chain_outputs(chains[0], tables)
                 if request.is_multi
-                else verify_chain(chains[0], request.functions[0])
+                else verify_chain(chains[0], tables[0])
             )
             if not ok:
                 self.metrics.verify_failures += 1

@@ -25,12 +25,24 @@ cheap.  Within one process each thread gets its **own** connection
 (created lazily, used only by its owning thread), so concurrent
 lookups from the serving layer's worker pool read in parallel instead
 of serializing on a shared handle; writes still serialize on one
-process-wide lock because a merge is a read-modify-write.  Every lookup re-verifies the first reconstructed chain against
-the queried function (packed-cube AllSAT); a corrupt row is
-**quarantined** — marked in place, skipped by every later lookup, and
-counted — so one bad record degrades to a miss exactly once instead of
-re-verifying (or worse, raising) on every suite instance that touches
-the class.
+process-wide lock because a merge is a read-modify-write.
+
+Chains move through the store as records — the
+:meth:`~repro.chain.BooleanChain.signature` tuple — never as chain
+objects until a lookup hands them out.  The NPN transform rewrites the
+records (:func:`~repro.chain.transform.npn_transform_record`), and one
+packed simulation of the whole set
+(:func:`~repro.kernels.check_solution_set`) checks every chain on all
+``2**n`` rows: a write-back checks the fresh records and the row's
+stored ones in canonical space, a lookup checks every chain it serves
+in the queried function's space.  The paper's circuit AllSAT
+(:func:`~repro.core.circuit_sat.verify_chain`) re-checks the first
+chain of each set as an independent second opinion.  A row that fails
+a lookup is **quarantined** — marked in place, skipped by every later
+lookup, and counted — so one bad record degrades to a miss exactly once
+instead of re-checking (or worse, raising) on every suite instance
+that touches the class; a write-back drops (and counts) the failing
+stored records instead of reviving them.
 
 Two row grades share the table: ``exact = 1`` rows are optimal chains
 from engines whose capabilities claim exactness (the store's original
@@ -50,11 +62,13 @@ import sqlite3
 import threading
 import time
 
+from ..chain.chain import BooleanChain
+from ..chain.transform import npn_transform_record
 from ..core.circuit_sat import verify_chain, verify_chain_outputs
 from ..core.spec import SynthesisResult, SynthesisSpec
-from ..chain.transform import npn_transform_chain, npn_transform_chain_multi
+from ..kernels import check_solution_set
 from ..truthtable.table import TruthTable
-from .serialize import chain_from_record, chain_to_record
+from .serialize import decode_record, encode_record
 
 __all__ = ["ChainStore", "DEFAULT_MAX_CHAINS_PER_CLASS"]
 
@@ -104,6 +118,43 @@ _MIGRATIONS = (
 )
 
 
+def _decode_payload(payload) -> tuple[list[tuple], int] | None:
+    """The chain records of a row's ``solutions`` JSON plus the number
+    of objects in it that are not records, or None when the payload is
+    not a JSON list.  Lookups treat any bad object as corruption; a
+    write-back drops and counts them."""
+    try:
+        objects = json.loads(payload)
+    except (TypeError, ValueError):
+        return None
+    if not isinstance(objects, list):
+        return None
+    records = []
+    for obj in objects:
+        try:
+            records.append(decode_record(obj))
+        except ValueError:
+            pass
+    return records, len(objects) - len(records)
+
+
+def _checked(records, tables) -> list[tuple]:
+    """The records whose every output computes ``tables``: one packed
+    simulation of the whole set."""
+    verdicts = check_solution_set(
+        records, [t.bits for t in tables], tables[0].num_vars
+    )
+    return [record for record, ok in zip(records, verdicts) if ok]
+
+
+def _allsat_agrees(chain: BooleanChain, tables) -> bool:
+    """The paper's circuit AllSAT on one chain: an independent second
+    opinion behind the set check."""
+    if len(tables) == 1:
+        return verify_chain(chain, tables[0])
+    return verify_chain_outputs(chain, tables)
+
+
 class ChainStore:
     """SQLite-backed store of optimal chains, keyed by NPN class.
 
@@ -144,12 +195,15 @@ class ChainStore:
                 conn.execute(_INFEASIBLE_SCHEMA)
                 self._migrate(conn)
         #: Served lookups / fell-through lookups / completed write-backs,
-        #: plus total wall-clock spent inside *served* lookups and the
-        #: number of corrupt rows quarantined by failed re-simulation.
+        #: plus total wall-clock spent inside *served* lookups, the
+        #: number of corrupt rows quarantined by a failed lookup check
+        #: and of stored records a write-back dropped for failing its
+        #: check.
         self.hits = 0
         self.misses = 0
         self.writes = 0
         self.quarantined = 0
+        self.dropped = 0
         self.hit_seconds = 0.0
 
     def _connection(self) -> sqlite3.Connection:
@@ -235,6 +289,15 @@ class ChainStore:
         """
         return ",".join(t.to_hex() for t in canon_tables)
 
+    def _canonical_space(self, tables):
+        """``(canonical tables, row key, transform)`` of a function
+        vector; one table keys by its class hex alone."""
+        if len(tables) == 1:
+            canon, transform = self._canonical(tables[0])
+            return (canon,), canon.to_hex(), transform
+        canon_tables, transform = self._canonical_multi(tables)
+        return canon_tables, self._multi_key(canon_tables), transform
+
     # ------------------------------------------------------------------
     # read path
     # ------------------------------------------------------------------
@@ -247,10 +310,10 @@ class ChainStore:
         """Serve ``function``'s optimal chains from the store, or miss.
 
         Picks the smallest non-quarantined *exact* gate-count row for
-        the class, rebuilds every chain in the queried function's own
-        input space, and re-simulates the first one as a corruption
-        guard.  A row that fails the guard is **quarantined** — marked
-        in the database, skipped by all later lookups, and counted in
+        the class, rewrites every chain into the queried function's
+        own input space and checks every one of them against it.  A
+        row with any failing chain is **quarantined** — marked in the
+        database, skipped by all later lookups, and counted in
         :attr:`quarantined` — and the lookup reports a miss rather
         than escalating to the next row (a larger gate count must not
         be served as the optimum).
@@ -259,7 +322,7 @@ class ChainStore:
         num_gates)`` tuples for per-call accounting (the executor
         surfaces them in suite worker summaries).
         """
-        return self._lookup(function, exact_only=True, events=events)
+        return self._lookup((function,), exact_only=True, events=events)
 
     def lookup_upper_bound(
         self,
@@ -275,7 +338,7 @@ class ChainStore:
         Returns ``(result, exact_flag)``.
         """
         result = self._lookup(
-            function, exact_only=False, events=events
+            (function,), exact_only=False, events=events
         )
         if result is None:
             return None
@@ -336,62 +399,6 @@ class ChainStore:
                     ),
                 )
 
-    def _lookup(
-        self,
-        function: TruthTable,
-        *,
-        exact_only: bool,
-        events: list | None,
-    ) -> SynthesisResult | None:
-        started = time.perf_counter()
-        canon, transform = self._canonical(function)
-        canon_hex = canon.to_hex()
-        rows = self._fetch_rows(
-            function.num_vars, canon_hex, exact_only=exact_only
-        )
-        inverse = transform.inverse()
-        for num_gates, _engine, payload, exact in rows:
-            chains = None
-            try:
-                records = json.loads(payload)
-                chains = [
-                    npn_transform_chain(chain_from_record(r), inverse)
-                    for r in records
-                ]
-            except (ValueError, TypeError, json.JSONDecodeError):
-                chains = None
-            # Corruption guard on the packed-cube AllSAT path: the
-            # chain is genuine iff its onset expands exactly to the
-            # queried function.
-            try:
-                valid = bool(chains) and verify_chain(
-                    chains[0], function
-                )
-            except ValueError:
-                valid = False
-            if not valid:
-                self._quarantine(
-                    function.num_vars, canon_hex, num_gates, events
-                )
-                if exact_only:
-                    break  # never serve a larger count as the optimum
-                continue
-            runtime = time.perf_counter() - started
-            with self._lock:
-                self.hits += 1
-                self.hit_seconds += runtime
-            spec = SynthesisSpec(function=function)
-            result = SynthesisResult(
-                spec=spec,
-                chains=chains,
-                num_gates=num_gates,
-                runtime=runtime,
-            )
-            result._store_exact = bool(exact)
-            return result
-        self._miss()
-        return None
-
     def lookup_multi(
         self,
         functions,
@@ -403,60 +410,81 @@ class ChainStore:
         The vector is canonicalized jointly (one shared input
         permutation/negation, per-output output negations), the row is
         fetched under the comma-joined canonical key, and every stored
-        chain is rewritten back through the inverse transform.  The
-        first chain is re-simulated output-by-output with the packed
-        verifier; corruption quarantines the row exactly as in the
-        single-output path.  A one-element vector delegates to
-        :meth:`lookup`, so multi-output callers transparently share
-        the single-output keyspace.
+        chain is rewritten back through the inverse transform and
+        checked output by output; corruption quarantines the row
+        exactly as in the single-output path.  A one-element vector
+        delegates to :meth:`lookup`, so multi-output callers
+        transparently share the single-output keyspace.
         """
         functions = list(functions)
         if not functions:
             raise ValueError("need at least one output function")
         if len(functions) == 1:
             return self.lookup(functions[0], events=events)
+        return self._lookup(tuple(functions), exact_only=True, events=events)
+
+    def _lookup(
+        self,
+        tables: tuple[TruthTable, ...],
+        *,
+        exact_only: bool,
+        events: list | None,
+    ) -> SynthesisResult | None:
         started = time.perf_counter()
-        canon_tables, transform = self._canonical_multi(functions)
-        canon_hex = self._multi_key(canon_tables)
-        num_vars = functions[0].num_vars
-        rows = self._fetch_rows(num_vars, canon_hex, exact_only=True)
+        _, canon_hex, transform = self._canonical_space(tables)
+        num_vars = tables[0].num_vars
+        rows = self._fetch_rows(num_vars, canon_hex, exact_only=exact_only)
         inverse = transform.inverse()
-        for num_gates, _engine, payload, _exact in rows:
-            chains = None
-            try:
-                records = json.loads(payload)
-                chains = [
-                    npn_transform_chain_multi(
-                        chain_from_record(r), inverse
-                    )
-                    for r in records
-                ]
-            except (ValueError, TypeError, json.JSONDecodeError):
-                chains = None
-            try:
-                valid = bool(chains) and verify_chain_outputs(
-                    chains[0], functions
-                )
-            except ValueError:
-                valid = False
-            if not valid:
+        for num_gates, _engine, payload, exact in rows:
+            chains = self._served_chains(payload, inverse, tables)
+            if chains is None:
                 self._quarantine(num_vars, canon_hex, num_gates, events)
-                break  # never serve a larger count as the optimum
+                if exact_only:
+                    break  # never serve a larger count as the optimum
+                continue
             runtime = time.perf_counter() - started
             with self._lock:
                 self.hits += 1
                 self.hit_seconds += runtime
-            spec = SynthesisSpec(functions=tuple(functions))
+            if len(tables) == 1:
+                spec = SynthesisSpec(function=tables[0])
+            else:
+                spec = SynthesisSpec(functions=tables)
             result = SynthesisResult(
                 spec=spec,
                 chains=chains,
                 num_gates=num_gates,
                 runtime=runtime,
             )
-            result._store_exact = True
+            result._store_exact = bool(exact)
             return result
         self._miss()
         return None
+
+    @staticmethod
+    def _served_chains(payload, inverse, tables) -> list | None:
+        """A row's chains in the caller's input space, or None when the
+        row is corrupt: unreadable, any chain failing the set check
+        against ``tables``, or the first failing AllSAT."""
+        decoded = _decode_payload(payload)
+        if decoded is None or decoded[1]:
+            return None
+        try:
+            records = [
+                npn_transform_record(
+                    record,
+                    inverse.perm,
+                    inverse.input_flips,
+                    inverse.output_flips,
+                )
+                for record in decoded[0]
+            ]
+        except (TypeError, ValueError):
+            return None
+        if not records or len(_checked(records, tables)) != len(records):
+            return None
+        chains = [BooleanChain.from_record(record) for record in records]
+        return chains if _allsat_agrees(chains[0], tables) else None
 
     def _fetch_rows(
         self, num_vars: int, canon_hex: str, *, exact_only: bool
@@ -519,39 +547,14 @@ class ChainStore:
 
         Chains are rewritten into canonical space before storage.  An
         existing row at the same gate count is merged (union of
-        solution sets, capped); chains that fail to re-simulate are
+        solution sets, capped); chains that fail the set check are
         dropped rather than stored.  ``exact=False`` grades the row as
         a verified upper bound (heuristic engines); merging with an
         existing row keeps the *stronger* grade, and a fresh write
         clears any quarantine mark on the row.  Returns True when a
         row was written.
         """
-        if not result.chains or result.num_gates < 0:
-            return False
-        canon, transform = self._canonical(function)
-        canonical_chains = []
-        for chain in result.chains[: self._max_chains]:
-            rewritten = npn_transform_chain(chain, transform)
-            try:
-                if not verify_chain(rewritten, canon):
-                    continue
-            except ValueError:
-                continue
-            canonical_chains.append(rewritten)
-        if not canonical_chains:
-            return False
-        key = (function.num_vars, canon.to_hex(), result.num_gates)
-        with self._lock:
-            try:
-                conn = self._connection()
-                with conn:
-                    self._merge_row(
-                        conn, key, canonical_chains, engine, exact
-                    )
-            except sqlite3.Error:
-                return False
-            self.writes += 1
-        return True
+        return self._put((function,), result, engine, exact)
 
     def put_multi(
         self,
@@ -564,7 +567,7 @@ class ChainStore:
         """Record a shared multi-output chain for a function vector.
 
         Chains are rewritten into the joint canonical space (shared
-        input transform, per-output negations) and re-verified against
+        input transform, per-output negations) and checked against
         the canonical tables before storage; the row carries its
         output count in ``num_outputs``.  A one-element vector
         delegates to :meth:`put`.  Returns True when a row was written.
@@ -574,38 +577,38 @@ class ChainStore:
             raise ValueError("need at least one output function")
         if len(functions) == 1:
             return self.put(functions[0], result, engine, exact=exact)
+        return self._put(tuple(functions), result, engine, exact)
+
+    def _put(self, tables, result, engine, exact) -> bool:
+        """The write path: transform, set check, AllSAT on the first
+        survivor, merge."""
         if not result.chains or result.num_gates < 0:
             return False
-        canon_tables, transform = self._canonical_multi(functions)
-        canonical_chains = []
-        for chain in result.chains[: self._max_chains]:
-            if len(chain.outputs) != len(functions):
-                continue
-            rewritten = npn_transform_chain_multi(chain, transform)
-            try:
-                if not verify_chain_outputs(rewritten, canon_tables):
-                    continue
-            except ValueError:
-                continue
-            canonical_chains.append(rewritten)
-        if not canonical_chains:
-            return False
-        key = (
-            functions[0].num_vars,
-            self._multi_key(canon_tables),
-            result.num_gates,
+        canon_tables, canon_hex, transform = self._canonical_space(tables)
+        records = _checked(
+            [
+                npn_transform_record(
+                    chain.signature(),
+                    transform.perm,
+                    transform.input_flips,
+                    transform.output_flips,
+                )
+                for chain in result.chains[: self._max_chains]
+                if len(chain.outputs) == len(tables)
+            ],
+            canon_tables,
         )
+        if not records or not _allsat_agrees(
+            BooleanChain.from_record(records[0]), canon_tables
+        ):
+            return False
+        key = (tables[0].num_vars, canon_hex, result.num_gates)
         with self._lock:
             try:
                 conn = self._connection()
                 with conn:
                     self._merge_row(
-                        conn,
-                        key,
-                        canonical_chains,
-                        engine,
-                        exact,
-                        num_outputs=len(functions),
+                        conn, key, records, canon_tables, engine, exact
                     )
             except sqlite3.Error:
                 return False
@@ -616,11 +619,18 @@ class ChainStore:
         self,
         conn: sqlite3.Connection,
         key,
-        canonical_chains,
+        records: list[tuple],
+        canon_tables: tuple[TruthTable, ...],
         engine: str,
         exact: bool,
-        num_outputs: int = 1,
     ) -> None:
+        """Write the union of ``records`` and the row's stored records.
+
+        Runs under the write lock.  Stored records pass the same set
+        check as fresh ones first, quarantined row or not: a failing
+        one is dropped and counted in :attr:`dropped`, so a write-back
+        never revives a corrupt chain.
+        """
         num_vars, canon_hex, num_gates = key
         cursor = conn.execute(
             "SELECT solutions, exact FROM chains WHERE num_vars = ? "
@@ -629,19 +639,15 @@ class ChainStore:
         )
         row = cursor.fetchone()
         grade = 1 if exact else 0
-        merged = {chain.signature(): chain for chain in canonical_chains}
+        merged = set(records)
         if row is not None:
             grade = max(grade, int(row[1]))  # grades only escalate
-            try:
-                for record in json.loads(row[0]):
-                    chain = chain_from_record(record)
-                    merged.setdefault(chain.signature(), chain)
-            except (ValueError, TypeError, json.JSONDecodeError):
-                pass  # corrupt row: overwrite with the fresh set
-        chains = sorted(merged.values(), key=lambda c: c.signature())
-        chains = chains[: self._max_chains]
-        payload = json.dumps([chain_to_record(c) for c in chains])
-        # A fresh verified write supersedes any quarantine mark.
+            merged.update(self._stored_records(row[0], canon_tables))
+        payload = json.dumps(
+            [encode_record(r) for r in sorted(merged)[: self._max_chains]]
+        )
+        # Every record in the payload passed the set check just now,
+        # so the write supersedes any quarantine mark.
         conn.execute(
             "INSERT OR REPLACE INTO chains "
             "(num_vars, canon_hex, num_gates, engine, solutions, "
@@ -655,9 +661,22 @@ class ChainStore:
                 payload,
                 time.time(),
                 grade,
-                num_outputs,
+                len(canon_tables),
             ),
         )
+
+    def _stored_records(self, payload, canon_tables) -> list[tuple]:
+        """The records of a stored row that pass the set check; each
+        other one (or an unreadable payload, once) counts in
+        :attr:`dropped`."""
+        decoded = _decode_payload(payload)
+        if decoded is None:
+            self.dropped += 1
+            return []
+        records, bad = decoded
+        kept = _checked(records, canon_tables)
+        self.dropped += bad + len(records) - len(kept)
+        return kept
 
     # ------------------------------------------------------------------
     # introspection / lifecycle
@@ -675,6 +694,7 @@ class ChainStore:
             "misses": self.misses,
             "writes": self.writes,
             "quarantined": self.quarantined,
+            "dropped": self.dropped,
             "classes": len(self),
         }
 

@@ -52,6 +52,12 @@ class NPNTransform:
     input_flips: int
     output_flip: bool
 
+    @property
+    def output_flips(self) -> tuple[bool]:
+        """The output flag per output, as :class:`MultiNPNTransform`
+        holds it for a one-output vector."""
+        return (self.output_flip,)
+
     def apply(self, table: TruthTable) -> TruthTable:
         """Apply the transform to ``table`` (cached index-gather kernel)."""
         n = table.num_vars

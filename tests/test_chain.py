@@ -1,5 +1,7 @@
 """Boolean chain data-structure tests."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -167,3 +169,69 @@ class TestStructure:
         chain = BooleanChain(1)
         chain.set_output(BooleanChain.CONST0, True)
         assert "out = ~0" in chain.format()
+
+
+class TestRecord:
+    """The signature tuple is the chain's record: the pickled form and
+    the input of :meth:`BooleanChain.from_record`."""
+
+    @staticmethod
+    def _chains():
+        rnd = random.Random(11)
+        chains = [random_chain(rnd) for _ in range(8)]
+        multi = BooleanChain(3)
+        s3 = multi.add_gate(0xE8, (0, 1, 2))
+        s4 = multi.add_gate(0x1, (s3,))
+        multi.set_output(s4)
+        multi.set_output(BooleanChain.CONST0, True)
+        multi.set_output(0, True)
+        building = BooleanChain(2)  # no outputs yet
+        building.add_gate(0x6, (0, 0))
+        return chains + [multi, building, BooleanChain(0)]
+
+    def test_from_record_round_trip(self):
+        for chain in self._chains():
+            rebuilt = BooleanChain.from_record(chain.signature())
+            assert rebuilt.signature() == chain.signature()
+            assert rebuilt.gates == chain.gates
+
+    def test_pickle_and_copy_preserve_signature(self):
+        for chain in self._chains():
+            for clone in (
+                pickle.loads(pickle.dumps(chain)),
+                copy.copy(chain),
+                copy.deepcopy(chain),
+            ):
+                assert clone is not chain
+                assert clone.signature() == chain.signature()
+            if chain.num_inputs:
+                # A copy is a separate chain: growing it leaves the
+                # original as it was.
+                grown = copy.copy(chain)
+                grown.add_gate(0x8, (0, 0))
+                assert grown.num_gates == chain.num_gates + 1
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            (2, ((0x8, (0, 2)),), ((2, False),)),  # fanin not earlier
+            (2, ((0x8, (0, -1)),), ((2, False),)),  # negative fanin
+            (2, ((0x18, (0, 1)),), ((2, False),)),  # op too wide
+            (2, ((0x8, ()),), ((2, False),)),  # no fanins
+            (2, ((0x8, (0, 1)),), ((3, False),)),  # missing output
+            (2, ((0x8, (0, 1)),), ((-2, False),)),  # not CONST0
+            (-1, (), ()),  # negative input count
+            (2, ((0x8, (0, "1")),), ()),  # not an int
+            (2, ()),  # not a record
+        ],
+    )
+    def test_malformed_record_raises(self, record):
+        with pytest.raises(ValueError):
+            BooleanChain.from_record(record)
+
+        class Forged:
+            def __reduce__(self):
+                return (BooleanChain.from_record, (record,))
+
+        with pytest.raises(ValueError):
+            pickle.loads(pickle.dumps(Forged()))

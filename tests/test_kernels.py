@@ -5,13 +5,17 @@ implementation it replaced (relocated verbatim into
 ``repro.kernels.reference``): the tuple-cube AllSAT solver, the
 loop-based quartering construction, the per-row truth-table
 manipulations, the recursive STP descent, the per-row chain, network
-and cut simulation loops, and the ``flip_signal`` polarity closures.
+and cut simulation loops, the ``flip_signal`` polarity closures and
+the chain-building NPN transforms.  The solution-set check is compared
+against the paper's AllSAT verifier it replaced at the store, the
+executor and the service.
 """
 
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bench.runner import InstanceOutcome, SuiteReport
 from repro.chain import BooleanChain
@@ -22,11 +26,13 @@ from repro.core import (
     merge_cube_sets,
     run_pipeline,
     verify_chain,
+    verify_chain_outputs,
 )
 from repro.kernels import (
     KERNEL_STATS,
     KernelCounters,
     array_to_bits,
+    check_solution_set,
     cofactor_bits,
     index_maps,
     npn_apply_bits,
@@ -50,6 +56,8 @@ from repro.kernels.reference import (
     cut_function_ref,
     merge_cube_sets_ref,
     npn_apply_ref,
+    npn_transform_chain_multi_ref,
+    npn_transform_chain_ref,
     permute_bits_ref,
     polarity_closure_ref,
     quartering_blocks_ref,
@@ -60,6 +68,7 @@ from repro.kernels.reference import (
     verify_chain_ref,
 )
 from repro.truthtable import TruthTable, from_hex
+from repro.truthtable.npn import MultiNPNTransform, NPNTransform
 
 from tests.helpers import assert_chain_realizes, random_chain
 
@@ -563,6 +572,134 @@ class TestPackedSimulationEquivalence:
         assert next(closure).signature() == chain.signature()
         with pytest.raises(AssertionError):
             next(closure)
+
+
+def _mutations(record, rnd, count):
+    """Single-bit op mutations of ``record``'s gates."""
+    n, gates, outputs = record
+    out = []
+    for _ in range(count if gates else 0):
+        index = rnd.randrange(len(gates))
+        op, fanins = gates[index]
+        bit = 1 << rnd.randrange(1 << len(fanins))
+        mutated = gates[:index] + ((op ^ bit, fanins),) + gates[index + 1 :]
+        out.append((n, mutated, outputs))
+    return out
+
+
+class TestSolutionSetCheck:
+    """``check_solution_set`` gives the AllSAT verifiers' verdict on
+    every well-formed record, and False (never an exception, never a
+    wrapped index) on every malformed one."""
+
+    @given(
+        seed=st.integers(0, 10**9),
+        num_inputs=st.integers(0, 8),
+        num_outputs=st.integers(1, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_verdicts_match_allsat(self, seed, num_inputs, num_outputs):
+        from repro.chain.transform import polarity_variants
+
+        rnd = random.Random(seed)
+        base = random_lut_chain(
+            rnd, num_inputs, rnd.randint(1, 8), num_outputs
+        )
+        targets = base.simulate()
+        records = [
+            chain.signature()
+            for chain in polarity_variants(base, max_variants=4)
+        ]
+        records += [
+            random_lut_chain(
+                rnd, num_inputs, rnd.randint(1, 8), num_outputs
+            ).signature()
+            for _ in range(3)
+        ]
+        records += _mutations(base.signature(), rnd, 6)
+        verdicts = check_solution_set(
+            records, [t.bits for t in targets], num_inputs
+        )
+        assert verdicts[0] is True
+        for record, verdict in zip(records, verdicts):
+            chain = BooleanChain.from_record(record)
+            if num_outputs == 1:
+                want = verify_chain(chain, targets[0])
+            else:
+                want = verify_chain_outputs(chain, targets)
+            assert verdict == want, record
+
+    def test_malformed_records_are_false(self):
+        and2 = (2, ((0x8, (0, 1)),), ((2, False),))
+        malformed = [
+            # -1 would read the AND gate's own pattern and pass.
+            (2, ((0x8, (0, 1)), (0x2, (-1,))), ((3, False),)),
+            # -2 would read x1 and pass for the target x1 below.
+            (2, ((0x8, (0, 1)),), ((-2, False),)),
+            (2, ((0x8, (0, 2)),), ((2, False),)),  # reads itself
+            (2, ((0x8, (0, 3)), (0x8, (0, 1))), ((3, False),)),  # later
+            (2, ((0x8, (0, 1)),), ((2, False), (2, False))),  # 2 outputs
+            (2, ((0x8, (0, 1)),), ()),  # no output
+            (2, ((0x18, (0, 1)),), ((2, False),)),  # op too wide
+            (2, ((-8, (0, 1)),), ((2, False),)),  # negative op
+            (2, ((0x8, ()),), ((2, False),)),  # no fanins
+            (2, ((0x8, (0, 1)),), ((3, False),)),  # missing signal
+            (3, ((0x8, (0, 1)),), ((3, False),)),  # wrong arity
+            (2, ((0x8, (0, "1")),), ((2, False),)),  # not an int
+            (2, ((0x8, (0,) * 64),), ((2, False),)),  # too many fanins
+            (2, ((0x8, (0, 1)),)),  # not a record
+            None,
+            "garbage",
+        ]
+        verdicts = check_solution_set([and2] + malformed, [0x8], 2)
+        assert verdicts == [True] + [False] * len(malformed)
+        assert check_solution_set(
+            [(2, ((0x8, (0, 1)),), ((-2, False),))], [0xC], 2
+        ) == [False]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_npn_transform_record_matches_reference(self, seed):
+        from repro.chain.transform import (
+            npn_transform_chain,
+            npn_transform_chain_multi,
+            npn_transform_record,
+        )
+
+        rnd = random.Random(500 + seed)
+        for num_inputs in range(7):
+            for num_outputs in (1, 2, 3):
+                chain = random_lut_chain(
+                    rnd, num_inputs, rnd.randint(0, 7), num_outputs
+                )
+                perm = list(range(num_inputs))
+                rnd.shuffle(perm)
+                flips = rnd.getrandbits(num_inputs) if num_inputs else 0
+                single = NPNTransform(
+                    tuple(perm), flips, bool(rnd.getrandbits(1))
+                )
+                multi = MultiNPNTransform(
+                    tuple(perm),
+                    flips,
+                    tuple(
+                        bool(rnd.getrandbits(1)) for _ in range(num_outputs)
+                    ),
+                )
+                want = npn_transform_chain_ref(chain, single).signature()
+                assert npn_transform_chain(chain, single).signature() == want
+                assert npn_transform_record(
+                    chain.signature(),
+                    single.perm,
+                    flips,
+                    (single.output_flip,) * num_outputs,
+                ) == want
+                want = npn_transform_chain_multi_ref(chain, multi).signature()
+                assert (
+                    npn_transform_chain_multi(chain, multi).signature()
+                    == want
+                )
+                assert npn_transform_record(
+                    chain.signature(), multi.perm, flips, multi.output_flips
+                ) == want
 
 
 class TestOrderedSolutionSetsLocked:

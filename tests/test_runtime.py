@@ -16,6 +16,8 @@ from collections import deque
 import pytest
 
 from repro.bench.runner import default_algorithms, run_suite
+from repro.chain import BooleanChain
+from repro.core.spec import SynthesisResult
 from repro.bench.suites import get_suite
 from repro.engine import create_engine, engine_names, run_engine
 from repro.runtime.errors import (
@@ -34,6 +36,7 @@ from repro.runtime.executor import (
 from repro.runtime.faults import FaultPlan, FaultSpec, execute_fault
 from repro.runtime.racing import RacingExecutor
 from repro.runtime.worker import WorkerPool, WorkerTask, run_isolated
+from repro.store import chain_from_record, chain_to_record
 from repro.truthtable import from_hex
 
 from tests.helpers import (
@@ -289,6 +292,28 @@ class TestExecutorFallback:
         assert outcome.engine == "fen"
         assert outcome.fallback_from == "stp"
         assert outcome.trail[0].status == "corrupt"
+
+    def test_every_chain_needs_exactly_one_output(self):
+        """A single-table answer whose chain has a second output is
+        corrupt even when its first output realises the table; so is
+        one whose first chain is right but whose second is not."""
+        good = run_engine("stp", EASY, 30.0, max_solutions=4)
+        extra = chain_from_record(chain_to_record(good.chains[0]))
+        extra.set_output(0)
+        # The second chain's gates, read at its first gate instead.
+        wrong = BooleanChain.from_record(
+            (4, good.chains[1].signature()[1], ((4, False),))
+        )
+        for chains in ([extra], [good.chains[0], wrong]):
+            answer = SynthesisResult(
+                spec=good.spec, chains=chains, num_gates=3, runtime=0.0
+            )
+            executor = FaultTolerantExecutor(
+                [("bad", lambda table, budget, **kw: answer)], max_retries=0
+            )
+            outcome = executor.run(EASY, timeout=30)
+            assert not outcome.solved
+            assert outcome.trail[0].status == "corrupt"
 
     def test_timeout_does_not_fall_back_by_default(self):
         plan = FaultPlan(

@@ -31,6 +31,7 @@ import pytest
 
 import repro
 from repro.core.circuit_sat import verify_chain_outputs
+from repro.core.spec import SynthesisResult
 from repro.engine import run_engine
 from repro.parallel.scheduler import BatchScheduler
 from repro.runtime.faults import FaultPlan, FaultSpec
@@ -39,7 +40,7 @@ from repro.serve.ratelimit import RateLimiter, TokenBucket
 from repro.serve.server import STATUS_HTTP, SynthesisServer
 from repro.serve.service import SynthesisRequest, SynthesisService
 from repro.store import ChainStore
-from repro.store.serialize import chain_from_record
+from repro.store.serialize import chain_from_record, chain_to_record
 from repro.truthtable import from_hex
 from repro.truthtable.npn import NPNTransform
 
@@ -405,6 +406,71 @@ class TestDegradedPath:
         assert response.status == "crash"
         assert not response.answered
         assert service.metrics.failures == 1
+
+
+class TestResponseVerification:
+    """Every chain of a response is checked against the caller's
+    tables, not only the first."""
+
+    @staticmethod
+    def _corrupt(chain):
+        """``chain`` with its first gate's output complemented."""
+        record = chain_to_record(chain)
+        record["gates"][0][0] ^= (1 << (1 << len(record["gates"][0][1]))) - 1
+        return chain_from_record(record)
+
+    @pytest.mark.parametrize("source", ["store", "engine"])
+    def test_corrupt_second_chain_is_refused(
+        self, source, tmp_path, monkeypatch
+    ):
+        import repro.serve.service as service_mod
+
+        store = ChainStore(str(tmp_path / "chains.db"))
+        scheduler, service = _service_stack(
+            store=store,
+            engines=("stp",),
+            engine_kwargs={"stp": {"max_solutions": 8}},
+        )
+        member = _ORBIT[1]
+        if source == "store":
+            good = run_engine("stp", member, 30.0, max_solutions=8)
+            assert len(good.chains) >= 2
+            corrupt = good.chains[:1] + [self._corrupt(good.chains[1])]
+            monkeypatch.setattr(
+                service,
+                "_store_lookup",
+                lambda functions: SynthesisResult(
+                    spec=good.spec,
+                    chains=corrupt,
+                    num_gates=good.num_gates,
+                    runtime=0.0,
+                ),
+            )
+        else:
+            # A transform that corrupts every chain after the first.
+            rewrite = service_mod.npn_transform_chain
+            seen = []
+
+            def faulty(chain, inverse):
+                seen.append(chain)
+                out = rewrite(chain, inverse)
+                return out if len(seen) == 1 else self._corrupt(out)
+
+            monkeypatch.setattr(service_mod, "npn_transform_chain", faulty)
+
+        async def drive():
+            return await service.synthesize(
+                SynthesisRequest(functions=(member,))
+            )
+
+        try:
+            response = asyncio.run(drive())
+        finally:
+            scheduler.shutdown(cancel_queued=True)
+            store.close()
+        assert response.status == "corrupt"
+        assert not response.chains
+        assert service.metrics.verify_failures == 1
 
 
 class TestHTTPServer:

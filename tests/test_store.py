@@ -14,12 +14,14 @@ import pytest
 
 from repro.bench.runner import default_algorithms, run_suite
 from repro.bench.suites import get_suite
+from repro.core.spec import SynthesisResult
 from repro.engine import run_engine
 from repro.runtime.executor import FaultTolerantExecutor
 from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.store import ChainStore, chain_from_record, chain_to_record
 from repro.truthtable import from_hex
 from repro.truthtable.npn import NPNTransform, npn_classes
+from repro.truthtable.npn import canonicalize as npn_canonical
 
 from tests.helpers import assert_chain_realizes, record_race_lanes
 
@@ -329,6 +331,98 @@ class TestCorruptionAndConcurrency:
             assert store.quarantined == 0
             for rep in reps:
                 assert store.lookup(rep) is not None
+
+
+def _poison_record(path, position, mutate):
+    """Rewrite the stored record at ``position`` of the only row (through
+    SQLite, behind the store's back); returns the corrupt record."""
+    conn = sqlite3.connect(path)
+    with conn:
+        (payload,) = conn.execute("SELECT solutions FROM chains").fetchone()
+        records = json.loads(payload)
+        mutate(records[position])
+        conn.execute(
+            "UPDATE chains SET solutions = ?", (json.dumps(records),)
+        )
+    conn.close()
+    return records[position]
+
+
+def _flip_first_op(record):
+    record["gates"][0][0] ^= 0xF
+
+
+class TestEveryChainChecked:
+    """A corrupt chain anywhere in a row, not only the first, is caught
+    at lookup, and a write-back never brings it back."""
+
+    FUNCTION = from_hex("8ff8", 4)
+
+    def _poisoned_store(self, tmp_path):
+        path = str(tmp_path / "chains.db")
+        result = run_engine("hier", self.FUNCTION, 30.0)
+        assert len(result.chains) == 4
+        with ChainStore(path) as store:
+            assert store.put(self.FUNCTION, result, "hier")
+        corrupt = _poison_record(path, 1, _flip_first_op)
+        # Stored records are canonical: the corrupt one must no longer
+        # compute the class representative.
+        canon = npn_canonical(self.FUNCTION)[0]
+        assert chain_from_record(corrupt).simulate_output() != canon
+        return path, result
+
+    def test_corrupt_second_chain_is_never_served(self, tmp_path):
+        path, _ = self._poisoned_store(tmp_path)
+        with ChainStore(path) as store:
+            executor = FaultTolerantExecutor(("hier",), store=store)
+            outcome = executor.run(self.FUNCTION, 30.0)
+            assert outcome.solved
+            assert outcome.engine == "hier"
+            assert outcome.store_quarantined == 1
+            assert store.quarantined == 1
+            for chain in outcome.result.chains:
+                assert_chain_realizes(self.FUNCTION, chain)
+
+    def test_lookup_misses_and_upper_bound_moves_on(self, tmp_path):
+        path, result = self._poisoned_store(tmp_path)
+        # A larger valid row: every optimal chain plus one dead gate.
+        padded = []
+        for chain in result.chains:
+            grown = chain_from_record(chain_to_record(chain))
+            grown.add_gate(0x8, (0, 1))
+            padded.append(grown)
+        bigger = SynthesisResult(
+            spec=result.spec,
+            chains=padded,
+            num_gates=result.num_gates + 1,
+            runtime=0.0,
+        )
+        with ChainStore(path) as store:
+            assert store.put(self.FUNCTION, bigger, "hier", exact=False)
+        with ChainStore(path) as store:
+            assert store.lookup(self.FUNCTION) is None
+            assert store.quarantined == 1
+        # The quarantined row stays skipped; the bound row is served.
+        with ChainStore(path) as store:
+            served, exact = store.lookup_upper_bound(self.FUNCTION)
+            assert served.num_gates == result.num_gates + 1
+            assert exact is False
+            for chain in served.chains:
+                assert_chain_realizes(self.FUNCTION, chain)
+
+    def test_write_back_drops_the_corrupt_chain(self, tmp_path):
+        path, result = self._poisoned_store(tmp_path)
+        with ChainStore(path) as store:
+            executor = FaultTolerantExecutor(("hier",), store=store)
+            first = executor.run(self.FUNCTION, 30.0)
+            assert first.engine == "hier" and first.store_quarantined == 1
+            assert store.dropped == 1
+            again = executor.run(self.FUNCTION, 30.0)
+            assert again.solved and again.engine == "store"
+            assert again.store_quarantined == 0
+            assert sorted(c.signature() for c in again.result.chains) == (
+                sorted(c.signature() for c in result.chains)
+            )
 
 
 class TestSuiteWarmStore:

@@ -4,6 +4,8 @@ Engine-free on purpose: functions come from random chains re-simulated
 into truth tables, so these properties stay fast enough for tier 1
 while still sweeping the NPN canonicalization, serialization, and
 corruption-guard paths with thousands of distinct shapes over time.
+The poisoned-store property corrupts either a whole row or one record
+at any position of a multi-chain row.
 
 All examples derive from explicitly drawn integer seeds and
 ``derandomize=True``, so a failure reproduces bit-for-bit from the
@@ -17,6 +19,7 @@ import sqlite3
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.chain import BooleanChain
+from repro.chain.transform import polarity_variants
 from repro.core.spec import SynthesisResult, SynthesisSpec
 from repro.store import ChainStore, chain_to_record
 from repro.truthtable.npn import NPNTransform
@@ -81,15 +84,29 @@ class TestRoundTripProperty:
 
 
 class TestPoisonedStoreProperty:
-    @given(seed=st.integers(0, 10**9))
+    @given(
+        seed=st.integers(0, 10**9),
+        position=st.one_of(st.none(), st.integers(0, 15)),
+    )
     @settings(**_SETTINGS)
-    def test_never_serves_a_wrong_chain(self, seed, tmp_path_factory):
-        """Overwrite the stored solution set with a chain for a
+    def test_never_serves_a_wrong_chain(
+        self, seed, position, tmp_path_factory
+    ):
+        """Poison a multi-chain row -- the whole row (``position`` None)
+        or the one record at ``position`` -- with a chain for a
         different function: the lookup must degrade to a miss (or, at
         minimum, never serve a chain that fails to realize the query).
         """
-        _, function, result = _chain_and_function(seed)
+        chain, function, _ = _chain_and_function(seed)
         assume(0 < function.count_ones() < function.num_rows)
+        # Polarity variants: one solution set of several chains.
+        chains = list(polarity_variants(chain, max_variants=4))
+        result = SynthesisResult(
+            spec=SynthesisSpec(function=function),
+            chains=chains,
+            num_gates=chain.num_gates,
+            runtime=0.0,
+        )
         db = tmp_path_factory.mktemp("store") / "chains.db"
         with ChainStore(db) as store:
             assert store.put(function, result, engine="prop")
@@ -98,9 +115,16 @@ class TestPoisonedStoreProperty:
         wrong.set_output(wrong.add_gate(0x0, (0, 1)))  # constant 0
         conn = sqlite3.connect(db)
         with conn:
+            (payload,) = conn.execute(
+                "SELECT solutions FROM chains"
+            ).fetchone()
+            records = json.loads(payload)
+            if position is None:
+                records = [chain_to_record(wrong)]
+            else:
+                records[position % len(records)] = chain_to_record(wrong)
             conn.execute(
-                "UPDATE chains SET solutions = ?",
-                (json.dumps([chain_to_record(wrong)]),),
+                "UPDATE chains SET solutions = ?", (json.dumps(records),)
             )
         conn.close()
 
@@ -108,6 +132,7 @@ class TestPoisonedStoreProperty:
             served = store.lookup(function)
             if served is None:
                 assert store.misses == 1
+                assert store.quarantined == 1
             else:  # pragma: no cover - guard regression would land here
                 for chain in served.chains:
                     assert_chain_realizes(function, chain)
