@@ -32,10 +32,12 @@ below the threshold (CI pins 1.0 — packed must never be slower).
 same way, and ``--min-set-check-speedup`` the ``solution_set_check``
 geomean.
 ``--max-npn4-wall`` gates the end-to-end section the same way: CI pins
-it at half the recorded pre-batching seed wall (40.0s for the 8-class
-subset → 20.0s), so losing the batched-factorization win fails the
-build.  ``--histogram-out`` additionally writes the per-kernel
-call-count histogram of the NPN4 run as its own artifact.
+it at half the seed's recorded wall (40.0s for the 8-class subset →
+20.0s).  Nearly all of that wall is the STP search on the 0x0016 /
+0x0017 all-solutions stragglers, so the gate fails the build when the
+search or its factorization queries get slower.  ``--histogram-out``
+additionally writes the per-kernel call-count histogram of the NPN4 run
+as its own artifact.
 """
 
 from __future__ import annotations
@@ -391,10 +393,9 @@ def bench_npn4(count: int, timeout: float) -> dict:
 def kernel_histogram(npn4: dict) -> dict:
     """Per-kernel call-count histogram of the NPN4 run, largest first.
 
-    ``fact_quartering`` counts *scalar* quartering invocations — the
-    pre-batching hot spot — while ``fact_quartering_batch`` counts the
-    demands that went through the stacked kernel instead; their ratio
-    is the headline of the batching rework.
+    ``fact_quartering`` counts the quartering checks: one per
+    disjoint-cone factorization query the search reaches, each solved
+    on first use and memoized.
     """
     calls = npn4.get("kernel_calls", {})
     seconds = npn4.get("kernel_seconds", {})

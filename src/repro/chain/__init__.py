@@ -7,7 +7,6 @@ from .transform import (
     extract_output_cone,
     merge_chains_shared,
     npn_transform_chain,
-    npn_transform_chain_multi,
     npn_transform_record,
 )
 from .costs import (
@@ -31,7 +30,6 @@ __all__ = [
     "extract_output_cone",
     "merge_chains_shared",
     "npn_transform_chain",
-    "npn_transform_chain_multi",
     "npn_transform_record",
     "COST_MODELS",
     "DEFAULT_OP_WEIGHTS",

@@ -27,7 +27,6 @@ __all__ = [
     "polarity_variants",
     "npn_transform_record",
     "npn_transform_chain",
-    "npn_transform_chain_multi",
     "merge_chains_shared",
     "SharedChainBuilder",
     "extract_output_cone",
@@ -277,21 +276,14 @@ def npn_transform_record(
 
 def npn_transform_chain(chain: BooleanChain, transform) -> BooleanChain:
     """A chain computing ``transform.apply(f)`` from one computing ``f``
-    (:func:`npn_transform_record`; every output takes the flip)."""
-    return BooleanChain.from_record(
-        npn_transform_record(
-            chain.signature(),
-            transform.perm,
-            transform.input_flips,
-            (transform.output_flip,) * len(chain.outputs),
-        )
-    )
+    (:func:`npn_transform_record`).
 
-
-def npn_transform_chain_multi(chain: BooleanChain, transform) -> BooleanChain:
-    """Rewrite a multi-output chain through a joint NPN transform
-    (:class:`~repro.truthtable.npn.MultiNPNTransform`: one shared input
-    permutation/negation plus a per-output negation flag)."""
+    ``transform`` is an :class:`~repro.truthtable.npn.NPNTransform` for
+    a one-output chain or a
+    :class:`~repro.truthtable.npn.MultiNPNTransform` (one shared input
+    permutation/negation plus a per-output negation flag); both carry
+    one ``output_flips`` entry per output.
+    """
     return BooleanChain.from_record(
         npn_transform_record(
             chain.signature(),

@@ -23,15 +23,14 @@ assignment ``γ`` — by arc consistency plus backtracking, enumerating
 exactly the assignments the paper re-checks with the circuit AllSAT
 solver.
 
-The search issues millions of queries per hard instance, so the hot
+The search issues millions of queries per hard instance, so each query
+is solved when the search first asks for it and memoized, and the hot
 paths run entirely on packed Python ints: quartering parts are packed
 β-profiles, the per-β allowed-value scan is a handful of mask ops, and
 the both-children-fixed case collapses to a cone-independent operator
 pattern match memoized on ``(g_v, g_a, g_b)``.  Cone shapes (index
-maps, γ-class masks, profile memos) live in a module-level registry
-shared by every engine, and :meth:`FactorizationEngine.prefetch_pairs`
-routes homogeneous disjoint-cone demand batches through the vectorized
-:func:`~repro.kernels.factorization.solve_disjoint_batch` kernel.
+maps, γ-class masks, cofactor memos) live in a module-level registry
+shared by every engine.
 
 Demand pruning: at a *minimal* gate count no chain can contain a gate
 whose function is constant, a (complemented) projection, or equal
@@ -54,7 +53,6 @@ from ..kernels.factorization import (
     expand_positions,
     index_maps,
     quartering_profiles,
-    solve_disjoint_batch,
 )
 from ..truthtable.table import TruthTable
 from .spec import Deadline
@@ -93,9 +91,9 @@ class _Shape:
 
     Shapes are registered process-globally (see :func:`_shape`) so
     every engine — and every fence family revisiting the same cone
-    shape — shares the index maps, γ-class masks and quartering-profile
-    memo.  Everything here is pure structure: nothing depends on the
-    operator set, caps or deadlines.
+    shape — shares the index maps, γ-class masks and expansion and
+    cofactor memos.  Everything here is pure structure: nothing depends
+    on the operator set, caps or deadlines.
     """
 
     __slots__ = (
@@ -108,13 +106,11 @@ class _Shape:
         "full_b",
         "full_g",
         "disjoint",
-        "gamma_of",
         "gamma_flat",
         "amap_list",
         "bmap_list",
         "aclass_masks",
         "bclass_masks",
-        "_profiles",
         "_aexp",
         "_bexp",
         "_shared",
@@ -134,7 +130,6 @@ class _Shape:
         self.full_b = (1 << self.size_b) - 1
         self.full_g = (1 << (1 << nu)) - 1
         self.disjoint = disjoint
-        self.gamma_of = gamma_of
         self.gamma_flat = (
             gamma_of.ravel().tolist() if disjoint else None
         )
@@ -147,30 +142,10 @@ class _Shape:
             bclass[self.bmap_list[gamma]] |= 1 << gamma
         self.aclass_masks = aclass
         self.bclass_masks = bclass
-        self._profiles: dict[int, tuple[int, ...]] = {}
         self._aexp: dict[int, int] = {}
         self._bexp: dict[int, int] = {}
         self._shared: tuple | None | bool = False
         self._cof_memo: dict[tuple, tuple] = {}
-
-    @property
-    def batchable(self) -> bool:
-        """Whether :func:`solve_disjoint_batch` handles this shape."""
-        return self.disjoint and self.size_a <= 62 and self.size_b <= 62
-
-    def profiles(self, gv_local: int) -> tuple[int, ...]:
-        """Packed quartering β-profiles of a union-local table."""
-        cached = self._profiles.get(gv_local)
-        if cached is None:
-            cached = quartering_profiles(
-                gv_local,
-                self.nu,
-                self.gamma_flat,
-                self.size_a,
-                self.size_b,
-            )
-            self._profiles[gv_local] = cached
-        return cached
 
     def a_expand(self, child_bits: int) -> int:
         """A-child value per γ row, packed over the union rows."""
@@ -435,7 +410,7 @@ class FactorizationEngine:
 
         Callers that query the same node across many branch states
         (the pipeline) fetch the handle once and pass it to
-        :meth:`decompositions_pairs` / :meth:`prefetch_pairs`.
+        :meth:`decompositions_pairs`.
         """
         a_vars = (
             cone_a if isinstance(cone_a, tuple) else tuple(sorted(cone_a))
@@ -565,102 +540,9 @@ class FactorizationEngine:
         return result
 
     def prefetch_pairs(self, queries, canonical: bool = True) -> None:
-        """Batch-populate the query memo for a list of pending queries.
-
-        ``queries`` holds ``(gv_bits, pair, fixed_a_bits,
-        fixed_b_bits)`` tuples.  Disjoint-cone queries sharing a shape
-        and pinning pattern are stacked through the vectorized
-        :func:`~repro.kernels.factorization.solve_disjoint_batch`
-        kernel; everything else (shared cones, oversized shapes,
-        both-pinned consistency checks) is *skipped*, not solved — a
-        prefetch is advisory, and eagerly running the scalar solvers
-        here would pay for branches the search may prune before ever
-        querying them.  Cache-hit accounting is not recorded here — the
-        later :meth:`decompositions_pairs` calls see hits as usual.
-        """
-        canonical = canonical and self._closed
-        batches: dict[tuple, dict] = {}
-        for gv, pair, fa, fb in queries:
-            if not pair.shape.batchable or (
-                fa is not None and fb is not None
-            ):
-                continue
-            key = self._key(gv, pair, fa, fb, canonical)
-            if key in self._bits_cache:
-                continue
-            group = batches.setdefault(
-                (pair.pid, fa is None, fb is None), {}
-            )
-            group[key] = (gv, pair, fa, fb)
-        for members in batches.values():
-            pending = []
-            for key, (gv, pair, fa, fb) in members.items():
-                shape = pair.shape
-                if (
-                    self._support_mask(gv) & ~pair.umask
-                    or (
-                        fa is not None
-                        and self._support_mask(fa) & ~pair.amask
-                    )
-                    or (
-                        fb is not None
-                        and self._support_mask(fb) & ~pair.bmask
-                    )
-                ):
-                    self._bits_cache[key] = ()
-                    continue
-                gv_local = self._localize(gv, pair.u_vars)
-                fa_local = (
-                    None if fa is None else self._localize(fa, pair.a_vars)
-                )
-                fb_local = (
-                    None if fb is None else self._localize(fb, pair.b_vars)
-                )
-                lkey = (
-                    gv_local,
-                    shape.nu,
-                    shape.a_pos,
-                    shape.b_pos,
-                    fa_local,
-                    fb_local,
-                    canonical,
-                )
-                sols = self._local_cache.get(lkey)
-                if sols is not None:
-                    self._bits_cache[key] = self._group(sols, pair, fa, fb)
-                    continue
-                pending.append(
-                    (key, lkey, pair, fa, fb, gv_local, fa_local, fb_local)
-                )
-            if not pending:
-                continue
-            if self._deadline is not None:
-                self._deadline.check()
-            shape = pending[0][2].shape
-            descriptors = solve_disjoint_batch(
-                [p[5] for p in pending],
-                shape.nu,
-                shape.gamma_of,
-                self._ops,
-                fixed_a_seq=(
-                    [p[6] for p in pending]
-                    if pending[0][6] is not None
-                    else None
-                ),
-                fixed_b_seq=(
-                    [p[7] for p in pending]
-                    if pending[0][7] is not None
-                    else None
-                ),
-                canonical=canonical,
-            )
-            for item, des in zip(pending, descriptors):
-                key, lkey, pair, fa, fb, gv_local, fa_local, fb_local = item
-                sols = self._finish_disjoint(
-                    shape, gv_local, des, fa_local, fb_local, canonical
-                )
-                self._local_cache[lkey] = sols
-                self._bits_cache[key] = self._group(sols, pair, fa, fb)
+        """No-op, kept so callers that wrap the method by name still
+        find it.  Every query is solved when :meth:`decompositions_pairs`
+        first asks for it; nothing in the program calls this."""
 
     # ------------------------------------------------------------------
     # the solve path (cache misses only)
@@ -866,7 +748,6 @@ class FactorizationEngine:
         child_pos: tuple[int, ...],
         gv_bits: int,
         nu: int,
-        fixed: bool,
     ) -> bool:
         """Minimality prunes on a free child demand (local form).
 
@@ -875,7 +756,7 @@ class FactorizationEngine:
         memoized module-wide (``-1`` marks always-inadmissible); per
         call only the parent-equality compare remains.
         """
-        if fixed or not self._closed:
+        if not self._closed:
             return True
         key = (child_bits, child_pos, nu)
         expanded = _ADM_BASE.get(key)
@@ -898,10 +779,20 @@ class FactorizationEngine:
         fb_local: int | None,
         canonical: bool,
     ) -> list[tuple[int, int, int, int]]:
-        """Scalar twin of the batch kernel: ``(code, a_bits, forced_b,
-        free_b_mask)`` descriptors for one demand (same contract and
-        order as :func:`solve_disjoint_batch` per batch entry)."""
-        profiles = shape.profiles(gv_local)
+        """The quartering check for one demand on a disjoint shape.
+
+        Returns ``(code, a_bits, forced_b, free_b_mask)`` descriptors:
+        ``forced_b`` carries the B-cells pinned by the per-β
+        constraints and ``free_b_mask`` the cells both values satisfy
+        (0 when B is pinned, whose validated table is ``forced_b``).
+        Order: candidate A-polarity first (normal, then complemented
+        when ``canonical`` is false), operator code in ``ops`` order
+        within each candidate — the contract of
+        :func:`~repro.kernels.reference.solve_disjoint_ref`, its oracle.
+        """
+        profiles = quartering_profiles(
+            gv_local, shape.nu, shape.gamma_flat, shape.size_a, shape.size_b
+        )
         full_b = shape.full_b
         candidates: list[tuple[int, int | None, int | None]] = []
         if fa_local is None:
@@ -980,8 +871,7 @@ class FactorizationEngine:
         canonical: bool,
     ) -> tuple:
         """Expand descriptors into ``(code, a_local, b_local)`` tuples,
-        applying admissibility prunes and the per-descriptor cap —
-        shared by the scalar path and the batch kernel epilogue."""
+        applying admissibility prunes and the per-descriptor cap."""
         out = []
         cap = self._cap
         free_a = fa_local is None
@@ -992,7 +882,7 @@ class FactorizationEngine:
                 ok = a_ok.get(a_bits)
                 if ok is None:
                     ok = self._admissible_local(
-                        a_bits, shape.a_pos, gv_local, nu, False
+                        a_bits, shape.a_pos, gv_local, nu
                     )
                     a_ok[a_bits] = ok
                 if not ok:
@@ -1017,7 +907,7 @@ class FactorizationEngine:
                 if canonical and b_bits & 1:
                     continue  # not normal
                 if self._admissible_local(
-                    b_bits, shape.b_pos, gv_local, nu, False
+                    b_bits, shape.b_pos, gv_local, nu
                 ):
                     out.append((code, a_bits, b_bits))
                     emitted += 1
@@ -1112,7 +1002,7 @@ class FactorizationEngine:
                     if (combo >> j) & 1:
                         bits |= 1 << cell
                 if not self._admissible_local(
-                    bits, free_pos, gv_local, nu, False
+                    bits, free_pos, gv_local, nu
                 ):
                     continue
                 if swap:
@@ -1185,9 +1075,9 @@ class FactorizationEngine:
                     ua, vb = combo[s]
                     a_bits |= a_spread[s][ua]
                     b_bits |= b_spread[s][vb]
-                if not adm(a_bits, a_pos, gv_bits, nu, False):
+                if not adm(a_bits, a_pos, gv_bits, nu):
                     continue
-                if not adm(b_bits, b_pos, gv_bits, nu, False):
+                if not adm(b_bits, b_pos, gv_bits, nu):
                     continue
                 yield (code, a_bits, b_bits)
                 emitted += 1
@@ -1331,11 +1221,11 @@ class FactorizationEngine:
 
             for a_bits, b_bits in branch():
                 if not self._admissible_local(
-                    a_bits, a_pos, gv_bits, nu, False
+                    a_bits, a_pos, gv_bits, nu
                 ):
                     continue
                 if not self._admissible_local(
-                    b_bits, b_pos, gv_bits, nu, False
+                    b_bits, b_pos, gv_bits, nu
                 ):
                     continue
                 yield (code, a_bits, b_bits)

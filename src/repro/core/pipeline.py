@@ -506,10 +506,9 @@ def assign_operators(
       ``m`` gates is infeasible when ``m < s - 1`` (every 2-input chain
       needs at least ``support - 1`` gates).
 
-    Sibling branches announce their children's upcoming queries through
-    :meth:`~repro.core.factorization.FactorizationEngine.prefetch_pairs`
-    so same-shape demands across the family run through one vectorized
-    kernel pass instead of per-vertex scalar calls.
+    Each factorization query is solved when the search first reaches
+    it, so branches pruned before their children are visited never pay
+    for the children's queries; the engine memoizes every answer.
     """
     n = dag.num_pis
     num_nodes = dag.num_nodes
@@ -617,29 +616,6 @@ def assign_operators(
                 best = node
         return best
 
-    def prefetch_children(fresh_a, fresh_b, a: int, b: int) -> None:
-        """Announce the child queries every sibling branch will issue
-        through ``place_child`` (tree solves) or the realizability /
-        descent path (free gate children).  Either way the child's own
-        first factorization query has PI fanins pinned and gate fanins
-        free, so the keys are exact and batch cleanly.  ``fresh_a`` /
-        ``fresh_b`` hold only first-touch demands (no engine-wide
-        verdict yet) — demands with a memoized verdict never query the
-        engine again, and re-announcing them per parent context used to
-        dominate the prefetch path's own cost."""
-        queries = []
-        for child, fresh in ((a, fresh_a), (b, fresh_b)):
-            if not fresh or child < n:
-                continue
-            ca, cb = dag.fanins[child - n]
-            pr = pairs[child - n]
-            fca = pi_bits[ca] if ca < n else None
-            fcb = pi_bits[cb] if cb < n else None
-            for gbits in fresh:
-                queries.append((gbits, pr, fca, fcb))
-        if queries:
-            engine.prefetch_pairs(queries)
-
     def solve_tree(signal: int, demand_bits: int) -> tuple:
         """All factorizations of a private tree cone, bottom-up.
 
@@ -662,24 +638,6 @@ def assign_operators(
         groups = engine.decompositions_pairs(
             demand_bits, pairs[signal - n], fa, fb
         )
-        if len(groups) > 1:
-            queries = []
-            for ga, gb, _ in groups:
-                for child, gbits in ((a, ga), (b, gb)):
-                    # Memoized subtrees never re-enter the engine.
-                    if child < n or (shapes[child], gbits) in memo:
-                        continue
-                    ca, cb = dag.fanins[child - n]
-                    queries.append(
-                        (
-                            gbits,
-                            pairs[child - n],
-                            pi_bits[ca] if ca < n else None,
-                            pi_bits[cb] if cb < n else None,
-                        )
-                    )
-            if queries:
-                engine.prefetch_pairs(queries)
         sols = []
         for ga, gb, group_ops in groups:
             sub_a = None
@@ -806,15 +764,6 @@ def assign_operators(
         # already judged elsewhere is a dict probe per group.
         da = None if ka is None else engine.viable_memo.setdefault(ka, {})
         db = None if kb is None else engine.viable_memo.setdefault(kb, {})
-        if len(groups) > 1:
-            fresh_a = None if da is None else {
-                ga for ga, _, _ in groups if ga not in da
-            }
-            fresh_b = None if db is None else {
-                gb for _, gb, _ in groups if gb not in db
-            }
-            if fresh_a or fresh_b:
-                prefetch_children(fresh_a, fresh_b, a, b)
         out = []
         for ga, gb, group_ops in groups:
             if da is not None:

@@ -5,8 +5,8 @@ The synthesis core dispatches its hot paths through this package:
 * :mod:`~repro.kernels.cubes` / :mod:`~repro.kernels.allsat` — packed
   two-plane cubes, the word-level MERGE, circuit AllSAT, and the
   word-parallel onset expansion;
-* :mod:`~repro.kernels.factorization` — quartering-part column
-  grouping, shape index maps, cone localize/expand gathers, and the
+* :mod:`~repro.kernels.factorization` — packed quartering-part
+  profiles, shape index maps, the child-to-union expand gather, and the
   2-input operator flip tables;
 * :mod:`~repro.kernels.tables` — truth-table cofactor/support/permute
   kernels and batch exact NPN canonicalization;
@@ -52,14 +52,9 @@ from .cubes import (
 from .factorization import (
     FLIP_INPUT0,
     FLIP_INPUT1,
-    expand_array,
     expand_positions,
     index_maps,
-    localize_array,
-    quartering_blocks,
-    quartering_blocks_batch,
     quartering_profiles,
-    solve_disjoint_batch,
 )
 from .simulate import MAX_LUT_INPUTS, check_solution_set, lut_apply
 from .stats import KERNEL_STATS, KernelCounters, SampledTimer
@@ -86,12 +81,10 @@ __all__ = [
     "cofactor_bits",
     "collapse_indices",
     "depends_bits",
-    "expand_array",
     "expand_positions",
     "FLIP_INPUT0",
     "FLIP_INPUT1",
     "index_maps",
-    "localize_array",
     "lut_apply",
     "merge_packed_sets",
     "npn_apply_bits",
@@ -102,10 +95,7 @@ __all__ = [
     "packed_all_sat",
     "packed_onset",
     "permute_bits",
-    "quartering_blocks",
-    "quartering_blocks_batch",
     "quartering_profiles",
-    "solve_disjoint_batch",
     "spread_indices",
     "stp_assignments",
     "support_bits",

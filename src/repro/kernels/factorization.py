@@ -1,16 +1,16 @@
-"""Vectorized helpers for the STP matrix-factorization engine.
+"""Index helpers for the STP matrix-factorization engine.
 
-The factorization engine's per-query work is dominated by three index
-chores, all of which reduce to cached-gather NumPy operations:
+The factorization engine answers each query on first use with pure-int
+solvers; this module holds the index work they share:
 
 * :func:`index_maps` — the γ → (α, β) shape maps and, for disjoint
   cones, the inverse (α, β) → γ matrix;
-* :func:`quartering_blocks` — the "two unique quartering parts" check's
-  raw material: for every assignment α of the A-cone, the β-profile of
-  ``g_v`` as one row of a bit matrix (group rows with
-  ``np.unique(axis=0)``);
-* :func:`localize_array` / :func:`expand_array` /
-  :func:`expand_positions` — cone-local ↔ global truth-table moves.
+* :func:`quartering_profiles` — the "two unique quartering parts"
+  check's raw material: for every assignment α of the A-cone, the
+  β-profile of ``g_v`` packed into one int (equal ints are equal
+  column blocks);
+* :func:`expand_positions` — a child-local table moved onto the
+  union-local row space.
 
 2-input operator transforms (complementing either input or the output)
 are precomputed 16-entry lookup tables instead of a per-row bit loop.
@@ -18,29 +18,16 @@ are precomputed 16-entry lookup tables instead of a per-row bit loop.
 
 from __future__ import annotations
 
-import time
-from typing import Sequence
-
 import numpy as np
 
-from .bitops import (
-    array_to_bits,
-    bits_to_array,
-    collapse_indices,
-    spread_indices,
-)
+from .bitops import array_to_bits, bits_to_array, collapse_indices
 from .stats import KERNEL_STATS, SampledTimer
 
 __all__ = [
     "FLIP_INPUT0",
     "FLIP_INPUT1",
     "index_maps",
-    "quartering_blocks",
-    "quartering_blocks_batch",
     "quartering_profiles",
-    "solve_disjoint_batch",
-    "localize_array",
-    "expand_array",
     "expand_positions",
 ]
 
@@ -80,23 +67,10 @@ def index_maps(
     return amap, bmap, disjoint, gamma_of
 
 
-#: The quartering gather runs in ~2 µs; two ``perf_counter`` reads per
-#: call used to cost as much as the gather itself, so the timer samples
-#: one call in 64 and extrapolates (satellite of the batching rework).
+#: One quartering pass runs in a few µs; two ``perf_counter`` reads per
+#: call would cost as much as the pass itself, so the timer samples one
+#: call in 64 and extrapolates.
 _QUARTERING_TIMER = SampledTimer("fact_quartering", stride=64)
-
-
-def quartering_blocks(gv_bits: int, nu: int, gamma_of: np.ndarray) -> np.ndarray:
-    """Column blocks of ``M_{g_v}`` grouped by the A-cone assignment.
-
-    Row α of the result is the β-profile of ``g_v`` restricted to the
-    columns where the A-cone takes assignment α — the quartering parts
-    of Examples 5–6 as a ``(2^|A|, 2^|B|)`` 0/1 matrix.
-    """
-    t0 = _QUARTERING_TIMER.start()
-    blocks = bits_to_array(gv_bits, 1 << nu)[gamma_of]
-    _QUARTERING_TIMER.stop(t0)
-    return blocks
 
 
 def quartering_profiles(
@@ -104,12 +78,11 @@ def quartering_profiles(
 ) -> tuple[int, ...]:
     """Quartering parts as ``size_a`` packed β-profile ints.
 
-    The pure-int twin of :func:`quartering_blocks`: entry α is the
-    β-profile of ``g_v`` over the columns where the A-cone takes
-    assignment α, packed LSB-first.  ``gamma_flat`` is the row-major
-    flattening of the shape's ``gamma_of`` matrix; for the ≤16-row
-    tables of the 4-input search the shift loop beats the NumPy gather
-    (no array round-trip) and feeds the int-only solver directly.
+    Entry α is the β-profile of ``g_v`` over the columns where the
+    A-cone takes assignment α, packed LSB-first — the column blocks of
+    ``M_{g_v}`` in Examples 5–6.  ``gamma_flat`` is the row-major
+    flattening of the shape's ``gamma_of`` matrix from
+    :func:`index_maps`.
     """
     t0 = _QUARTERING_TIMER.start()
     profiles = []
@@ -122,173 +95,6 @@ def quartering_profiles(
         profiles.append(row)
     _QUARTERING_TIMER.stop(t0)
     return tuple(profiles)
-
-
-def _unpack_batch(gv_bits_seq: Sequence[int], size: int) -> np.ndarray:
-    """Stack packed tables into one ``(K, size)`` 0/1 uint8 matrix."""
-    nbytes = max(1, (size + 7) >> 3)
-    buf = b"".join(int(b).to_bytes(nbytes, "little") for b in gv_bits_seq)
-    rows = np.frombuffer(buf, dtype=np.uint8).reshape(
-        len(gv_bits_seq), nbytes
-    )
-    return np.unpackbits(rows, axis=1, bitorder="little")[:, :size]
-
-
-def quartering_blocks_batch(
-    gv_bits_seq: Sequence[int], nu: int, gamma_of: np.ndarray
-) -> np.ndarray:
-    """Batched :func:`quartering_blocks`: one ``(K, 2^|A|, 2^|B|)``
-    gather for a whole family of demanded functions over one shape."""
-    t0 = time.perf_counter()
-    blocks = _unpack_batch(gv_bits_seq, 1 << nu)[:, gamma_of]
-    KERNEL_STATS.add(
-        "fact_quartering_batch",
-        time.perf_counter() - t0,
-        n=len(gv_bits_seq),
-    )
-    return blocks
-
-
-def solve_disjoint_batch(
-    gv_bits_seq: Sequence[int],
-    nu: int,
-    gamma_of: np.ndarray,
-    ops: Sequence[int],
-    fixed_a_seq: Sequence[int] | None = None,
-    fixed_b_seq: Sequence[int] | None = None,
-    canonical: bool = True,
-) -> list[list[tuple[int, int, int, int]]]:
-    """Disjoint-cone factorization candidates for a whole demand batch.
-
-    Stacks ``K`` demanded functions sharing one ``(|A|, |B|)`` cone
-    shape into a single gather + grouping pass and scans the per-β
-    allowed-value constraints vectorized across the batch.  For each
-    input ``k`` the result holds ``(op_code, a_bits, forced_b,
-    free_b_mask)`` descriptors: ``forced_b`` carries the B-cells pinned
-    by the constraints and ``free_b_mask`` the cells both values
-    satisfy (the caller expands those, applying admissibility prunes
-    and solution caps — policy that stays out of the kernel layer).
-    When ``fixed_b_seq`` is given the pinned child has already been
-    validated and ``free_b_mask`` is 0.
-
-    Descriptor order per ``k`` matches the scalar solver: candidate
-    A-polarity first (normal, then complemented when ``canonical`` is
-    false), operator code in ``ops`` order within each candidate.
-    """
-    t0 = time.perf_counter()
-    size_a, size_b = gamma_of.shape
-    K = len(gv_bits_seq)
-    blocks = _unpack_batch(gv_bits_seq, 1 << nu)[:, gamma_of]
-    pow_b = np.int64(1) << np.arange(size_b, dtype=np.int64)
-    pow_a = np.int64(1) << np.arange(size_a, dtype=np.int64)
-    profiles = blocks.astype(np.int64) @ pow_b  # (K, size_a)
-    out: list[list[tuple[int, int, int, int]]] = [[] for _ in range(K)]
-    full_a = (1 << size_a) - 1
-
-    # Candidate (a_bits, c-profile, d-profile) per k, plus masks saying
-    # whether each group is populated (a pinned child may put every α
-    # in one group, leaving the other profile unconstrained).
-    candidates: list[tuple[np.ndarray, ...]] = []
-    if fixed_a_seq is None:
-        d_val = profiles[:, 0]
-        lo = profiles.min(axis=1)
-        hi = profiles.max(axis=1)
-        two = (lo != hi) & (
-            (profiles == lo[:, None]) | (profiles == hi[:, None])
-        ).all(axis=1)
-        c_val = lo + hi - d_val
-        a_bits = (profiles != d_val[:, None]) @ pow_a
-        ones = np.ones(K, dtype=bool)
-        candidates.append((two, a_bits, c_val, d_val, ones, ones))
-        if not canonical:
-            candidates.append(
-                (two, full_a - a_bits, d_val, c_val, ones, ones)
-            )
-    else:
-        fa = np.asarray(fixed_a_seq, dtype=np.int64)
-        fa_arr = ((fa[:, None] >> np.arange(size_a)) & 1).astype(bool)
-        has1 = fa_arr.any(axis=1)
-        has0 = (~fa_arr).any(axis=1)
-        rows = np.arange(K)
-        c_val = profiles[rows, fa_arr.argmax(axis=1)]
-        d_val = profiles[rows, (~fa_arr).argmax(axis=1)]
-        uniform = (
-            (profiles == c_val[:, None]) | ~fa_arr
-        ).all(axis=1) & ((profiles == d_val[:, None]) | fa_arr).all(axis=1)
-        candidates.append((uniform, fa, c_val, d_val, has1, has0))
-
-    fb_arr = None
-    if fixed_b_seq is not None:
-        fb = np.asarray(fixed_b_seq, dtype=np.int64)
-        fb_arr = ((fb[:, None] >> np.arange(size_b)) & 1).astype(bool)
-
-    beta_range = np.arange(size_b)
-    for viable, a_bits, c_val, d_val, has1, has0 in candidates:
-        c_bits = ((c_val[:, None] >> beta_range) & 1).astype(np.uint8)
-        d_bits = ((d_val[:, None] >> beta_range) & 1).astype(np.uint8)
-        for code in ops:
-            # B value v is allowed at β iff the c profile matches
-            # φ(1, v) and the d profile matches φ(0, v) there.
-            avs = []
-            for v in (0, 1):
-                ok = np.ones((K, size_b), dtype=bool)
-                ok &= ~has1[:, None] | (
-                    c_bits == ((code >> ((v << 1) | 1)) & 1)
-                )
-                ok &= ~has0[:, None] | (d_bits == ((code >> (v << 1)) & 1))
-                avs.append(ok)
-            allowed0, allowed1 = avs
-            sat = viable & (allowed0 | allowed1).all(axis=1)
-            forced_arr = allowed1 & ~allowed0
-            if fb_arr is not None:
-                free_arr = allowed0 & allowed1
-                sat &= (free_arr | (fb_arr == forced_arr)).all(axis=1)
-                for k in np.flatnonzero(sat):
-                    out[k].append(
-                        (code, int(a_bits[k]), int(fb[k]), 0)
-                    )
-            else:
-                forced = forced_arr @ pow_b
-                freem = (allowed0 & allowed1) @ pow_b
-                for k in np.flatnonzero(sat):
-                    out[k].append(
-                        (
-                            code,
-                            int(a_bits[k]),
-                            int(forced[k]),
-                            int(freem[k]),
-                        )
-                    )
-    KERNEL_STATS.add(
-        "fact_quartering_batch", time.perf_counter() - t0, n=K
-    )
-    return out
-
-
-def localize_array(
-    bits: int, vars_sorted: tuple[int, ...], num_vars: int
-) -> tuple[np.ndarray, bool]:
-    """Project a global table onto a cone.
-
-    Returns the cone-local row values and a leak flag: the projection
-    is faithful only when the function never reads outside the cone,
-    checked by re-expanding the local table and comparing.
-    """
-    KERNEL_STATS.count("fact_localize")
-    rows = bits_to_array(bits, 1 << num_vars)
-    local = rows[spread_indices(vars_sorted, num_vars)]
-    rebuilt = local[collapse_indices(vars_sorted, num_vars)]
-    leak = not np.array_equal(rebuilt, rows)
-    return local, leak
-
-
-def expand_array(
-    local_bits: int, vars_sorted: tuple[int, ...], num_vars: int
-) -> int:
-    """Expand a cone-local table onto the global row space."""
-    KERNEL_STATS.count("fact_expand")
-    local = bits_to_array(local_bits, 1 << len(vars_sorted))
-    return array_to_bits(local[collapse_indices(vars_sorted, num_vars)])
 
 
 def expand_positions(

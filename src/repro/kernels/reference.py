@@ -4,8 +4,9 @@ Verbatim relocations of the tuple-cube AllSAT solver, the loop-based
 quartering/column grouping, the per-row truth-table manipulations, the
 per-row chain/network/cut simulation loops, the ``flip_signal``
 polarity closures and the chain-building NPN transforms that the kernel
-layer and the chain record replaced.  They exist for two
-reasons only:
+layer and the chain record replaced, plus the per-β disjoint-cone
+solver, the oracle of the factorization engine's quartering check.
+They exist for two reasons only:
 
 * the randomized old-vs-new equivalence tests in
   ``tests/test_kernels.py`` compare every kernel against its original;
@@ -182,11 +183,11 @@ def solve_disjoint_ref(
 ) -> list[tuple[int, int, int, int]]:
     """One-demand disjoint-cone solver, per-β Python loops throughout.
 
-    The scalar oracle for ``solve_disjoint_batch``: identical
-    ``(op_code, a_bits, forced_b, free_b_mask)`` descriptors in
-    identical order (candidate A-polarity outer, ``ops`` order inner),
-    derived with the pre-kernel row-at-a-time constraint scan instead
-    of the stacked gather.
+    The oracle for ``FactorizationEngine._disjoint_descriptors``:
+    identical ``(op_code, a_bits, forced_b, free_b_mask)`` descriptors
+    in identical order (candidate A-polarity outer, ``ops`` order
+    inner), derived with the pre-kernel row-at-a-time constraint scan
+    instead of packed-mask operations.
     """
     size_a = len(gamma_of)
     size_b = len(gamma_of[0])

@@ -47,7 +47,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from ..chain.transform import npn_transform_chain, npn_transform_chain_multi
+from ..chain.transform import npn_transform_chain
 from ..core.circuit_sat import verify_chain, verify_chain_outputs
 from ..core.spec import SynthesisStats
 from ..kernels import check_solution_set
@@ -598,13 +598,8 @@ class SynthesisService:
                 npn_class=npn_class,
                 coalesced=coalesced,
             )
-        rewrite = (
-            npn_transform_chain_multi
-            if request.is_multi
-            else npn_transform_chain
-        )
         chains = [
-            rewrite(chain, inverse)
+            npn_transform_chain(chain, inverse)
             for chain in outcome.result.chains[: request.max_chains]
         ]
         if outcome.degraded:

@@ -1,10 +1,14 @@
 """STP matrix-factorization engine tests (Section III-B)."""
 
+import random
+from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.factorization import (
     FactorizationEngine,
+    _shape,
     is_complement_closed,
 )
 from repro.truthtable import (
@@ -171,6 +175,65 @@ class TestSharedFactorization:
             )
             == ()
         )
+
+
+class TestSharedSolverEquivalence:
+    """The cofactor-split shared-cone solver against the arc-consistency
+    CSP, on overlapping shapes with a private variable on each side."""
+
+    @staticmethod
+    def _random_shape(rnd):
+        nu = rnd.choice((3, 4))
+        order = list(range(nu))
+        rnd.shuffle(order)
+        # order[0] is private to A, order[1] private to B, the rest are
+        # split at random with at least one variable shared.
+        a_pos, b_pos = {order[0], order[2]}, {order[1], order[2]}
+        for v in order[3:]:
+            side = rnd.randrange(3)
+            if side != 1:
+                a_pos.add(v)
+            if side != 0:
+                b_pos.add(v)
+        return nu, tuple(sorted(a_pos)), tuple(sorted(b_pos))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_cofactor_split_matches_csp(self, seed):
+        rnd = random.Random(seed)
+        nu, a_pos, b_pos = self._random_shape(rnd)
+        engine = make_engine(nu)
+        shape = _shape(nu, a_pos, b_pos)
+        assert not shape.disjoint and shape.shared_info() is not None
+        compared = found = 0
+        for k in range(8):
+            if k % 2:
+                gv = rnd.getrandbits(1 << nu)
+            else:
+                # g_v = φ(g_a, g_b) over the shape, so solutions exist.
+                code = rnd.choice(NONTRIVIAL_BINARY_OPS)
+                ga = rnd.getrandbits(shape.size_a)
+                gb = rnd.getrandbits(shape.size_b)
+                gv = 0
+                for gamma in range(1 << nu):
+                    u = (ga >> shape.amap_list[gamma]) & 1
+                    v = (gb >> shape.bmap_list[gamma]) & 1
+                    gv |= ((code >> ((v << 1) | u)) & 1) << gamma
+            for canonical in (True, False):
+                fast = list(engine._solve_shared(gv, shape, canonical))
+                csp = list(engine._solve_shared_csp(gv, shape, canonical))
+                per_op = [
+                    n
+                    for sols in (fast, csp)
+                    for n in Counter(code for code, _, _ in sols).values()
+                ]
+                if per_op and max(per_op) >= engine._cap:
+                    continue  # capped: the two may keep different subsets
+                assert sorted(fast) == sorted(csp), (
+                    f"seed={seed} k={k} canonical={canonical}"
+                )
+                compared += 1
+                found += bool(fast)
+        assert compared and found
 
 
 class TestCanonicalMode:

@@ -31,7 +31,6 @@ from repro.core import (
 from repro.kernels import (
     KERNEL_STATS,
     KernelCounters,
-    array_to_bits,
     check_solution_set,
     cofactor_bits,
     index_maps,
@@ -41,7 +40,7 @@ from repro.kernels import (
     pack_cubes,
     packed_onset,
     permute_bits,
-    quartering_blocks,
+    quartering_profiles,
     stp_assignments,
     support_bits,
     unpack_cube,
@@ -175,14 +174,20 @@ class TestQuarteringEquivalence:
         split = rnd.randint(1, nu - 1)
         a_pos = tuple(sorted(positions[:split]))
         b_pos = tuple(sorted(positions[split:]))
-        amap, bmap, disjoint, gamma_of = index_maps(nu, a_pos, b_pos)
+        _, _, disjoint, gamma_of = index_maps(nu, a_pos, b_pos)
         assert disjoint
         gv_bits = rnd.getrandbits(1 << nu)
-        blocks = quartering_blocks(gv_bits, nu, gamma_of)
+        profiles = quartering_profiles(
+            gv_bits,
+            nu,
+            gamma_of.ravel().tolist(),
+            1 << len(a_pos),
+            1 << len(b_pos),
+        )
         ref = quartering_blocks_ref(
             gv_bits, gamma_of.tolist(), 1 << len(b_pos)
         )
-        assert [array_to_bits(row) for row in blocks] == ref
+        assert list(profiles) == ref
 
 
 class TestTruthTableKernels:
@@ -304,7 +309,9 @@ class TestWorkerSummaryStoreHits:
 
 
 class TestSolveDisjointBatchEquivalence:
-    """The batched disjoint-cone solver against its scalar oracle."""
+    """The engine's disjoint-cone solver
+    (``FactorizationEngine._disjoint_descriptors``) against its per-β
+    oracle, over a batch of random and composed demands per shape."""
 
     @staticmethod
     def _random_shape(rnd):
@@ -316,108 +323,92 @@ class TestSolveDisjointBatchEquivalence:
         b_pos = tuple(sorted(positions[split:]))
         _, _, disjoint, gamma_of = index_maps(nu, a_pos, b_pos)
         assert disjoint
-        return nu, a_pos, b_pos, gamma_of
+        return nu, a_pos, b_pos, gamma_of.tolist()
+
+    @staticmethod
+    def _demands(rnd, gamma_of, count=12):
+        """``(g_v, g_a, g_b)`` triples: half random tables, half
+        ``g_v = φ(g_a, g_b)`` composed so the quartering check passes."""
+        from repro.truthtable.operations import NONTRIVIAL_BINARY_OPS
+
+        size_a, size_b = len(gamma_of), len(gamma_of[0])
+        out = []
+        for k in range(count):
+            ga = rnd.getrandbits(size_a)
+            gb = rnd.getrandbits(size_b)
+            if k % 2:
+                gv = rnd.getrandbits(size_a * size_b)
+            else:
+                code = rnd.choice(NONTRIVIAL_BINARY_OPS)
+                gv = 0
+                for alpha, row in enumerate(gamma_of):
+                    u = (ga >> alpha) & 1
+                    for beta, gamma in enumerate(row):
+                        v = (gb >> beta) & 1
+                        gv |= ((code >> ((v << 1) | u)) & 1) << gamma
+            out.append((gv, ga, gb))
+        return out
+
+    @staticmethod
+    def _solver(nu, a_pos, b_pos):
+        from repro.core.factorization import FactorizationEngine, _shape
+        from repro.truthtable.operations import NONTRIVIAL_BINARY_OPS
+
+        engine = FactorizationEngine(nu, NONTRIVIAL_BINARY_OPS)
+        shape = _shape(nu, a_pos, b_pos)
+
+        def solve(gv, fa=None, fb=None, canonical=True):
+            return engine._disjoint_descriptors(
+                shape, gv, fa, fb, canonical
+            )
+
+        return solve
 
     @pytest.mark.parametrize("seed", range(10))
     def test_free_children_match_reference(self, seed):
-        from repro.kernels import solve_disjoint_batch
         from repro.kernels.reference import solve_disjoint_ref
         from repro.truthtable.operations import NONTRIVIAL_BINARY_OPS
 
         rnd = random.Random(seed)
-        nu, _, _, gamma_of = self._random_shape(rnd)
-        demands = [rnd.getrandbits(1 << nu) for _ in range(12)]
-        for canonical in (True, False):
-            got = solve_disjoint_batch(
-                demands,
-                nu,
-                gamma_of,
-                NONTRIVIAL_BINARY_OPS,
-                canonical=canonical,
-            )
-            for k, gv in enumerate(demands):
-                assert got[k] == solve_disjoint_ref(
+        nu, a_pos, b_pos, gamma_of = self._random_shape(rnd)
+        solve = self._solver(nu, a_pos, b_pos)
+        found = 0
+        for k, (gv, _, _) in enumerate(self._demands(rnd, gamma_of)):
+            for canonical in (True, False):
+                got = solve(gv, canonical=canonical)
+                assert got == solve_disjoint_ref(
                     gv,
-                    gamma_of.tolist(),
+                    gamma_of,
                     NONTRIVIAL_BINARY_OPS,
                     canonical=canonical,
                 ), f"seed={seed} k={k} canonical={canonical}"
+                found += bool(got)
+        assert found
 
     @pytest.mark.parametrize("seed", range(10))
     def test_pinned_children_match_reference(self, seed):
         """Pinned-A and pinned-B queries (the PI-projection case)."""
-        from repro.kernels import solve_disjoint_batch
         from repro.kernels.reference import solve_disjoint_ref
         from repro.truthtable.operations import NONTRIVIAL_BINARY_OPS
 
         rnd = random.Random(1000 + seed)
         nu, a_pos, b_pos, gamma_of = self._random_shape(rnd)
-        K = 12
-        demands = [rnd.getrandbits(1 << nu) for _ in range(K)]
-        fixed_a = [rnd.getrandbits(1 << len(a_pos)) for _ in range(K)]
-        fixed_b = [rnd.getrandbits(1 << len(b_pos)) for _ in range(K)]
-
-        got_a = solve_disjoint_batch(
-            demands, nu, gamma_of, NONTRIVIAL_BINARY_OPS,
-            fixed_a_seq=fixed_a,
-        )
-        got_b = solve_disjoint_batch(
-            demands, nu, gamma_of, NONTRIVIAL_BINARY_OPS,
-            fixed_b_seq=fixed_b,
-        )
-        for k, gv in enumerate(demands):
-            assert got_a[k] == solve_disjoint_ref(
-                gv, gamma_of.tolist(), NONTRIVIAL_BINARY_OPS,
-                fixed_a=fixed_a[k],
-            ), f"seed={seed} k={k} pinned=A"
-            assert got_b[k] == solve_disjoint_ref(
-                gv, gamma_of.tolist(), NONTRIVIAL_BINARY_OPS,
-                fixed_b=fixed_b[k],
-            ), f"seed={seed} k={k} pinned=B"
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_prefetch_matches_unprefetched_engine(self, seed):
-        """Shared-cone fallback: a prefetch over mixed disjoint and
-        overlapping-cone queries must leave every later
-        ``decompositions_pairs`` answer identical to a cold engine's —
-        the non-batchable queries are skipped, not mis-solved."""
-        from repro.core.factorization import FactorizationEngine
-        from repro.truthtable.operations import NONTRIVIAL_BINARY_OPS
-
-        rnd = random.Random(2000 + seed)
-        num_vars = 4
-        warm = FactorizationEngine(num_vars, NONTRIVIAL_BINARY_OPS)
-        cold = FactorizationEngine(num_vars, NONTRIVIAL_BINARY_OPS)
-        cones = [
-            ((0, 1), (2, 3)),       # disjoint, full cover
-            ((0, 1, 2), (3,)),      # disjoint, full cover
-            ((0, 1, 2), (1, 2, 3)), # shared — scalar fallback
-            ((0, 2), (1, 2)),       # shared — scalar fallback
-        ]
-        queries = []
-        for cone_a, cone_b in cones:
-            pair_w = warm.pair_info(cone_a, cone_b)
-            for _ in range(6):
-                gv = rnd.getrandbits(1 << num_vars)
-                fa = None
-                if rnd.random() < 0.3:
-                    fa = rnd.getrandbits(1 << len(cone_a))
-                    fa = warm._expand_bits(fa, pair_w.a_vars)
-                queries.append((gv, cone_a, cone_b, fa))
-        warm.prefetch_pairs(
-            [
-                (gv, warm.pair_info(ca, cb), fa, None)
-                for gv, ca, cb, fa in queries
-            ]
-        )
-        for gv, cone_a, cone_b, fa in queries:
-            got = warm.decompositions_pairs(
-                gv, warm.pair_info(cone_a, cone_b), fa, None
-            )
-            want = cold.decompositions_pairs(
-                gv, cold.pair_info(cone_a, cone_b), fa, None
-            )
-            assert got == want, (gv, cone_a, cone_b, fa)
+        solve = self._solver(nu, a_pos, b_pos)
+        found = 0
+        for k, (gv, ga, gb) in enumerate(self._demands(rnd, gamma_of)):
+            for canonical in (True, False):
+                got_a = solve(gv, fa=ga, canonical=canonical)
+                assert got_a == solve_disjoint_ref(
+                    gv, gamma_of, NONTRIVIAL_BINARY_OPS,
+                    fixed_a=ga, canonical=canonical,
+                ), f"seed={seed} k={k} canonical={canonical} pinned=A"
+                got_b = solve(gv, fb=gb, canonical=canonical)
+                assert got_b == solve_disjoint_ref(
+                    gv, gamma_of, NONTRIVIAL_BINARY_OPS,
+                    fixed_b=gb, canonical=canonical,
+                ), f"seed={seed} k={k} canonical={canonical} pinned=B"
+                found += bool(got_a) + bool(got_b)
+        assert found
 
 
 def random_lut_chain(rnd, num_inputs, num_gates, num_outputs=1):
@@ -661,7 +652,6 @@ class TestSolutionSetCheck:
     def test_npn_transform_record_matches_reference(self, seed):
         from repro.chain.transform import (
             npn_transform_chain,
-            npn_transform_chain_multi,
             npn_transform_record,
         )
 
@@ -685,7 +675,14 @@ class TestSolutionSetCheck:
                     ),
                 )
                 want = npn_transform_chain_ref(chain, single).signature()
-                assert npn_transform_chain(chain, single).signature() == want
+                if num_outputs == 1:
+                    assert (
+                        npn_transform_chain(chain, single).signature()
+                        == want
+                    )
+                else:
+                    with pytest.raises(ValueError):
+                        npn_transform_chain(chain, single)
                 assert npn_transform_record(
                     chain.signature(),
                     single.perm,
@@ -693,10 +690,7 @@ class TestSolutionSetCheck:
                     (single.output_flip,) * num_outputs,
                 ) == want
                 want = npn_transform_chain_multi_ref(chain, multi).signature()
-                assert (
-                    npn_transform_chain_multi(chain, multi).signature()
-                    == want
-                )
+                assert npn_transform_chain(chain, multi).signature() == want
                 assert npn_transform_record(
                     chain.signature(), multi.perm, flips, multi.output_flips
                 ) == want

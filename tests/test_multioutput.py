@@ -7,7 +7,7 @@ import pytest
 from repro.chain import (
     extract_output_cone,
     merge_chains_shared,
-    npn_transform_chain_multi,
+    npn_transform_chain,
 )
 from repro.core import synthesize_all, verify_chain_outputs
 from repro.core.spec import SynthesisSpec
@@ -105,7 +105,7 @@ class TestTransformChainMulti:
         merged = merge_chains_shared(chains)
         for _ in range(10):
             t = random_transform(rng, 3, 2)
-            rewritten = npn_transform_chain_multi(merged, t)
+            rewritten = npn_transform_chain(merged, t)
             assert rewritten.num_gates == merged.num_gates
             expect = t.apply((MAJ, FA_SUM))
             assert verify_chain_outputs(rewritten, expect)
