@@ -9,8 +9,8 @@ Three caches back the pipeline stages:
   topology families, the dominant repeated cost across a Table-I
   suite, with optional on-disk persistence;
 * :class:`FactorizationPool` — memoizing factorization engines keyed
-  on their immutable config, so the canonical-form + cone-shape query
-  memo survives across synthesis calls.
+  on their immutable config, so each engine's query memo survives
+  across synthesis calls.
 
 One :class:`SynthesisCache` bundles all three and is shared through
 the :class:`~repro.core.context.SynthesisContext`; a process-global

@@ -1,13 +1,11 @@
 """Cross-call pool of memoizing factorization engines.
 
-A :class:`~repro.core.factorization.FactorizationEngine` memoizes its
-queries on canonical-form bytes plus the local cone shape — exactly
-the key the ISSUE's factorization memo calls for — but used to be
-created fresh for every synthesis run, discarding the memo each time.
-This pool keys engines on ``(num_vars, operators, cap)`` and rebinds
-only the per-run deadline and stats sink, so structurally identical
-factorization queries from *different* targets (or different suite
-instances) are answered from the memo.
+A :class:`~repro.core.factorization.FactorizationEngine` memoizes every
+query it answers, keyed on the demand, the fanin-cone pair, the pinned
+children and the polarity mode.  This pool keys engines on
+``(num_vars, operators, cap)`` and rebinds only the per-run deadline
+and stats sink, so the same query from a *different* target (or a
+different suite instance) is answered from the memo.
 """
 
 from __future__ import annotations
@@ -16,19 +14,17 @@ from typing import Sequence
 
 __all__ = ["FactorizationPool"]
 
-#: Query-memo size at which an engine's caches are dropped — a memory
-#: backstop for unbounded suites, far above any Table-I working set.
-DEFAULT_MAX_QUERIES_PER_ENGINE = 1_000_000
+#: Query-memo size past which an engine's caches are dropped on its
+#: next lease — a memory backstop for unbounded suites, far above any
+#: Table-I working set.
+MAX_QUERIES_PER_ENGINE = 1_000_000
 
 
 class FactorizationPool:
     """Reusable factorization engines keyed on their immutable config."""
 
-    def __init__(
-        self, max_queries_per_engine: int = DEFAULT_MAX_QUERIES_PER_ENGINE
-    ) -> None:
+    def __init__(self) -> None:
         self._engines: dict[tuple, object] = {}
-        self._max_queries = max_queries_per_engine
         self.hits = 0
         self.misses = 0
 
@@ -66,7 +62,7 @@ class FactorizationPool:
                 max_solutions_per_query=max_solutions_per_query,
             )
             self._engines[key] = engine
-        if engine.cached_queries > self._max_queries:
+        if engine.cached_queries > MAX_QUERIES_PER_ENGINE:
             engine.clear_caches()
         engine.bind(deadline=deadline, stats=stats)
         return engine

@@ -23,19 +23,16 @@ __all__ = ["TopologyCache", "TopologyFamily"]
 #: fences-examined counter is unchanged versus streaming enumeration).
 TopologyFamily = tuple[tuple[Fence, tuple[DagTopology, ...]], ...]
 
-#: Families larger than this many DAGs are streamed, not stored —
+#: Families larger than this many DAGs are returned but not stored —
 #: a memory backstop for pathological (r, s) pairs.
-DEFAULT_MAX_DAGS_PER_FAMILY = 200_000
+MAX_DAGS_PER_FAMILY = 200_000
 
 
 class TopologyCache:
     """Cross-call cache of pruned fence/DAG topology families."""
 
-    def __init__(
-        self, max_dags_per_family: int = DEFAULT_MAX_DAGS_PER_FAMILY
-    ) -> None:
+    def __init__(self) -> None:
         self._store: dict[tuple[int, int, bool], TopologyFamily] = {}
-        self._max_dags = max_dags_per_family
         self.hits = 0
         self.misses = 0
 
@@ -69,7 +66,7 @@ class TopologyCache:
         self.misses += 1
         family = self._build(num_gates, num_pis, require_all_pis, deadline)
         total = sum(len(dags) for _, dags in family)
-        if total <= self._max_dags:
+        if total <= MAX_DAGS_PER_FAMILY:
             self._store[key] = family
         return family
 

@@ -24,13 +24,16 @@ exactly the assignments the paper re-checks with the circuit AllSAT
 solver.
 
 The search issues millions of queries per hard instance, so each query
-is solved when the search first asks for it and memoized, and the hot
-paths run entirely on packed Python ints: quartering parts are packed
-β-profiles, the per-β allowed-value scan is a handful of mask ops, and
-the both-children-fixed case collapses to a cone-independent operator
-pattern match memoized on ``(g_v, g_a, g_b)``.  Cone shapes (index
-maps, γ-class masks, cofactor memos) live in a module-level registry
-shared by every engine.
+is solved when the search first asks for it, and its answer is
+memoized once, in the engine's query memo.  The hot paths run entirely
+on packed Python ints: quartering parts are packed β-profiles, the
+per-β allowed-value scan is a handful of mask ops, and the
+both-children-fixed case is a uniformity check per minterm class of
+``(g_a, g_b)``.  Below the query memo sit only memos that repeat
+often: per engine, support masks and the cone-local/global table
+conversions; per cone shape, in a module-level registry shared by every
+engine, the index maps, child expansions and cofactor solutions; and
+module-wide, the demand-independent half of the minimality prunes.
 
 Demand pruning: at a *minimal* gate count no chain can contain a gate
 whose function is constant, a (complemented) projection, or equal
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as _product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..kernels.bitops import collapse_indices, spread_indices, var_mask
 from ..kernels.factorization import (
@@ -270,9 +273,10 @@ def _shape(
 class _PairInfo:
     """One (cone_a, cone_b) pair as seen by a specific engine.
 
-    ``pid`` is a small per-engine integer used in packed query-cache
-    keys; the variable masks drive the support-containment checks and
-    ``shape`` is the shared union-local structure.
+    ``pid`` is a small per-engine integer used in query-memo keys (the
+    engine's and the pipeline's); the variable masks drive the
+    support-containment checks and ``shape`` is the shared union-local
+    structure.
     """
 
     __slots__ = (
@@ -288,7 +292,21 @@ class _PairInfo:
 
 
 class FactorizationEngine:
-    """Memoizing factorization over one synthesis run."""
+    """Memoizing factorization for one ``(num_vars, operators, cap)``
+    config, shared by every run that binds it.
+
+    Its memos are pure functions of their keys:
+
+    * ``_bits_cache``: every answered query, keyed on ``(g_v, pair id,
+      pinned children, canonical)``; the only per-query memo;
+    * ``_support_cache``, ``_loc_cache``, ``_exp_cache``: support
+      masks and the cone-local/global table conversions;
+    * the pipeline's cross-topology memos (``tree_memo``,
+      ``groups_memo``, ``viable_memo``, ``cone_memo``).
+
+    Shape-keyed memos live on :class:`_Shape`; the demand-independent
+    prune verdicts live in the module-level ``_ADM_BASE``.
+    """
 
     def __init__(
         self,
@@ -303,29 +321,23 @@ class FactorizationEngine:
         self._cap = max_solutions_per_query
         self._deadline = deadline
         self._stats = None
-        self._small = num_vars <= 4
         self._full = (1 << (1 << num_vars)) - 1
-        # pair registry and the layered memos (see class docstring)
+        # pair registry, per-cone index tables and the memos listed in
+        # the class docstring
         self._pairs: dict[tuple, _PairInfo] = {}
         self._bits_cache: dict = {}
-        self._local_cache: dict[tuple, tuple] = {}
-        self._cons_cache: dict = {}
-        self._pattern_cache: dict[tuple[int, int], tuple[int, ...]] = {}
         self._support_cache: dict[int, int] = {}
         self._loc_cache: dict = {}
         self._exp_cache: dict = {}
         self._spread: dict[tuple[int, ...], list[int]] = {}
         self._collapse: dict[tuple[int, ...], list[int]] = {}
-        self._table_cache: dict[int, TruthTable] = {}
-        self._fac_cache: dict[tuple, tuple] = {}
-        #: Cross-topology memos owned by the pipeline, keyed on
-        #: ``(cone_shape_term, demand_bits)``: complete solution sets
-        #: of private tree-shaped cones, and the tree-relaxation
-        #: realizability filter.  They live here so sibling pDAGs and
-        #: successive fences of every run sharing this engine reuse the
-        #: same subtree factorizations.
+        #: Cross-topology memos owned by the pipeline: complete solution
+        #: sets of private tree-shaped cones keyed on ``(cone_shape_term,
+        #: demand_bits)``, filtered factorization groups, and per child
+        #: structure the viability verdict of each demand.  They live
+        #: here so sibling pDAGs and successive fences of every run
+        #: sharing this engine reuse the same subtree factorizations.
         self.tree_memo: dict = {}
-        self.realize_memo: dict = {}
         self.groups_memo: dict = {}
         self.viable_memo: dict = {}
         #: Private non-tree cones: complete op-vector solution sets
@@ -382,18 +394,19 @@ class FactorizationEngine:
         return self._localize(bits, vars_)
 
     def clear_caches(self) -> None:
-        """Drop all memoized state (memory backstop for long suites)."""
+        """Drop this engine's and its sub-engines' memos (the memory
+        backstop for long suites).
+
+        Kept: the pair registry and per-cone index tables, which grow
+        with the cone pairs rather than the queries, and the
+        module-level shape registry (with each shape's memos) and
+        ``_ADM_BASE``, which every engine shares and no bound reaches.
+        """
         self._bits_cache.clear()
-        self._local_cache.clear()
-        self._cons_cache.clear()
-        self._pattern_cache.clear()
         self._support_cache.clear()
         self._loc_cache.clear()
         self._exp_cache.clear()
-        self._table_cache.clear()
-        self._fac_cache.clear()
         self.tree_memo.clear()
-        self.realize_memo.clear()
         self.groups_memo.clear()
         self.viable_memo.clear()
         self.cone_memo.clear()
@@ -401,7 +414,7 @@ class FactorizationEngine:
             sub.clear_caches()
 
     # ------------------------------------------------------------------
-    # pair registry and packed keys
+    # pair registry
     # ------------------------------------------------------------------
     def pair_info(
         self, cone_a: Sequence[int], cone_b: Sequence[int]
@@ -439,25 +452,6 @@ class FactorizationEngine:
             self._pairs[key] = pair
         return pair
 
-    def _key(
-        self,
-        gv: int,
-        pair: _PairInfo,
-        fa: int | None,
-        fb: int | None,
-        canonical: bool,
-    ):
-        """Query-cache key; a single machine int for ≤4-var engines."""
-        if self._small:
-            return (
-                gv
-                | ((0 if fa is None else fa + 1) << 16)
-                | ((0 if fb is None else fb + 1) << 33)
-                | (pair.pid << 50)
-                | ((1 << 62) if canonical else 0)
-            )
-        return (gv, pair.pid, fa, fb, canonical)
-
     # ------------------------------------------------------------------
     # public queries
     # ------------------------------------------------------------------
@@ -485,25 +479,19 @@ class FactorizationEngine:
         synthesizer recovers the full solution set by polarity
         expansion.  ``canonical=False`` enumerates every polarity.
         """
-        canonical = canonical and self._closed
         pair = self.pair_info(cone_a, cone_b)
         fa = None if fixed_a is None else fixed_a.bits
         fb = None if fixed_b is None else fixed_b.bits
-        key = (g_v.bits, pair.pid, fa, fb, canonical)
-        cached = self._fac_cache.get(key)
-        if cached is not None:
-            return cached
+        n = self._num_vars
         out = []
         for ga_bits, gb_bits, group_ops in self.decompositions_pairs(
             g_v.bits, pair, fa, fb, canonical
         ):
-            g_a = fixed_a if fixed_a is not None else self._table(ga_bits)
-            g_b = fixed_b if fixed_b is not None else self._table(gb_bits)
+            g_a = fixed_a if fixed_a is not None else TruthTable(ga_bits, n)
+            g_b = fixed_b if fixed_b is not None else TruthTable(gb_bits, n)
             for code in group_ops:
                 out.append(Factorization(code, g_a, g_b))
-        result = tuple(out)
-        self._fac_cache[key] = result
-        return result
+        return tuple(out)
 
     def decompositions_pairs(
         self,
@@ -523,7 +511,7 @@ class FactorizationEngine:
         :meth:`decompositions` (same solutions, grouped).
         """
         canonical = canonical and self._closed
-        key = self._key(gv_bits, pair, fixed_a_bits, fixed_b_bits, canonical)
+        key = (gv_bits, pair.pid, fixed_a_bits, fixed_b_bits, canonical)
         cached = self._bits_cache.get(key)
         st = self._stats
         if st is not None:
@@ -568,33 +556,6 @@ class FactorizationEngine:
         gv_local = self._localize(gv, pair.u_vars)
         fa_local = None if fa is None else self._localize(fa, pair.a_vars)
         fb_local = None if fb is None else self._localize(fb, pair.b_vars)
-        sols = self._solve_local(
-            gv_local, shape, fa_local, fb_local, canonical
-        )
-        return self._group(sols, pair, fa, fb)
-
-    def _solve_local(
-        self,
-        gv_local: int,
-        shape: _Shape,
-        fa_local: int | None,
-        fb_local: int | None,
-        canonical: bool,
-    ) -> tuple:
-        """Local solutions, memoized on ``(demand_bits, cone_shape)``
-        so sibling DAGs and successive fences reuse the work."""
-        key = (
-            gv_local,
-            shape.nu,
-            shape.a_pos,
-            shape.b_pos,
-            fa_local,
-            fb_local,
-            canonical,
-        )
-        cached = self._local_cache.get(key)
-        if cached is not None:
-            return cached
         if shape.disjoint:
             descriptors = self._disjoint_descriptors(
                 shape, gv_local, fa_local, fb_local, canonical
@@ -603,22 +564,22 @@ class FactorizationEngine:
                 shape, gv_local, descriptors, fa_local, fb_local, canonical
             )
         elif fa_local is not None or fb_local is not None:
-            sols = tuple(
-                self._solve_shared_pinned(
-                    shape, gv_local, fa_local, fb_local, canonical
-                )
+            sols = self._solve_shared_pinned(
+                shape, gv_local, fa_local, fb_local, canonical
             )
         else:
-            sols = tuple(self._solve_shared(gv_local, shape, canonical))
-        self._local_cache[key] = sols
-        return sols
+            sols = self._solve_shared(gv_local, shape, canonical)
+        return self._group(sols, pair, fa, fb)
 
     def _group(
-        self, sols: tuple, pair: _PairInfo, fa: int | None, fb: int | None
+        self,
+        sols: Iterable[tuple[int, int, int]],
+        pair: _PairInfo,
+        fa: int | None,
+        fb: int | None,
     ) -> tuple:
-        """Globalize local solutions and group them by the child pair."""
-        if not sols:
-            return ()
+        """Globalize local ``(code, a_local, b_local)`` solutions and
+        group them by the child pair, in first-seen order."""
         groups: dict[tuple[int, int], list[int]] = {}
         for code, a_loc, b_loc in sols:
             ga = fa if fa is not None else self._expand_bits(
@@ -634,7 +595,7 @@ class FactorizationEngine:
         )
 
     # ------------------------------------------------------------------
-    # both children fixed: cone-independent operator pattern match
+    # both children fixed: operator pattern match
     # ------------------------------------------------------------------
     def _consistent_ops(
         self, gv: int, ga: int, gb: int
@@ -642,19 +603,12 @@ class FactorizationEngine:
         """Operators with ``φ(g_a, g_b) = g_v`` pointwise (global).
 
         Each joint row falls in one of four minterm classes of
-        ``(g_a, g_b)``; consistency is a per-class uniformity check and
-        the surviving operators are a pattern match memoized on the
-        ``(pattern, wildcard)`` signature — cone-independent, so every
-        DAG revisiting the triple shares the answer.
+        ``(g_a, g_b)``.  Consistency is a per-class uniformity check,
+        and an operator fits when its truth table matches the uniform
+        value of every non-empty class.  Not memoized here: the query
+        memo in :meth:`decompositions_pairs` answers every repeat
+        first.
         """
-        key = (
-            gv | (ga << 16) | (gb << 32)
-            if self._small
-            else (gv, ga, gb)
-        )
-        ops = self._cons_cache.get(key)
-        if ops is not None:
-            return ops
         full = self._full
         m11 = ga & gb
         m10 = ga & ~gb & full
@@ -662,7 +616,6 @@ class FactorizationEngine:
         m00 = ~(ga | gb) & full
         pattern = 0
         wild = 0
-        ops = None
         for i, mask in enumerate((m00, m10, m01, m11)):
             if not mask:
                 wild |= 1 << i
@@ -671,20 +624,10 @@ class FactorizationEngine:
             if r == mask:
                 pattern |= 1 << i
             elif r:
-                ops = ()  # class mixes 0s and 1s: no operator fits
-                break
-        if ops is None:
-            pkey = (pattern, wild)
-            ops = self._pattern_cache.get(pkey)
-            if ops is None:
-                ops = tuple(
-                    code
-                    for code in self._ops
-                    if not (code ^ pattern) & ~wild & 0xF
-                )
-                self._pattern_cache[pkey] = ops
-        self._cons_cache[key] = ops
-        return ops
+                return ()  # class mixes 0s and 1s: no operator fits
+        return tuple(
+            code for code in self._ops if not (code ^ pattern) & ~wild & 0xF
+        )
 
     # ------------------------------------------------------------------
     # support masks and local/global conversions (cached, pure-int)
@@ -731,13 +674,6 @@ class FactorizationEngine:
                 out |= ((local_bits >> c) & 1) << m
             self._exp_cache[key] = out
         return out
-
-    def _table(self, bits: int) -> TruthTable:
-        table = self._table_cache.get(bits)
-        if table is None:
-            table = TruthTable(bits, self._num_vars)
-            self._table_cache[bits] = table
-        return table
 
     # ------------------------------------------------------------------
     # minimality prunes
@@ -869,11 +805,9 @@ class FactorizationEngine:
         fa_local: int | None,
         fb_local: int | None,
         canonical: bool,
-    ) -> tuple:
+    ) -> Iterator[tuple[int, int, int]]:
         """Expand descriptors into ``(code, a_local, b_local)`` tuples,
         applying admissibility prunes and the per-descriptor cap."""
-        out = []
-        cap = self._cap
         free_a = fa_local is None
         a_ok: dict[int, bool] = {}
         nu = shape.nu
@@ -888,32 +822,49 @@ class FactorizationEngine:
                 if not ok:
                     continue
             if fb_local is not None:
-                out.append((code, a_bits, b_base))
+                yield (code, a_bits, b_base)
                 continue
-            forced = b_base
-            if canonical and forced & 1:
-                continue  # B would not be normal
-            free_cells = []
-            m = freem
-            while m:
-                free_cells.append((m & -m).bit_length() - 1)
-                m &= m - 1
-            emitted = 0
-            for combo in range(1 << len(free_cells)):
-                b_bits = forced
-                for j, beta in enumerate(free_cells):
-                    if (combo >> j) & 1:
-                        b_bits |= 1 << beta
-                if canonical and b_bits & 1:
-                    continue  # not normal
-                if self._admissible_local(
-                    b_bits, shape.b_pos, gv_local, nu
-                ):
-                    out.append((code, a_bits, b_bits))
-                    emitted += 1
-                    if emitted >= cap:
-                        break
-        return tuple(out)
+            for b_bits in self._completions(
+                b_base, freem, shape.b_pos, gv_local, nu, canonical
+            ):
+                yield (code, a_bits, b_bits)
+
+    def _completions(
+        self,
+        forced: int,
+        freem: int,
+        child_pos: tuple[int, ...],
+        gv_local: int,
+        nu: int,
+        canonical: bool,
+    ) -> Iterator[int]:
+        """Admissible free-child tables ``forced | subset``, one per
+        subset of the free cells ``freem`` in ascending order, at most
+        the cap of them.
+
+        Under ``canonical`` the child must be normal: nothing comes out
+        when ``forced`` sets cell 0, and cell 0 leaves the free mask,
+        which drops exactly the odd tables and keeps the rest in order.
+        """
+        if canonical:
+            if forced & 1:
+                return
+            freem &= ~1
+        cells = []
+        while freem:
+            cells.append((freem & -freem).bit_length() - 1)
+            freem &= freem - 1
+        emitted = 0
+        for combo in range(1 << len(cells)):
+            bits = forced
+            for j, cell in enumerate(cells):
+                if (combo >> j) & 1:
+                    bits |= 1 << cell
+            if self._admissible_local(bits, child_pos, gv_local, nu):
+                yield bits
+                emitted += 1
+                if emitted >= self._cap:
+                    return
 
     # ------------------------------------------------------------------
     # shared cones with one child pinned: packed row masks
@@ -948,7 +899,6 @@ class FactorizationEngine:
             free_pos = shape.b_pos
         full_g = shape.full_g
         npin_rows = ~pin_rows & full_g
-        cap = self._cap
         nu = shape.nu
         for code in self._ops:
             # out0/out1: the chain output per γ row when the free child
@@ -986,32 +936,13 @@ class FactorizationEngine:
                     freem |= 1 << cell
             if not ok:
                 continue
-            if canonical:
-                if forced & 1:
-                    continue  # free child would not be normal
-                freem &= ~1
-            free_cells = []
-            m = freem
-            while m:
-                free_cells.append((m & -m).bit_length() - 1)
-                m &= m - 1
-            emitted = 0
-            for combo in range(1 << len(free_cells)):
-                bits = forced
-                for j, cell in enumerate(free_cells):
-                    if (combo >> j) & 1:
-                        bits |= 1 << cell
-                if not self._admissible_local(
-                    bits, free_pos, gv_local, nu
-                ):
-                    continue
+            for bits in self._completions(
+                forced, freem, free_pos, gv_local, nu, canonical
+            ):
                 if swap:
                     yield (code, bits, pin)
                 else:
                     yield (code, pin, bits)
-                emitted += 1
-                if emitted >= cap:
-                    break
 
     # ------------------------------------------------------------------
     # shared cones, both children free: cofactor product
@@ -1090,7 +1021,9 @@ class FactorizationEngine:
         """Power-reduce factorization (shared variables) via a binary
         CSP solved with arc consistency + backtracking — the fallback
         for shapes too wide for the cofactor split, and the reference
-        the fast path is differentially tested against."""
+        the fast path is differentially tested against.  Its branching
+        can run far past a budget, so it polls the bound deadline."""
+        deadline = self._deadline
         nu = shape.nu
         a_pos, b_pos = shape.a_pos, shape.b_pos
         size_a, size_b = shape.size_a, shape.size_b
@@ -1191,6 +1124,8 @@ class FactorizationEngine:
             emitted = 0
 
             def branch() -> Iterator[tuple[int, int]]:
+                if deadline is not None:
+                    deadline.check(every=16)
                 for alpha in range(size_a):
                     if dom_a[alpha] == 3:
                         for u in (0, 1):
@@ -1334,7 +1269,7 @@ def _admissible_base(
                 break
     if support <= 1:
         return -1
-    return _expand_positions_cached(child_bits, child_pos, nu)
+    return expand_positions(child_bits, child_pos, nu)
 
 
 def _local_depends(bits: int, num_vars: int, var: int) -> bool:
@@ -1344,18 +1279,3 @@ def _local_depends(bits: int, num_vars: int, var: int) -> bool:
     hi = (bits & mask) >> shift
     lo = bits & (mask >> shift)
     return hi != lo
-
-
-_EXPAND_CACHE: dict[tuple[int, tuple[int, ...], int], int] = {}
-
-
-def _expand_positions_cached(
-    child_bits: int, positions: tuple[int, ...], nu: int
-) -> int:
-    """Expand a child-local table onto the union-local row space."""
-    key = (child_bits, positions, nu)
-    out = _EXPAND_CACHE.get(key)
-    if out is None:
-        out = expand_positions(child_bits, positions, nu)
-        _EXPAND_CACHE[key] = out
-    return out

@@ -60,10 +60,6 @@ __all__ = [
 #: Cross-run cache of size lower bounds, keyed by (table bits, arity).
 _BOUND_CACHE: dict[tuple[int, int], int] = {}
 
-#: Cross-run cache of feasible disjoint top splits, keyed by
-#: (table bits, arity, operator tuple) — see :func:`feasible_top_splits`.
-_SPLIT_CACHE: dict[tuple[int, int, tuple[int, ...]], frozenset[int]] = {}
-
 #: Per-pDAG static structure (reachable-PI cones, cone gate counts, PI
 #: bitmasks, cone shape terms, private-tree flags), shared by every
 #: target searched over the same topology.
@@ -206,7 +202,7 @@ def search_stage(state: PipelineState, ctx: SynthesisContext) -> None:
         deadline=ctx.deadline,
         stats=ctx.stats,
     )
-    split_profile = _top_split_profile(target, spec)
+    split_profile = feasible_top_splits(target, tuple(spec.operators))
     lo = max(1, s - 1, spec.min_gates)
     for r in range(lo, spec.effective_max_gates() + 1):
         normal = _search_at_size(
@@ -239,19 +235,6 @@ def search_stage(state: PipelineState, ctx: SynthesisContext) -> None:
         f"no chain with up to {spec.effective_max_gates()} gates "
         f"found for 0x{spec.function.to_hex()}"
     )
-
-
-def _top_split_profile(
-    target: TruthTable, spec: SynthesisSpec
-) -> frozenset[int]:
-    """Memoized DSD top-split profile of the search target."""
-    ops = tuple(spec.operators)
-    key = (target.bits, target.num_vars, ops)
-    profile = _SPLIT_CACHE.get(key)
-    if profile is None:
-        profile = feasible_top_splits(target, ops)
-        _SPLIT_CACHE[key] = profile
-    return profile
 
 
 def _search_at_size(
@@ -568,37 +551,29 @@ def assign_operators(
         only *adds* constraints, so checking the demand against the
         cone's unfolded tree skeleton — recursing through disjoint
         fanin splits only, conservatively accepting overlapping ones —
-        can never reject a realizable demand.  Memoized on
-        ``(shape term, demand)`` across pDAGs and fences, this kills
-        the shared-spine branch explosion: most demand pairs emitted by
-        a top-level shared-cone solve die here in one dict lookup
-        instead of a full backtracking descent.
+        can never reject a realizable demand.  This kills the
+        shared-spine branch explosion: most demand pairs emitted by a
+        top-level shared-cone solve die here instead of in a full
+        backtracking descent.  The verdict is not memoized here: its
+        caller's ``viable_memo`` answers repeated child demands, and
+        its factorizations come from the engine's query memo.
         """
         pr = pairs[signal - n]
         if pr.amask & pr.bmask:
             return True
-        memo = engine.realize_memo
-        key = (shapes[signal], demand_bits)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+        if bound_of(demand_bits) > tsizes[signal]:
+            return False
         a, b = dag.fanins[signal - n]
-        ok = False
-        if bound_of(demand_bits) <= tsizes[signal]:
-            groups = engine.decompositions_pairs(
-                demand_bits,
-                pr,
-                pi_bits[a] if a < n else None,
-                pi_bits[b] if b < n else None,
-            )
-            for ga, gb, _ in groups:
-                if (a < n or realizable(a, ga)) and (
-                    b < n or realizable(b, gb)
-                ):
-                    ok = True
-                    break
-        memo[key] = ok
-        return ok
+        groups = engine.decompositions_pairs(
+            demand_bits,
+            pr,
+            pi_bits[a] if a < n else None,
+            pi_bits[b] if b < n else None,
+        )
+        return any(
+            (a < n or realizable(a, ga)) and (b < n or realizable(b, gb))
+            for ga, gb, _ in groups
+        )
 
     def pick_node(pending: set[int]) -> int:
         """Most-constrained-first ordering: nodes whose fanins are both

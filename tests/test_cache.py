@@ -15,7 +15,7 @@ from repro.core import SynthesisContext, SynthesisSpec, run_pipeline
 from repro.core.spec import SynthesisStats
 from repro.topology.dag import enumerate_dags
 from repro.topology.fence import valid_fences
-from repro.truthtable import from_hex
+from repro.truthtable import NONTRIVIAL_BINARY_OPS, from_hex
 from repro.truthtable.npn import canonicalize
 
 EXAMPLE7 = from_hex("8ff8", 4)
@@ -89,6 +89,19 @@ class TestTopologyCache:
         garbage.write_bytes(b"not a pickle at all")
         assert cache.load(str(garbage)) == 0
 
+    def test_family_over_the_dag_bound_is_not_stored(self, monkeypatch):
+        import repro.cache.topology as topology_mod
+
+        monkeypatch.setattr(topology_mod, "MAX_DAGS_PER_FAMILY", 1)
+        cache = SynthesisCache()
+        small = cache.topology_families(1, 2)
+        assert sum(len(dags) for _, dags in small) == 1
+        big = cache.topology_families(3, 4)
+        assert sum(len(dags) for _, dags in big) > 1
+        assert list(cache.topology_families(3, 4)) == list(big)
+        assert len(cache.topology) == 1  # only the (1, 2) family
+        assert cache.topology.misses == 3 and cache.topology.hits == 0
+
     def test_save_is_atomic(self, tmp_path):
         path = str(tmp_path / "topo.cache")
         cache = SynthesisCache()
@@ -112,6 +125,26 @@ class TestFactorizationPool:
         assert a is not c
         assert cache.factorization.hits == 1
         assert cache.factorization.misses == 2
+
+    def test_engine_past_the_query_bound_is_cleared(self, monkeypatch):
+        import repro.cache.factorization as pool_mod
+
+        monkeypatch.setattr(pool_mod, "MAX_QUERIES_PER_ENGINE", 2)
+        cache = SynthesisCache()
+        engine = cache.factorization_engine(4, NONTRIVIAL_BINARY_OPS, 64)
+        pair = engine.pair_info((0, 1), (2, 3))
+        demands = [from_hex(h, 4).bits for h in ("8ff8", "1ee1", "6996")]
+        answers = [engine.decompositions_pairs(d, pair) for d in demands]
+        assert any(answers)
+        assert engine.cached_queries == 3
+        # The bound is checked when the engine is next leased.
+        assert cache.factorization_engine(
+            4, NONTRIVIAL_BINARY_OPS, 64
+        ) is engine
+        assert engine.cached_queries == 0
+        assert [
+            engine.decompositions_pairs(d, pair) for d in demands
+        ] == answers
 
     def test_disabled_returns_fresh(self):
         cache = SynthesisCache(enabled=False)

@@ -1,6 +1,7 @@
 """STP matrix-factorization engine tests (Section III-B)."""
 
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -11,6 +12,8 @@ from repro.core.factorization import (
     _shape,
     is_complement_closed,
 )
+from repro.core.spec import Deadline
+from repro.runtime.errors import BudgetExceeded
 from repro.truthtable import (
     NONTRIVIAL_BINARY_OPS,
     TruthTable,
@@ -35,6 +38,20 @@ def check_factorization(fac, g_v, num_vars):
         a = fac.g_a.value(m)
         b = fac.g_b.value(m)
         assert apply_binary_op(fac.op, a, b) == g_v.value(m)
+
+
+def composed_demand(rnd, shape):
+    """g_v = φ(g_a, g_b) for a random operator and random children over
+    the shape's cones, so the demand has factorizations."""
+    code = rnd.choice(NONTRIVIAL_BINARY_OPS)
+    ga = rnd.getrandbits(shape.size_a)
+    gb = rnd.getrandbits(shape.size_b)
+    gv = 0
+    for gamma in range(1 << shape.nu):
+        u = (ga >> shape.amap_list[gamma]) & 1
+        v = (gb >> shape.bmap_list[gamma]) & 1
+        gv |= ((code >> ((v << 1) | u)) & 1) << gamma
+    return gv
 
 
 class TestComplementClosure:
@@ -209,15 +226,7 @@ class TestSharedSolverEquivalence:
             if k % 2:
                 gv = rnd.getrandbits(1 << nu)
             else:
-                # g_v = φ(g_a, g_b) over the shape, so solutions exist.
-                code = rnd.choice(NONTRIVIAL_BINARY_OPS)
-                ga = rnd.getrandbits(shape.size_a)
-                gb = rnd.getrandbits(shape.size_b)
-                gv = 0
-                for gamma in range(1 << nu):
-                    u = (ga >> shape.amap_list[gamma]) & 1
-                    v = (gb >> shape.bmap_list[gamma]) & 1
-                    gv |= ((code >> ((v << 1) | u)) & 1) << gamma
+                gv = composed_demand(rnd, shape)
             for canonical in (True, False):
                 fast = list(engine._solve_shared(gv, shape, canonical))
                 csp = list(engine._solve_shared_csp(gv, shape, canonical))
@@ -234,6 +243,40 @@ class TestSharedSolverEquivalence:
                 compared += 1
                 found += bool(fast)
         assert compared and found
+
+
+class TestWideSharedFallback:
+    """Shapes too wide for the cofactor split reach the CSP through the
+    public queries (the flat engine hits them at 5 or more inputs)."""
+
+    def test_csp_polls_the_deadline(self):
+        # Both cones span all five inputs; this demand's backtracking
+        # runs for seconds when nothing polls the deadline.
+        nu, cone = 5, (0, 1, 2, 3, 4)
+        shape = _shape(nu, cone, cone)
+        assert shape.shared_info() is None
+        gv = composed_demand(random.Random(0), shape)
+        engine = make_engine(nu)
+        engine.bind(Deadline(0.2))
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            engine.decompositions_pairs(gv, engine.pair_info(cone, cone))
+        assert time.perf_counter() - started < 2.0
+        assert engine.cached_queries == 0  # an aborted solve is not kept
+
+    def test_wide_private_side_answers_are_exact(self):
+        nu, cone_a, cone_b = 6, (0, 1, 2, 3, 4, 5), (4, 5)
+        shape = _shape(nu, cone_a, cone_b)
+        assert shape.shared_info() is None
+        engine = make_engine(nu)
+        found = 0
+        for seed in (0, 3, 4, 8):  # demands that solve in milliseconds
+            g_v = TruthTable(composed_demand(random.Random(seed), shape), nu)
+            facs = engine.decompositions(g_v, cone_a, cone_b)
+            for fac in facs:
+                check_factorization(fac, g_v, nu)
+            found += bool(facs)
+        assert found
 
 
 class TestCanonicalMode:
@@ -287,8 +330,15 @@ class TestPrunes:
             assert fac.g_b.support_size() > 1
 
     def test_caching_returns_same_object(self):
-        engine = make_engine(3)
-        f = parity(3)
-        first = engine.decompositions(f, (0, 1), (1, 2))
-        second = engine.decompositions(f, (0, 1), (1, 2))
-        assert first is second
+        """A repeated query is answered from the query memo.  The demand
+        has solutions: an empty answer is CPython's one empty tuple, so
+        ``is`` would hold without any memo."""
+        engine = make_engine(4)
+        f = from_hex("8ff8", 4)
+        pair = engine.pair_info((0, 1), (2, 3))
+        first = engine.decompositions_pairs(f.bits, pair)
+        queries = engine.cached_queries
+        second = engine.decompositions_pairs(f.bits, pair)
+        assert first
+        assert second is first
+        assert engine.cached_queries == queries
