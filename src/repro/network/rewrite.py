@@ -22,6 +22,7 @@ from ..chain.chain import BooleanChain
 from ..chain.costs import COST_MODELS
 from ..chain.transform import trivial_chain
 from ..core.database import NPNDatabase
+from ..truthtable.table import TruthTable
 from .cuts import Cut, cut_function, enumerate_cuts
 from .network import LogicNetwork
 
@@ -71,11 +72,16 @@ class RewriteResult:
 class StoreRewriteResult(RewriteResult):
     """A :func:`rewrite_with_store` pass, with its store traffic.
 
-    ``synthesis_calls`` counts cuts that actually reached a synthesis
-    engine — a warm store replays the same rewrite with this at zero.
-    ``verified`` reports the pass-level packed-simulation equivalence
-    check (the pass is rolled back when it fails, and skipped —
-    reported False — above the 16-PI simulation cap).
+    ``store_hits`` counts cuts answered by the store, directly or
+    through the pass's memo of a store answer; ``store_misses`` counts
+    the rest, except cuts whose function needs no gate, which count in
+    neither.  ``synthesis_calls`` counts executor runs that did not
+    come back from the store, so a repeat of a failed function is a
+    miss but not a call — a warm store replays the same rewrite with
+    this at zero.  ``verified`` reports the pass-level
+    packed-simulation equivalence check (the pass is rolled back when
+    it fails, and skipped — reported False — above the 16-PI
+    simulation cap).
     """
 
     store_hits: int = 0
@@ -86,20 +92,21 @@ class StoreRewriteResult(RewriteResult):
 
 def _rewrite_pass(
     network: LogicNetwork,
-    chain_source: Callable[..., "Sequence[BooleanChain] | None"],
+    choose: Callable[[TruthTable], BooleanChain | None],
     *,
     cut_size: int,
-    cost: Callable[[BooleanChain], float],
     max_cuts_per_node: int,
     zero_gain: bool,
     result: RewriteResult,
 ) -> None:
     """The shared DAG-aware replacement loop (in place).
 
-    ``chain_source(local)`` maps a cut's local function to candidate
-    chains (or None); the loop picks the cheapest by ``cost``, prices
-    the replacement by MFFC-above-the-cut, and commits the best
-    positive-gain choice per node.
+    ``choose(local)`` maps a cut's local function (leaf ``i`` is
+    variable ``i``) to the chain to splice, or None; the loop prices
+    the replacement by MFFC-above-the-cut and commits the best
+    positive-gain choice per node.  The network does not change inside
+    a node's cut loop, so the node's MFFC is computed once, on its
+    first cut with a chain.
     """
     cut_sets = enumerate_cuts(
         network, k=cut_size, max_cuts_per_node=max_cuts_per_node
@@ -109,21 +116,22 @@ def _rewrite_pass(
         if node.is_pi or node.dead:
             continue
         best_choice: tuple[int, BooleanChain, Cut] | None = None
+        mffc: set[int] | None = None
         for cut in cut_sets.get(uid, []):
             if cut.size < 2 or cut.leaves == (uid,):
                 continue
             if any(network.node(l).dead for l in cut.leaves):
                 continue
             result.cuts_tried += 1
-            local = cut_function(network, cut)
-            chains = chain_source(local)
-            if not chains:
+            chain = choose(cut_function(network, cut))
+            if chain is None:
                 continue
-            chain = min(chains, key=cost)
+            if mffc is None:
+                mffc = network.mffc(uid)
             # Only the part of the MFFC strictly above the cut leaves
             # actually dies (logic below stays alive through them).
             cone = _cone_above(network, uid, cut.leaves)
-            saved = len(network.mffc(uid) & cone)
+            saved = len(mffc & cone)
             added = chain.num_gates
             gain = saved - added
             if gain > 0 or (zero_gain and gain == 0):
@@ -178,11 +186,15 @@ def rewrite_network(
         gates_before=network.num_gates(),
         gates_after=network.num_gates(),
     )
+
+    def choose(local):
+        chains = db.lookup(local)
+        return min(chains, key=cost) if chains else None
+
     _rewrite_pass(
         network,
-        db.lookup,
+        choose,
         cut_size=cut_size,
-        cost=cost,
         max_cuts_per_node=max_cuts_per_node,
         zero_gain=zero_gain,
         result=result,
@@ -212,6 +224,14 @@ def rewrite_with_store(
     which writes the fresh optimum back — so a benchmark suite warms
     the store once and every later pass over any circuit sharing the
     same NPN classes replays with **zero** synthesis calls.
+
+    Each distinct cut function is resolved once per pass: the chain
+    picked by ``tie_break`` from a store answer, and a failed run
+    (timeout, crash, infeasible or a degraded upper bound), serve
+    every later cut with the same truth table without another
+    executor run, store lookup or cost pick.  A function an engine
+    just synthesized is looked up again at its next cut, which reads
+    the store's merged row.
 
     The pass runs on ``network.copy()``; with ``verify`` the rewritten
     copy's packed simulation is compared output-for-output against the
@@ -260,27 +280,47 @@ def rewrite_with_store(
         gates_after=network.num_gates(),
     )
 
-    def chain_source(local):
+    # The store is written only after a miss, and a function it
+    # answered is never missed again in this pass, so no memoized store
+    # answer goes stale.
+    memo: dict[tuple[int, int], BooleanChain | None] = {}
+
+    def choose(local):
         trivial = trivial_chain(local)
         if trivial is not None:
-            return [trivial]
+            return trivial
+        key = (local.bits, local.num_vars)
+        if key in memo:
+            chain = memo[key]
+            if chain is None:
+                result.store_misses += 1
+            else:
+                result.store_hits += 1
+            return chain
         outcome = executor.run(local, timeout_per_cut)
-        solved = outcome.status == "ok" and outcome.result is not None
-        # A failure may degrade to a stored upper bound, which is not
-        # a hit: only a solved outcome served from the store counts.
-        if solved and outcome.engine == "store":
+        # A failed run is remembered because a repeat would spend the
+        # same budget again.  A failure may degrade to a stored upper
+        # bound, which is not a hit: only a solved outcome served from
+        # the store counts.
+        if outcome.status != "ok" or outcome.result is None:
+            result.store_misses += 1
+            result.synthesis_calls += 1
+            memo[key] = None
+            return None
+        chain = min(outcome.result.chains, key=cost)
+        if outcome.engine == "store":
             result.store_hits += 1
+            memo[key] = chain
         else:
             result.store_misses += 1
             result.synthesis_calls += 1
-        return outcome.result.chains if solved else None
+        return chain
 
     working = network.copy()
     _rewrite_pass(
         working,
-        chain_source,
+        choose,
         cut_size=cut_size,
-        cost=cost,
         max_cuts_per_node=max_cuts_per_node,
         zero_gain=zero_gain,
         result=result,

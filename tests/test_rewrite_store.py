@@ -4,6 +4,7 @@ network round trips."""
 from pathlib import Path
 
 from repro.chain import merge_chains_shared
+from repro.chain.transform import trivial_chain
 from repro.core import synthesize_all
 from repro.network import (
     LogicNetwork,
@@ -12,6 +13,8 @@ from repro.network import (
     rewrite_with_store,
 )
 from repro.network.cli import main as rewrite_main
+from repro.network.cuts import cut_function
+from repro.runtime.executor import ExecutionOutcome
 from repro.store import ChainStore
 from repro.truthtable import TruthTable, from_hex
 
@@ -19,6 +22,19 @@ AND = TruthTable(0x8, 2)
 OR = TruthTable(0xE, 2)
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "benchmarks" / "circuits"
+
+#: Cold-pass gate counts of the checked-in suite, before -> after.
+SUITE_COLD_GATES = {
+    "fulladder_naive": (9, 6),
+    "maj3_redundant": (9, 4),
+    "mux41_redundant": (18, 9),
+    "xor4_redundant": (8, 4),
+}
+
+
+def store_lookups(store):
+    counters = store.counters()
+    return counters["hits"] + counters["misses"]
 
 
 def redundant_maj():
@@ -102,7 +118,7 @@ class TestRewriteWithStore:
     def test_checked_in_suite_is_reducible(self, tmp_path):
         paths = sorted(CIRCUITS.glob("*.blif"))
         assert paths, "benchmarks/circuits/ suite is missing"
-        gains = []
+        gates = {}
         with ChainStore(tmp_path / "s.db") as store:
             for path in paths:
                 net = blif_to_network(path.read_text())
@@ -110,8 +126,79 @@ class TestRewriteWithStore:
                     net, store, timeout_per_cut=60.0
                 )
                 assert result.verified, path.name
-                gains.append(result.gain)
-        assert any(g > 0 for g in gains)
+                gates[path.stem] = (result.gates_before, result.gates_after)
+        assert gates == SUITE_COLD_GATES
+
+    def test_warm_pass_looks_up_each_cut_function_once(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.network.rewrite as rewrite_mod
+
+        seen = []
+
+        def recording_cut_function(network, cut):
+            local = cut_function(network, cut)
+            seen.append(local)
+            return local
+
+        monkeypatch.setattr(
+            rewrite_mod, "cut_function", recording_cut_function
+        )
+        lookups = {}
+        with ChainStore(tmp_path / "s.db") as store:
+            for name in SUITE_COLD_GATES:
+                text = (CIRCUITS / f"{name}.blif").read_text()
+                cold = blif_to_network(text)
+                rewrite_with_store(cold, store, timeout_per_cut=60.0)
+                warm = blif_to_network(text)
+                seen.clear()
+                before = store_lookups(store)
+                result = rewrite_with_store(
+                    warm, store, timeout_per_cut=60.0
+                )
+                lookups[name] = store_lookups(store) - before
+                distinct = {
+                    (local.bits, local.num_vars)
+                    for local in seen
+                    if trivial_chain(local) is None
+                }
+                assert lookups[name] == len(distinct), name
+                assert result.store_hits == result.cuts_tried, name
+                assert network_to_blif(warm) == network_to_blif(cold), name
+        assert lookups == {
+            "fulladder_naive": 7,
+            "maj3_redundant": 9,
+            "mux41_redundant": 11,
+            "xor4_redundant": 8,
+        }
+
+    def test_failed_cut_function_runs_once_per_pass(self):
+        class TimingOutExecutor:
+            """Times out on every function, counting its runs."""
+
+            calls = 0
+
+            def run(self, function, timeout=None, **kwargs):
+                self.calls += 1
+                return ExecutionOutcome(
+                    function_hex=function.to_hex(),
+                    num_vars=function.num_vars,
+                    status="timeout",
+                )
+
+        net = blif_to_network(
+            (CIRCUITS / "maj3_redundant.blif").read_text()
+        )
+        original = network_to_blif(net)
+        executor = TimingOutExecutor()
+        result = rewrite_with_store(net, None, executor=executor)
+        assert executor.calls == 9
+        assert result.cuts_tried == 38
+        assert result.store_misses == result.cuts_tried
+        assert result.store_hits == 0
+        assert result.synthesis_calls == 9
+        assert result.verified
+        assert network_to_blif(net) == original
 
 
 class TestRewriteCLI:
