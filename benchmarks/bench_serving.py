@@ -24,10 +24,8 @@ Two serving modes:
   merged counters come from ``/metrics/all``, and the bench requires
   a clean exit-0 SIGTERM drain at the end.
 
-The load can carry a priority mix (``--priority-mix
-high=0.2,normal=0.6,low=0.2``) and per-request deadlines
-(``--deadline-ms`` on a ``--deadline-fraction`` slice) — per-band
-client latency is reported, and a 504 on a deadline'd request counts
+The load can carry per-request deadlines (``--deadline-ms`` on a
+``--deadline-fraction`` slice) — a 504 on a deadline'd request counts
 as *deadline-expired*, not a failure (that is the contract working,
 not breaking).
 
@@ -83,18 +81,6 @@ def _random_orbit_member(rng, table):
     return transform.apply(table)
 
 
-def _parse_priority_mix(text):
-    """``high=0.2,normal=0.6,low=0.2`` → ([bands], [weights])."""
-    bands, weights = [], []
-    for part in text.split(","):
-        name, _, weight = part.partition("=")
-        bands.append(name.strip())
-        weights.append(float(weight) if weight else 1.0)
-    if not bands or all(w <= 0 for w in weights):
-        raise ValueError(f"bad --priority-mix {text!r}")
-    return bands, weights
-
-
 async def _post_json(host, port, path, payload, timeout):
     """One HTTP POST on its own connection; returns (status, body)."""
     reader, writer = await asyncio.open_connection(host, port)
@@ -143,7 +129,6 @@ async def _load(args, host, port):
     """Warm the store, fire the Zipf load, scrape server counters."""
     rng = random.Random(args.seed)
     reps = npn_classes(args.vars)
-    bands, band_weights = _parse_priority_mix(args.priority_mix)
 
     warm_count = max(1, int(round(len(reps) * args.warm_fraction)))
     warm_started = time.perf_counter()
@@ -167,36 +152,32 @@ async def _load(args, host, port):
     )
 
     # The load population: Zipf-skewed class choice, random orbit
-    # member per request, priority drawn from the mix, deadlines on a
-    # slice of the stream.
+    # member per request, deadlines on a slice of the stream.
     weights = _zipf_weights(len(reps), args.skew)
     picks = rng.choices(range(len(reps)), weights, k=args.requests)
     population = []
     for index in picks:
         table = _random_orbit_member(rng, reps[index])
-        priority = rng.choices(bands, band_weights)[0]
         deadline = (
             args.deadline_ms
             if args.deadline_ms > 0
             and rng.random() < args.deadline_fraction
             else None
         )
-        population.append((table, priority, deadline))
+        population.append((table, deadline))
 
     gate = asyncio.Semaphore(args.concurrency)
     latencies = []
-    by_band = {band: [] for band in bands}
     failures = []
     bad_chains = []
     statuses = {}
     expired = [0]
 
-    async def one(table, priority, deadline):
+    async def one(table, deadline):
         payload = {
             "function": table.to_hex(),
             "vars": args.vars,
             "max_chains": 1,
-            "priority": priority,
         }
         if deadline is not None:
             payload["deadline_ms"] = deadline
@@ -215,7 +196,6 @@ async def _load(args, host, port):
                 return
             elapsed = time.perf_counter() - started
             latencies.append(elapsed)
-            by_band[priority].append(elapsed)
         statuses[status] = statuses.get(status, 0) + 1
         if (
             deadline is not None
@@ -261,7 +241,6 @@ async def _load(args, host, port):
         "concurrency": args.concurrency,
         "procs": args.procs,
         "zipf_skew": args.skew,
-        "priority_mix": args.priority_mix,
         "deadline_ms": args.deadline_ms,
         "deadline_fraction": args.deadline_fraction,
         "seed": args.seed,
@@ -272,15 +251,6 @@ async def _load(args, host, port):
             "p50": round(_percentile(latencies, 0.50) * 1000, 3),
             "p90": round(_percentile(latencies, 0.90) * 1000, 3),
             "p99": round(_percentile(latencies, 0.99) * 1000, 3),
-        },
-        "latency_by_priority_ms": {
-            band: {
-                "count": len(values),
-                "p50": round(_percentile(values, 0.50) * 1000, 3),
-                "p99": round(_percentile(values, 0.99) * 1000, 3),
-            }
-            for band, values in by_band.items()
-            if values
         },
         "statuses": {str(k): v for k, v in sorted(statuses.items())},
         "deadline_expired": expired[0],
@@ -295,9 +265,7 @@ async def _load(args, host, port):
 
 async def _drive_inprocess(args):
     store = ChainStore(args.store)
-    scheduler = BatchScheduler({}, args.jobs, queue_depth=0).start(
-        recycle_after=500
-    )
+    scheduler = BatchScheduler({}, args.jobs, queue_depth=0).start()
     service = SynthesisService(
         scheduler,
         store=store,
@@ -414,11 +382,6 @@ def main(argv=None):
     )
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
-        "--priority-mix",
-        default="normal=1.0",
-        help="band=weight list, e.g. high=0.2,normal=0.6,low=0.2",
-    )
-    parser.add_argument(
         "--deadline-ms",
         type=float,
         default=0.0,
@@ -480,13 +443,6 @@ def main(argv=None):
         f"hits={report['hit_ratio']} "
         f"expired={report['deadline_expired']}"
     )
-    for band, window in sorted(
-        report["latency_by_priority_ms"].items()
-    ):
-        print(
-            f"  {band}: n={window['count']} "
-            f"p50={window['p50']}ms p99={window['p99']}ms"
-        )
     print(f"wrote {args.json}")
 
     failed = []

@@ -3,21 +3,21 @@
 The scheduler (:mod:`~repro.parallel.scheduler`) shards suite
 instances across ``jobs`` concurrent fault-tolerant executors — each
 instance still runs in its own isolated, rlimit-capped worker process
-with a hard wall-clock kill — with a bounded work queue,
+with a hard wall-clock kill — with a bounded FIFO work queue,
 longest-expected-first dispatch, per-worker fault accounting, and live
 progress (:mod:`~repro.parallel.progress`).  ``run_suite(jobs=N)``,
 ``repro-table1 --jobs N``, and the ``repro-batch`` CLI
 (:mod:`~repro.parallel.cli`) all drive it.
 """
 
-from .dispatch import (
-    PRIORITY_BANDS,
-    DeadlineExpired,
-    DispatchQueue,
-    normalize_priority,
-)
 from .progress import ProgressReporter
-from .scheduler import BatchScheduler, BatchTask, WorkerStats, expected_cost
+from .scheduler import (
+    BatchScheduler,
+    BatchTask,
+    DeadlineExpired,
+    WorkerStats,
+    expected_cost,
+)
 
 __all__ = [
     "BatchScheduler",
@@ -25,8 +25,5 @@ __all__ = [
     "WorkerStats",
     "expected_cost",
     "ProgressReporter",
-    "DispatchQueue",
     "DeadlineExpired",
-    "PRIORITY_BANDS",
-    "normalize_priority",
 ]

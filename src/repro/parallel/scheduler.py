@@ -28,10 +28,11 @@ The scheduler has two lifecycles sharing one dispatch core:
   :meth:`shutdown`): the serving API.  Dispatcher threads stay alive
   across requests — no per-call pool spin-up — and each
   :meth:`submit` returns a :class:`concurrent.futures.Future` that an
-  async front-end can await.  Dispatchers are **recycled** after
-  ``recycle_after`` tasks (the thread exits and a fresh one takes over
-  its slot) so reference leaks in engine code can never accumulate
-  over a long-lived process.
+  async front-end can await.
+
+The core is one FIFO work queue: dispatchers run jobs in submit order
+and answer a job with :class:`DeadlineExpired`, without running it,
+when its deadline has lapsed by the time it is popped.
 """
 
 from __future__ import annotations
@@ -46,22 +47,21 @@ from typing import Callable, Mapping, Sequence
 
 from ..runtime.executor import ExecutionOutcome
 from ..truthtable.table import TruthTable
-from .dispatch import (
-    PRIORITY_BANDS,
-    SENTINEL_BAND,
-    DeadlineExpired,
-    DispatchQueue,
-)
 from .progress import ProgressReporter
 
 __all__ = [
     "BatchTask",
     "WorkerStats",
     "BatchScheduler",
+    "DeadlineExpired",
     "expected_cost",
 ]
 
 _SENTINEL = None
+
+
+class DeadlineExpired(Exception):
+    """A queued job's deadline lapsed before a worker picked it up."""
 
 
 @dataclass(frozen=True)
@@ -82,12 +82,7 @@ class BatchTask:
 
 @dataclass
 class WorkerStats:
-    """Per-dispatcher-slot fault/timeout accounting.
-
-    A slot survives thread recycling: the replacement dispatcher keeps
-    accumulating into the same record, so per-slot totals describe the
-    slot's whole service life, not one thread incarnation.
-    """
+    """Per-dispatcher-slot fault/timeout accounting."""
 
     worker: int
     tasks: int = 0
@@ -99,8 +94,6 @@ class WorkerStats:
     degraded: int = 0
     #: Queued jobs answered as deadline-expired without executing.
     expired: int = 0
-    #: Times this slot's dispatcher thread was recycled.
-    recycled: int = 0
     busy_seconds: float = 0.0
 
     def record(self, outcome: ExecutionOutcome, seconds: float) -> None:
@@ -131,7 +124,6 @@ class WorkerStats:
             "crashes": self.crashes,
             "degraded": self.degraded,
             "expired": self.expired,
-            "recycled": self.recycled,
             "busy_seconds": round(self.busy_seconds, 6),
         }
 
@@ -152,21 +144,19 @@ def expected_cost(function: TruthTable) -> tuple[int, int]:
 class _Job:
     """One queued unit of dispatcher work."""
 
-    __slots__ = ("label", "fn", "future", "task", "band", "deadline")
+    __slots__ = ("label", "fn", "future", "task", "deadline")
 
     def __init__(
         self,
         label: str,
         fn: Callable[[], ExecutionOutcome],
         task: BatchTask | None = None,
-        band: int = PRIORITY_BANDS["normal"],
         deadline: float | None = None,
     ) -> None:
         self.label = label
         self.fn = fn
         self.future: Future = Future()
         self.task = task
-        self.band = band
         self.deadline = deadline
 
 
@@ -225,13 +215,15 @@ class BatchScheduler:
         self._complete_lock = threading.Lock()
         self.worker_stats: list[WorkerStats] = []
         # Resident-pool state (all None/empty until start()).
-        self._queue: DispatchQueue | None = None
-        self._threads: dict[int, threading.Thread] = {}
-        self._threads_lock = threading.Lock()
+        self._queue: queue.Queue | None = None
+        self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
         self._accepting = False
+        #: Held while a job is checked in and queued, and while
+        #: shutdown() stops accepting: every accepted job is queued
+        #: before the first shutdown sentinel.
+        self._admit_lock = threading.Lock()
         self._stop_on_error = False
-        self._recycle_after: int | None = None
         self._errors: list[BaseException] = []
         self._pending = 0
         self._pending_cv = threading.Condition()
@@ -249,51 +241,35 @@ class BatchScheduler:
         """Number of dispatcher slots."""
         return self._jobs
 
-    def start(
-        self,
-        *,
-        recycle_after: int | None = None,
-        stop_on_error: bool = False,
-    ) -> "BatchScheduler":
+    def start(self, *, stop_on_error: bool = False) -> "BatchScheduler":
         """Bring up the resident dispatcher pool.
 
-        ``recycle_after`` replaces each dispatcher thread after it has
-        handled that many tasks (leak hygiene for week-long serving
-        processes).  ``stop_on_error`` is the one-shot suite semantic —
-        the first executor exception cancels everything still queued;
-        resident serving leaves it off so one poisoned request cannot
-        take the pool down.
+        ``stop_on_error`` is the one-shot suite semantic — the first
+        executor exception cancels everything still queued; resident
+        serving leaves it off so one poisoned request cannot take the
+        pool down.
         """
         if self.started:
             raise RuntimeError("scheduler already started")
-        if recycle_after is not None and recycle_after < 1:
-            raise ValueError("recycle_after must be >= 1")
-        self._queue = DispatchQueue(maxsize=self._queue_depth)
+        self._queue = queue.Queue(maxsize=self._queue_depth)
         self._stop = threading.Event()
         self._accepting = True
         self._stop_on_error = stop_on_error
-        self._recycle_after = recycle_after
         self._errors = []
         self._pending = 0
         self.worker_stats = [WorkerStats(i) for i in range(self._jobs)]
-        with self._threads_lock:
-            for slot in range(self._jobs):
-                self._spawn(slot)
+        self._threads = [
+            threading.Thread(
+                target=self._dispatch,
+                args=(slot,),
+                name=f"batch-worker-{slot}",
+                daemon=True,
+            )
+            for slot in range(self._jobs)
+        ]
+        for thread in self._threads:
+            thread.start()
         return self
-
-    def _spawn(self, slot: int) -> None:
-        """Start (or replace) the dispatcher thread for ``slot``.
-
-        Caller holds ``_threads_lock``.
-        """
-        thread = threading.Thread(
-            target=self._dispatch,
-            args=(slot,),
-            name=f"batch-worker-{slot}",
-            daemon=True,
-        )
-        self._threads[slot] = thread
-        thread.start()
 
     def submit(self, task: BatchTask) -> Future:
         """Queue one batch task; returns a future for its outcome.
@@ -319,7 +295,6 @@ class BatchScheduler:
         label: str,
         fn: Callable[[], ExecutionOutcome],
         *,
-        priority: int = PRIORITY_BANDS["normal"],
         deadline: float | None = None,
     ) -> Future:
         """Queue an arbitrary synthesis closure on the pool.
@@ -330,16 +305,12 @@ class BatchScheduler:
         requests.  ``fn`` runs on a dispatcher thread and its return
         value resolves the future.
 
-        ``priority`` is a dispatch band (smaller = dispatched first)
-        and ``deadline`` an absolute ``time.monotonic()`` instant: the
-        queue dispatches earliest-deadline-first within a band, and a
-        job still queued past its deadline resolves its future with
-        :class:`~repro.parallel.dispatch.DeadlineExpired` without ever
+        ``deadline`` is an absolute ``time.monotonic()`` instant: a
+        job whose deadline has lapsed when a dispatcher pops it
+        resolves its future with :class:`DeadlineExpired` without ever
         occupying a worker.
         """
-        return self._enqueue(
-            _Job(label, fn, band=priority, deadline=deadline)
-        )
+        return self._enqueue(_Job(label, fn, deadline=deadline))
 
     def _enqueue(self, job: _Job) -> Future:
         work = self._queue
@@ -351,19 +322,16 @@ class BatchScheduler:
         # responsive to shutdown — a dead pool must not wedge callers
         # on a full queue.
         while True:
-            if self._stop.is_set():
-                self._cancel_job(job)
-                return job.future
-            try:
-                work.put(
-                    job,
-                    band=job.band,
-                    deadline=job.deadline,
-                    timeout=0.1,
-                )
-                return job.future
-            except queue.Full:
-                continue
+            with self._admit_lock:
+                if self._stop.is_set() or not self._accepting:
+                    break
+                try:
+                    work.put(job, timeout=0.1)
+                    return job.future
+                except queue.Full:
+                    continue
+        self._cancel_job(job)
+        return job.future
 
     def backlog(self) -> int:
         """Jobs submitted but not yet finished (queued + in flight)."""
@@ -402,37 +370,27 @@ class BatchScheduler:
         work = self._queue
         if work is None:
             return
-        self._accepting = False
+        with self._admit_lock:
+            self._accepting = False
         if cancel_queued:
             self._stop.set()
             self._cancel_queued(work)
-        # One sentinel per slot; recycling is disabled once accepting
-        # is off, so each sentinel retires exactly one dispatcher.
-        # Sentinels ride the lowest-urgency band so dispatchers only
-        # see them once every real job has been worked off.
+        # One sentinel per slot, queued behind every accepted job, so
+        # dispatchers exit only once the queue is worked off.
         for _ in range(self._jobs):
             while True:
                 try:
-                    work.put(
-                        _SENTINEL, band=SENTINEL_BAND, timeout=0.1
-                    )
+                    work.put(_SENTINEL, timeout=0.1)
                     break
                 except queue.Full:  # pragma: no cover - timing dependent
                     if self._stop.is_set():
                         self._cancel_queued(work)
-        while True:
-            with self._threads_lock:
-                threads = list(self._threads.values())
-            alive = [t for t in threads if t.is_alive()]
-            if not alive:
-                break
-            for thread in alive:
-                thread.join(timeout=0.2)
-        with self._threads_lock:
-            self._threads.clear()
+        for thread in self._threads:
+            thread.join()
+        self._threads = []
         self._queue = None
 
-    def _cancel_queued(self, work: DispatchQueue) -> None:
+    def _cancel_queued(self, work: queue.Queue) -> None:
         """Drop queued jobs, cancelling their futures."""
         while True:
             try:
@@ -535,11 +493,14 @@ class BatchScheduler:
     def _dispatch(self, slot: int) -> None:
         stats = self.worker_stats[slot]
         work = self._queue
-        handled = 0
         while True:
-            job, lapsed = work.get()
+            job = work.get()
             if job is _SENTINEL:
                 return
+            lapsed = (
+                job.deadline is not None
+                and time.monotonic() >= job.deadline
+            )
             if self._stop.is_set():
                 self._cancel_job(job)
                 continue  # drain without executing
@@ -599,18 +560,3 @@ class BatchScheduler:
                     self._progress.tick(job.label, status, slot)
             job.future.set_result(outcome)
             self._job_done()
-            handled += 1
-            if (
-                self._recycle_after is not None
-                and handled >= self._recycle_after
-                and self._accepting
-                and not self._stop.is_set()
-            ):
-                stats.recycled += 1
-                with self._threads_lock:
-                    # Shutdown may have flipped _accepting since the
-                    # check; a sentinel posted before the replacement
-                    # starts is still consumed by it, so the handoff
-                    # is race-free either way.
-                    self._spawn(slot)
-                return

@@ -8,12 +8,13 @@ HTTP + JSON API (``repro-serve``).  Requests are canonicalized to
 their (joint) NPN class, concurrent duplicates coalesce onto one
 in-flight synthesis, warm classes are served straight from the store
 through the caller's inverse transform, and misses run on the
-persistent dispatcher pool.
+persistent dispatcher pool in arrival order.  A request may carry a
+deadline; one that lapses before a worker takes it is answered 504
+without running.
 """
 
 from .metrics import ServingMetrics
 from .multiproc import SiblingRegistry, reserve_port, supervise
-from .prometheus import render_prometheus
 from .ratelimit import RateLimiter, TokenBucket
 from .server import SynthesisServer
 from .service import SynthesisRequest, SynthesisResponse, SynthesisService
@@ -23,7 +24,6 @@ __all__ = [
     "SiblingRegistry",
     "reserve_port",
     "supervise",
-    "render_prometheus",
     "RateLimiter",
     "TokenBucket",
     "SynthesisServer",

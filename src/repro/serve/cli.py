@@ -126,19 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         "answered 503 immediately and closed (default: 512)",
     )
     parser.add_argument(
-        "--max-conn-requests",
-        type=int,
-        default=1000,
-        help="pipelined requests one connection may send before the "
-        "server forces Connection: close (default: 1000)",
-    )
-    parser.add_argument(
-        "--recycle-after",
-        type=int,
-        default=1000,
-        help="recycle each dispatcher thread after N tasks (0 = never)",
-    )
-    parser.add_argument(
         "--drain-timeout",
         type=float,
         default=30.0,
@@ -169,10 +156,7 @@ async def _amain(
     engines = tuple(DEFAULT_FALLBACK_CHAIN)
     if args.engine:
         engines = tuple(dict.fromkeys((args.engine,) + engines))
-    scheduler = BatchScheduler({}, args.jobs, queue_depth=0)
-    scheduler.start(
-        recycle_after=args.recycle_after or None, stop_on_error=False
-    )
+    scheduler = BatchScheduler({}, args.jobs, queue_depth=0).start()
     limiter = RateLimiter(
         args.rate,
         args.burst
@@ -194,8 +178,6 @@ async def _amain(
         port=args.port,
         rate_limiter=limiter,
         max_connections=args.max_connections,
-        max_requests_per_conn=args.max_conn_requests,
-        pause_accept_on_drain=reuse_port,
         registry=registry,
         proc_index=proc_index,
     )

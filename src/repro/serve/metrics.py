@@ -75,7 +75,6 @@ class ServingMetrics:
 
     def __init__(self, *, window: int = 4096, clock=time.monotonic) -> None:
         self._clock = clock
-        self._window = window
         self.started_at = clock()
         self.requests = 0
         self.store_hits = 0
@@ -88,6 +87,9 @@ class ServingMetrics:
         self.draining_rejected = 0
         self.bad_requests = 0
         self.verify_failures = 0
+        #: Warm-path store lookups that raised; each such request went
+        #: on to the engine path.
+        self.store_errors = 0
         #: Requests answered 504 because their deadline lapsed (at
         #: admission, in the dispatch queue, or awaiting a coalesced
         #: in-flight synthesis) — none of them occupied a worker.
@@ -95,28 +97,10 @@ class ServingMetrics:
         #: Connections refused 503 at accept because the concurrent
         #: socket cap was already full.
         self.connections_shed = 0
-        #: Connections closed because they hit the per-connection
-        #: pipelined-request cap.
-        self.pipeline_closed = 0
         #: Live socket gauge + high-water mark.
         self.connections_active = 0
         self.connections_peak = 0
         self.latency = LatencyWindow(window)
-        #: Per-priority-band latency windows, keyed by band label
-        #: ("high"/"normal"/"low"/"band<N>"), created lazily.
-        self.latency_by_priority: dict[str, LatencyWindow] = {}
-
-    def observe_latency(
-        self, seconds: float, priority: str | None = None
-    ) -> None:
-        self.latency.observe(seconds)
-        if priority is not None:
-            window = self.latency_by_priority.get(priority)
-            if window is None:
-                window = self.latency_by_priority[priority] = (
-                    LatencyWindow(self._window)
-                )
-            window.observe(seconds)
 
     def connection_opened(self) -> None:
         self.connections_active += 1
@@ -141,16 +125,6 @@ class ServingMetrics:
             return 0.0
         return self.store_hits / self.requests
 
-    @staticmethod
-    def _latency_record(window: LatencyWindow) -> dict:
-        return {
-            "count": window.count,
-            "mean": round(window.mean() * 1000.0, 3),
-            "p50": round(window.percentile(50) * 1000.0, 3),
-            "p90": round(window.percentile(90) * 1000.0, 3),
-            "p99": round(window.percentile(99) * 1000.0, 3),
-        }
-
     def to_record(
         self, *, queue_depth: int = 0, inflight_classes: int = 0
     ) -> dict:
@@ -168,20 +142,20 @@ class ServingMetrics:
             "draining_rejected": self.draining_rejected,
             "bad_requests": self.bad_requests,
             "verify_failures": self.verify_failures,
+            "store_errors": self.store_errors,
             "expired": self.expired,
             "connections_shed": self.connections_shed,
-            "pipeline_closed": self.pipeline_closed,
             "connections_active": self.connections_active,
             "connections_peak": self.connections_peak,
             "coalesce_ratio": round(self.coalesce_ratio, 4),
             "hit_ratio": round(self.hit_ratio, 4),
             "queue_depth": queue_depth,
             "inflight_classes": inflight_classes,
-            "latency_ms": self._latency_record(self.latency),
-            "latency_by_priority_ms": {
-                band: self._latency_record(window)
-                for band, window in sorted(
-                    self.latency_by_priority.items()
-                )
+            "latency_ms": {
+                "count": self.latency.count,
+                "mean": round(self.latency.mean() * 1000.0, 3),
+                "p50": round(self.latency.percentile(50) * 1000.0, 3),
+                "p90": round(self.latency.percentile(90) * 1000.0, 3),
+                "p99": round(self.latency.percentile(99) * 1000.0, 3),
             },
         }

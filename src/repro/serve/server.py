@@ -15,9 +15,7 @@ four routes:
     504 without the request ever having occupied a worker.
 ``GET /metrics``
     The merged counter snapshot (:meth:`SynthesisService
-    .metrics_snapshot`), content-negotiated: JSON by default,
-    Prometheus text exposition when the ``Accept`` header asks for
-    ``text/plain`` (what a Prometheus scraper sends).
+    .metrics_snapshot`) as JSON.
 ``GET /metrics/all``
     Multi-process aggregation: this worker's snapshot merged with
     every registered sibling's (scraped over their admin listeners).
@@ -28,17 +26,14 @@ four routes:
 Backpressure is connection-level and independent of the scheduler's
 backlog shed: at most ``max_connections`` sockets are served
 concurrently (excess connections get an immediate 503 and close —
-fast shedding, no queueing), and one connection may pipeline at most
-``max_requests_per_conn`` requests before the server forces
-``Connection: close`` (so long-lived clients rotate and load spreads
-across multi-process workers).
+fast shedding, no queueing).
 
 Graceful drain: :meth:`SynthesisServer.shutdown` (wired to SIGTERM by
 the CLI) stops admitting synthesis work (503 with ``Connection:
 close``), waits for in-flight requests to finish, drains the
 scheduler, and only then closes the listener — no request is ever
-dropped mid-synthesis.  With ``pause_accept_on_drain`` (the
-multi-process default) the listener closes at drain *start* instead,
+dropped mid-synthesis.  A server started with ``reuse_port`` (the
+multi-process mode) closes its listener at drain *start* instead,
 ejecting the worker from the ``SO_REUSEPORT`` group so the kernel
 routes new connections to its siblings rather than at a 503 wall.
 """
@@ -49,8 +44,6 @@ import asyncio
 import json
 
 from .multiproc import SiblingRegistry, aggregate_snapshots
-from .prometheus import CONTENT_TYPE as _PROM_CONTENT_TYPE
-from .prometheus import render_prometheus
 from .ratelimit import RateLimiter
 from .service import SynthesisRequest, SynthesisService
 
@@ -97,12 +90,6 @@ class _BadRequest(Exception):
     """Unparseable HTTP — the connection is answered 400 and closed."""
 
 
-def _wants_prometheus(accept: str) -> bool:
-    """True when an ``Accept`` header asks for the text exposition."""
-    accept = accept.lower()
-    return "text/plain" in accept or "openmetrics" in accept
-
-
 class SynthesisServer:
     """The resident HTTP front-end.  Owns connections, not the pool."""
 
@@ -114,8 +101,6 @@ class SynthesisServer:
         port: int = 0,
         rate_limiter: RateLimiter | None = None,
         max_connections: int = 512,
-        max_requests_per_conn: int = 1000,
-        pause_accept_on_drain: bool = False,
         registry: SiblingRegistry | None = None,
         proc_index: int = 0,
     ) -> None:
@@ -126,8 +111,9 @@ class SynthesisServer:
             rate_limiter if rate_limiter is not None else RateLimiter(None)
         )
         self._max_connections = max(1, int(max_connections))
-        self._max_requests_per_conn = max(1, int(max_requests_per_conn))
-        self._pause_accept_on_drain = pause_accept_on_drain
+        #: Set by ``start(reuse_port=True)``: a draining worker then
+        #: leaves the listener group so siblings take its connections.
+        self._close_listener_on_drain = False
         self._registry = registry
         self._proc_index = proc_index
         self._server: asyncio.AbstractServer | None = None
@@ -149,6 +135,7 @@ class SynthesisServer:
         and the kernel load-balances accepted connections.
         """
         kwargs = {"reuse_port": True} if reuse_port else {}
+        self._close_listener_on_drain = reuse_port
         self._server = await asyncio.start_server(
             self._handle_connection,
             self._host,
@@ -196,18 +183,15 @@ class SynthesisServer:
     def active_connections(self) -> int:
         return self._service.metrics.connections_active
 
-    def begin_drain(self, *, pause_accept: bool | None = None) -> None:
+    def begin_drain(self) -> None:
         """Stop admitting synthesis work; metrics/health stay up.
 
-        With ``pause_accept`` (default: the constructor's
-        ``pause_accept_on_drain``) the public listener closes now, so
-        new connections go to reuseport siblings instead of being
-        answered 503.  The admin listener always stays up.
+        A server started with ``reuse_port`` closes its public
+        listener now, so new connections go to its siblings instead of
+        being answered 503.  The admin listener always stays up.
         """
         self._draining = True
-        if pause_accept is None:
-            pause_accept = self._pause_accept_on_drain
-        if pause_accept and self._server is not None:
+        if self._close_listener_on_drain and self._server is not None:
             self._server.close()
 
     async def shutdown(self, *, drain_timeout: float = 30.0) -> None:
@@ -289,7 +273,6 @@ class SynthesisServer:
         peer = peername[0] if peername else "unknown"
         metrics.connection_opened()
         self._writers.add(writer)
-        served = 0
         try:
             while True:
                 try:
@@ -309,15 +292,11 @@ class SynthesisServer:
                 status, payload, extra = await self._route(
                     method, path, headers, body, peer
                 )
-                served += 1
                 close = (
                     not keep_alive
                     or status in (400, 413)
                     or bool(extra.pop(_CLOSE, False))
                 )
-                if served >= self._max_requests_per_conn and not close:
-                    metrics.pipeline_closed += 1
-                    close = True
                 await self._respond(
                     writer, status, payload, close=close, extra=extra
                 )
@@ -390,7 +369,7 @@ class SynthesisServer:
         headers: dict[str, str],
         body: bytes,
         peer: str,
-    ) -> tuple[int, dict | str, dict]:
+    ) -> tuple[int, dict, dict]:
         path = path.split("?", 1)[0]
         if path == "/synthesize":
             if method != "POST":
@@ -399,14 +378,7 @@ class SynthesisServer:
         if path == "/metrics":
             if method != "GET":
                 return 405, {"error": "GET required"}, {}
-            snapshot = self._snapshot()
-            if _wants_prometheus(headers.get("accept", "")):
-                return (
-                    200,
-                    render_prometheus(snapshot),
-                    {"Content-Type": _PROM_CONTENT_TYPE},
-                )
-            return 200, snapshot, {}
+            return 200, self._snapshot(), {}
         if path == "/metrics/all":
             if method != "GET":
                 return 405, {"error": "GET required"}, {}
@@ -464,25 +436,18 @@ class SynthesisServer:
         self,
         writer: asyncio.StreamWriter,
         status: int,
-        payload: dict | str,
+        payload: dict,
         *,
         close: bool,
         extra: dict | None = None,
     ) -> None:
         extra = dict(extra) if extra else {}
         extra.pop(_CLOSE, None)
-        if isinstance(payload, str):
-            body = payload.encode("utf-8")
-            content_type = extra.pop(
-                "Content-Type", "text/plain; charset=utf-8"
-            )
-        else:
-            body = json.dumps(payload).encode("utf-8")
-            content_type = extra.pop("Content-Type", "application/json")
+        body = json.dumps(payload).encode("utf-8")
         reason = _REASONS.get(status, "Unknown")
         head = [
             f"HTTP/1.1 {status} {reason}",
-            f"Content-Type: {content_type}",
+            "Content-Type: application/json",
             f"Content-Length: {len(body)}",
             f"Connection: {'close' if close else 'keep-alive'}",
         ]

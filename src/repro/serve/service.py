@@ -7,7 +7,8 @@ same funnel:
 1. **Warm path.**  The persistent :class:`~repro.store.ChainStore` is
    consulted first (in a worker thread — SQLite I/O must not block
    the event loop).  A hit is served immediately through the store's
-   own inverse-NPN rewrite, graded exact.
+   own inverse-NPN rewrite, graded exact.  A lookup that raises is
+   counted in ``store_errors`` and the request goes on as a miss.
 2. **Coalescing.**  A miss is canonicalized to its (joint) NPN class.
    If that class already has a synthesis in flight, the request simply
    awaits the shared future — K concurrent requests for one class cost
@@ -17,7 +18,9 @@ same funnel:
    submitted to the persistent :class:`~repro.parallel.BatchScheduler`
    pool as one :meth:`FaultTolerantExecutor.run
    <repro.runtime.executor.FaultTolerantExecutor.run>` call — the
-   runtime's one resolve path.  Dispatch is health-aware — the shared
+   runtime's one resolve path.  The pool's queue is FIFO; a job whose
+   caller's deadline lapses while it waits is answered ``expired``
+   (HTTP 504) without running.  Dispatch is health-aware — the shared
    :class:`~repro.runtime.health.EngineHealth` breaker picks the lanes
    — and optionally races engines (``race=True``).  Solved results are
    written back to the store, so the whole orbit is warm afterwards.
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import math
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -51,11 +55,7 @@ from ..chain.transform import npn_transform_chain
 from ..core.circuit_sat import verify_chain, verify_chain_outputs
 from ..core.spec import SynthesisStats
 from ..kernels import check_solution_set
-from ..parallel.dispatch import (
-    PRIORITY_BANDS,
-    DeadlineExpired,
-    normalize_priority,
-)
+from ..parallel.scheduler import DeadlineExpired
 from ..runtime.executor import (
     DEFAULT_FALLBACK_CHAIN,
     ExecutionOutcome,
@@ -69,13 +69,6 @@ from ..truthtable.table import TruthTable
 from .metrics import ServingMetrics
 
 __all__ = ["SynthesisRequest", "SynthesisResponse", "SynthesisService"]
-
-_BAND_LABELS = {band: name for name, band in PRIORITY_BANDS.items()}
-
-
-def _band_label(band: int) -> str:
-    """Human label for a priority band (named bands, else ``bandN``)."""
-    return _BAND_LABELS.get(band, f"band{band}")
 
 #: Largest arity a request may carry.  Above this the packed verifier
 #: and the semi-canonical form still work, but table payloads grow as
@@ -98,9 +91,6 @@ class SynthesisRequest:
     timeout: float | None = None
     max_chains: int = 4
     client: str = "anonymous"
-    #: Dispatch band (0 = most urgent); see
-    #: :data:`~repro.parallel.dispatch.PRIORITY_BANDS`.
-    priority: int = PRIORITY_BANDS["normal"]
     #: Absolute ``time.monotonic()`` deadline (``None`` = no deadline),
     #: stamped at parse time from the ``deadline_ms`` request field.
     expire_at: float | None = None
@@ -112,10 +102,6 @@ class SynthesisRequest:
     @property
     def is_multi(self) -> bool:
         return len(self.functions) > 1
-
-    @property
-    def priority_label(self) -> str:
-        return _band_label(self.priority)
 
     def expired(self, now: float | None = None) -> bool:
         """True once the caller's deadline has lapsed."""
@@ -137,12 +123,11 @@ class SynthesisRequest:
 
         Accepts ``{"function": "8ff8", "vars": 4}`` or
         ``{"functions": ["8ff8", "0660"], "vars": 4}`` plus optional
-        ``timeout`` (seconds), ``max_chains``, ``priority`` (band name
-        ``high``/``normal``/``low`` or integer band), and
-        ``deadline_ms`` (milliseconds of budget from *now* — past it
-        the request is answered 504 without occupying a worker).
-        Raises :class:`ValueError` with a client-safe message on any
-        malformed field.
+        ``timeout`` (seconds), ``max_chains`` and ``deadline_ms``
+        (milliseconds of budget from *now* — past it the request is
+        answered 504 without occupying a worker).  Raises
+        :class:`ValueError` with a client-safe message on any
+        malformed field; a budget must be a finite positive number.
         """
         if not isinstance(payload, Mapping):
             raise ValueError("request body must be a JSON object")
@@ -173,15 +158,7 @@ class SynthesisRequest:
             if not isinstance(entry, str):
                 raise ValueError("truth tables must be hex strings")
             tables.append(from_hex(entry, num_vars))
-        timeout = payload.get("timeout")
-        if timeout is not None:
-            if isinstance(timeout, bool) or not isinstance(
-                timeout, (int, float)
-            ):
-                raise ValueError('"timeout" must be a number')
-            timeout = float(timeout)
-            if timeout <= 0:
-                raise ValueError('"timeout" must be positive')
+        timeout = _budget(payload, "timeout")
         max_chains = payload.get("max_chains", 4)
         if (
             isinstance(max_chains, bool)
@@ -189,25 +166,34 @@ class SynthesisRequest:
             or max_chains < 1
         ):
             raise ValueError('"max_chains" must be a positive integer')
-        priority = normalize_priority(payload.get("priority", "normal"))
-        deadline_ms = payload.get("deadline_ms")
+        deadline_ms = _budget(payload, "deadline_ms")
         expire_at = None
         if deadline_ms is not None:
-            if isinstance(deadline_ms, bool) or not isinstance(
-                deadline_ms, (int, float)
-            ):
-                raise ValueError('"deadline_ms" must be a number')
-            if deadline_ms <= 0:
-                raise ValueError('"deadline_ms" must be positive')
-            expire_at = time.monotonic() + float(deadline_ms) / 1000.0
+            expire_at = time.monotonic() + deadline_ms / 1000.0
         return SynthesisRequest(
             functions=tuple(tables),
             timeout=timeout,
             max_chains=min(max_chains, 64),
             client=client,
-            priority=priority,
             expire_at=expire_at,
         )
+
+
+def _budget(payload: Mapping, name: str) -> float | None:
+    """An optional finite positive number field, as a float.
+
+    ``json.loads`` accepts ``NaN`` and ``Infinity``, which RFC 8259
+    JSON does not; neither is a budget, so both are rejected.
+    """
+    value = payload.get(name)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f'"{name}" must be a number')
+    value = float(value)
+    if not math.isfinite(value) or value <= 0:
+        raise ValueError(f'"{name}" must be a finite positive number')
+    return value
 
 
 @dataclass
@@ -228,7 +214,6 @@ class SynthesisResponse:
     #: Monotone per-process admission id (1, 2, 3, ...); 0 before the
     #: service stamps it.
     request_id: int = 0
-    priority: str = "normal"
 
     @property
     def answered(self) -> bool:
@@ -251,7 +236,6 @@ class SynthesisResponse:
             "runtime": round(self.runtime, 6),
             "error": self.error,
             "request_id": self.request_id,
-            "priority": self.priority,
             "chains": [chain_to_record(c) for c in self.chains],
         }
 
@@ -358,10 +342,7 @@ class SynthesisService:
         response = await self._synthesize(request)
         response.runtime = time.perf_counter() - started
         response.request_id = request_id
-        response.priority = request.priority_label
-        self.metrics.observe_latency(
-            response.runtime, request.priority_label
-        )
+        self.metrics.latency.observe(response.runtime)
         return response
 
     def _expired_response(
@@ -392,9 +373,15 @@ class SynthesisService:
         # 1. Warm path: the store rewrites chains into the caller's own
         # input space, so no transform is needed here.
         if self._store is not None:
-            result = await asyncio.to_thread(
-                self._store_lookup, request.functions
-            )
+            try:
+                result = await asyncio.to_thread(
+                    self._store.lookup_multi, request.functions
+                )
+            except Exception:
+                # A failing store must not fail the request: count it
+                # and fall through to the engine path.
+                self.metrics.store_errors += 1
+                result = None
             if result is not None:
                 self.metrics.store_hits += 1
                 return self._finish(
@@ -505,12 +492,10 @@ class SynthesisService:
     ) -> asyncio.Future | None:
         """Submit the canonical representative; register the shared future.
 
-        The launcher's priority band orders the job in the dispatch
-        queue (earliest-deadline-first within the band) and its
-        ``expire_at`` rides along twice: as the queue deadline (a job
-        still queued past it is answered without running) and into the
-        engine budget (a dispatched job only gets the wall clock the
-        deadline has left).
+        The launcher's ``expire_at`` rides along twice: as the queue
+        deadline (a job still queued past it is answered without
+        running) and into the engine budget (a dispatched job only gets
+        the wall clock the deadline has left).
         """
         loop = asyncio.get_running_loop()
         shared: asyncio.Future = loop.create_future()
@@ -523,10 +508,7 @@ class SynthesisService:
 
         try:
             handle = self._scheduler.submit_call(
-                f"serve {key[2]}",
-                job,
-                priority=request.priority,
-                deadline=expire_at,
+                f"serve {key[2]}", job, deadline=expire_at
             )
         except RuntimeError:
             return None
@@ -555,8 +537,7 @@ class SynthesisService:
         else:
             exc = done.exception()
             if isinstance(exc, DeadlineExpired):
-                # The dispatch queue answered the job without running
-                # it; waiters map this onto HTTP 504 (or relaunch if
+                # The dispatcher answered the job without running it; waiters map this onto HTTP 504 (or relaunch if
                 # their own deadline still has budget).
                 outcome = ExecutionOutcome(
                     function_hex=key[2],
@@ -669,13 +650,6 @@ class SynthesisService:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _store_lookup(self, functions: tuple[TruthTable, ...]):
-        """Exact warm-path lookup, caller space (worker thread)."""
-        try:
-            return self._store.lookup_multi(functions)
-        except Exception:
-            return None
-
     @staticmethod
     def _canonicalize(functions: tuple[TruthTable, ...]):
         """Canonical tables + the inverse transform for this caller."""

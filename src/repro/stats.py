@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-__all__ = ["stats_snapshot", "flatten_numeric", "merge_numeric"]
+__all__ = ["stats_snapshot", "merge_numeric"]
 
 
 def stats_snapshot(
@@ -78,27 +78,6 @@ _GAUGE_LEAVES = frozenset(
 _RATIO_SUFFIXES = ("_ratio",)
 
 
-def flatten_numeric(
-    snapshot: Mapping, prefix: str = ""
-) -> dict[str, float]:
-    """Flatten a nested snapshot into ``{"a_b_c": value}`` leaves.
-
-    Only numeric leaves survive (bools count as 0/1); strings, lists,
-    and ``None`` are dropped — the result is exactly the series a
-    text-exposition scrape can carry.  Nested keys join with ``_``.
-    """
-    flat: dict[str, float] = {}
-    for key, value in snapshot.items():
-        name = f"{prefix}_{key}" if prefix else str(key)
-        if isinstance(value, Mapping):
-            flat.update(flatten_numeric(value, name))
-        elif isinstance(value, bool):
-            flat[name] = float(value)
-        elif isinstance(value, (int, float)):
-            flat[name] = float(value)
-    return flat
-
-
 def merge_numeric(snapshots: list) -> dict:
     """Merge per-process snapshots into one operator view.
 
@@ -107,8 +86,8 @@ def merge_numeric(snapshots: list) -> dict:
     leaves take the max, which is the conservative reading ("the worst
     process's p99").  Non-numeric leaves keep the first process's
     value.  The shape of the result is the union of the inputs'
-    shapes, so a scrape of the merged view exposes the same series as
-    any single process.
+    shapes, so the merged view carries the same keys as any single
+    process's snapshot.
     """
     merged: dict = {}
     for snapshot in snapshots:

@@ -210,8 +210,9 @@ class ChainStore:
         """This thread's connection, created on first use.
 
         Dead threads' connections are reaped opportunistically whenever
-        a new one is opened, so long-lived processes with worker
-        recycling do not accumulate handles.
+        a new one is opened, so processes whose threads come and go (a
+        scheduler pool per suite run, ``asyncio.to_thread`` workers)
+        do not accumulate handles.
         """
         conn = getattr(self._local, "conn", None)
         if conn is not None:

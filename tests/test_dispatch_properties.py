@@ -1,236 +1,205 @@
-"""Property tests for the priority/deadline dispatch queue.
+"""The dispatch contract of the resident scheduler pool.
 
-The :class:`repro.parallel.dispatch.DispatchQueue` is the ordering
-heart of deadline-aware serving — every dispatcher thread trusts it
-for three invariants that are awkward to pin down with example tests
-but trivial to state as properties over random workloads:
+:class:`repro.parallel.BatchScheduler` queues jobs in one FIFO
+``queue.Queue``.  Its dispatchers hold three properties that the
+serving layer and the one-shot suite API rely on:
 
-1. **Band ordering** — a lower-urgency item is never handed out while
-   a higher-urgency item is already waiting in the queue.
-2. **No silent expiry** — an item whose deadline has lapsed by pop
-   time is always flagged ``expired=True`` (the dispatcher answers it
-   504 in O(1) without occupying a worker), and an item with deadline
-   slack is never flagged.
-3. **FIFO within a key** — items with equal ``(band, deadline)`` come
-   out in insertion order, so equal-priority clients are served
-   fairly.
+1. **Submit order** — at ``jobs=1`` jobs run in the order they were
+   submitted, whatever deadlines they carry (``run()``'s
+   longest-expected-first order is exactly its submit order).
+2. **Expiry at pop** — a job whose ``deadline`` has lapsed when a
+   dispatcher pops it resolves :class:`DeadlineExpired` without
+   running and counts in ``WorkerStats.expired``; a job with deadline
+   left runs.
+3. **Drain before exit** — ``shutdown()`` without ``cancel_queued``
+   works off every queued job before the dispatchers exit, and a
+   submit racing it is either queued ahead of the shutdown sentinels
+   or resolved as cancelled, never stranded.
 
-Hypothesis drives interleavings with a fake clock injected through
-the queue's ``clock`` parameter; nothing here sleeps.
+Each test holds the single worker with a blocking first job, so the
+jobs behind it are really queued when the property is checked.
 """
 
 from __future__ import annotations
 
-from queue import Empty
+import random
+import sys
+import threading
+import time
+from concurrent.futures import wait
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.parallel.dispatch import (
-    PRIORITY_BANDS,
-    DispatchQueue,
-    normalize_priority,
-)
+from repro.parallel import BatchScheduler, DeadlineExpired
 
 
-class FakeClock:
-    def __init__(self, now: float = 0.0) -> None:
-        self.now = now
+def _pinned_pool():
+    """A started ``jobs=1`` pool whose worker is held by a blocking
+    job; returns ``(scheduler, release, blocker)``."""
+    scheduler = BatchScheduler({}, 1, queue_depth=0).start()
+    release = threading.Event()
+    pinned = threading.Event()
 
-    def __call__(self) -> float:
-        return self.now
+    def pin():
+        pinned.set()
+        release.wait(10.0)
 
-
-# One queued item: (band, deadline-offset-or-None, advance-after-put).
-_items = st.tuples(
-    st.integers(min_value=0, max_value=3),
-    st.one_of(
-        st.none(),
-        st.floats(
-            min_value=0.001,
-            max_value=100.0,
-            allow_nan=False,
-            allow_infinity=False,
-        ),
-    ),
-    st.floats(
-        min_value=0.0,
-        max_value=5.0,
-        allow_nan=False,
-        allow_infinity=False,
-    ),
-)
+    blocker = scheduler.submit_call("pin", pin)
+    assert pinned.wait(5.0)
+    return scheduler, release, blocker
 
 
-def _drain(queue: DispatchQueue) -> list:
-    popped = []
-    while True:
+class TestFifoOrder:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_submit_order_at_one_job(self, seed):
+        """Queued jobs run in submit order; deadlines do not reorder
+        them (no earliest-deadline-first)."""
+        rng = random.Random(seed)
+        scheduler, release, _blocker = _pinned_pool()
+        order = []
+        now = time.monotonic()
         try:
-            popped.append(queue.get(timeout=0))
-        except Empty:
-            return popped
-
-
-class TestBandOrdering:
-    @given(st.lists(_items, min_size=1, max_size=40))
-    @settings(max_examples=200, deadline=None)
-    def test_never_dispatch_lower_band_before_ready_higher(self, items):
-        """Pops come out in non-decreasing band order (all puts first)."""
-        clock = FakeClock()
-        queue = DispatchQueue(clock=clock)
-        for index, (band, deadline_off, _advance) in enumerate(items):
-            deadline = (
-                None if deadline_off is None else clock.now + deadline_off
-            )
-            queue.put((index, band), band=band, deadline=deadline)
-        popped = _drain(queue)
-        assert len(popped) == len(items)
-        bands = [payload[1] for payload, _expired in popped]
-        assert bands == sorted(bands)
-
-    @given(st.lists(_items, min_size=2, max_size=30), st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_interleaved_pops_respect_waiting_higher_band(
-        self, items, data
-    ):
-        """Even with puts and pops interleaved, a pop never returns a
-        band when a strictly more urgent item is already queued."""
-        clock = FakeClock()
-        queue = DispatchQueue(clock=clock)
-        waiting: list[int] = []  # bands currently in the queue
-        for index, (band, deadline_off, _advance) in enumerate(items):
-            deadline = (
-                None if deadline_off is None else clock.now + deadline_off
-            )
-            queue.put((index, band), band=band, deadline=deadline)
-            waiting.append(band)
-            if waiting and data.draw(st.booleans()):
-                (payload, _expired) = queue.get(timeout=0)
-                waiting.remove(payload[1])
-                assert payload[1] == min(
-                    w for w in waiting + [payload[1]]
+            futures = [
+                scheduler.submit_call(
+                    f"job{index}",
+                    lambda index=index: order.append(index),
+                    deadline=rng.choice(
+                        [None, now + 60.0 + rng.random() * 60.0]
+                    ),
                 )
-        for payload, _expired in _drain(queue):
-            waiting.remove(payload[1])
-            assert payload[1] <= min(waiting, default=payload[1])
-        assert not waiting
+                for index in range(25)
+            ]
+            release.set()
+            for future in futures:
+                future.result(timeout=10.0)
+        finally:
+            scheduler.shutdown(cancel_queued=True)
+        assert order == list(range(25))
 
 
 class TestExpiryFlag:
-    @given(st.lists(_items, min_size=1, max_size=40))
-    @settings(max_examples=200, deadline=None)
-    def test_expired_iff_deadline_lapsed_at_pop(self, items):
-        """The expired flag is exactly ``deadline <= now`` at pop time —
-        lapsed deadlines are never dispatched unflagged, and live ones
-        are never flagged."""
-        clock = FakeClock()
-        queue = DispatchQueue(clock=clock)
-        deadlines: dict[int, float | None] = {}
-        for index, (band, deadline_off, advance) in enumerate(items):
-            deadline = (
-                None if deadline_off is None else clock.now + deadline_off
-            )
-            deadlines[index] = deadline
-            queue.put(index, band=band, deadline=deadline)
-            clock.now += advance
-        for payload, expired in _drain(queue):
-            deadline = deadlines[payload]
-            should_expire = (
-                deadline is not None and clock.now >= deadline
-            )
-            assert expired == should_expire
+    def test_expired_iff_deadline_lapsed_at_pop(self):
+        """Jobs whose deadline lapsed before the pop resolve
+        DeadlineExpired without running; jobs with deadline left, or
+        none, run.  Only the lapsed ones count as expired."""
+        scheduler, release, _blocker = _pinned_pool()
+        ran = []
+        now = time.monotonic()
+        deadlines = [now - 1.0, None, now + 60.0, now - 0.001, now + 60.0]
+        try:
+            futures = [
+                scheduler.submit_call(
+                    f"job{index}",
+                    lambda index=index: ran.append(index),
+                    deadline=deadline,
+                )
+                for index, deadline in enumerate(deadlines)
+            ]
+            release.set()
+            for index, future in enumerate(futures):
+                if deadlines[index] is not None and deadlines[index] < now:
+                    with pytest.raises(DeadlineExpired):
+                        future.result(timeout=10.0)
+                else:
+                    future.result(timeout=10.0)
+        finally:
+            scheduler.shutdown(cancel_queued=True)
+        assert sorted(ran) == [1, 2, 4]
+        assert scheduler.worker_stats[0].expired == 2
+        # The blocker and the three live jobs ran; expired ones did not.
+        assert scheduler.worker_stats[0].tasks == 4
+        assert scheduler.backlog() == 0
 
     def test_deadline_crossing_between_puts(self):
-        """An item can expire while queued behind a long-running pop."""
-        clock = FakeClock()
-        queue = DispatchQueue(clock=clock)
-        queue.put("a", band=1, deadline=10.0)
-        queue.put("b", band=1, deadline=1000.0)
-        clock.now = 50.0
-        assert queue.get(timeout=0) == ("a", True)
-        assert queue.get(timeout=0) == ("b", False)
-
-
-class TestFifoWithinKey:
-    @given(
-        st.lists(
-            st.integers(min_value=0, max_value=2),
-            min_size=1,
-            max_size=50,
-        )
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_fifo_within_equal_band_no_deadline(self, bands):
-        """Same (band, no-deadline) items come out in insertion order."""
-        queue = DispatchQueue(clock=FakeClock())
-        for index, band in enumerate(bands):
-            queue.put((band, index), band=band)
-        last_seen: dict[int, int] = {}
-        for (band, index), _expired in _drain(queue):
-            assert last_seen.get(band, -1) < index
-            last_seen[band] = index
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=1),
-                st.sampled_from([10.0, 20.0]),
-            ),
-            min_size=1,
-            max_size=50,
-        )
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_fifo_within_equal_band_and_deadline(self, keyed):
-        """Ties on (band, deadline) break by arrival sequence."""
-        queue = DispatchQueue(clock=FakeClock())
-        for index, (band, deadline) in enumerate(keyed):
-            queue.put((band, deadline, index), band=band, deadline=deadline)
-        last_seen: dict[tuple, int] = {}
-        for (band, deadline, index), _expired in _drain(queue):
-            key = (band, deadline)
-            assert last_seen.get(key, -1) < index
-            last_seen[key] = index
-
-    @given(st.lists(_items, min_size=1, max_size=40))
-    @settings(max_examples=100, deadline=None)
-    def test_edf_within_band(self, items):
-        """Within one band, pops are earliest-deadline-first (None
-        deadlines sort last)."""
-        clock = FakeClock()
-        queue = DispatchQueue(clock=clock)
-        for index, (_band, deadline_off, _advance) in enumerate(items):
-            deadline = (
-                None if deadline_off is None else clock.now + deadline_off
+        """A job's deadline can lapse while it waits behind a
+        long-running one: it expires at pop, its neighbour with slack
+        still runs."""
+        scheduler, release, _blocker = _pinned_pool()
+        ran = []
+        now = time.monotonic()
+        try:
+            short = scheduler.submit_call(
+                "short", lambda: ran.append("short"), deadline=now + 0.2
             )
-            queue.put((index, deadline), band=1, deadline=deadline)
-        keys = [
-            float("inf") if deadline is None else deadline
-            for (_index, deadline), _expired in _drain(queue)
+            slack = scheduler.submit_call(
+                "slack", lambda: ran.append("slack"), deadline=now + 60.0
+            )
+            time.sleep(0.4)  # "short" lapses while the worker is held
+            release.set()
+            with pytest.raises(DeadlineExpired):
+                short.result(timeout=10.0)
+            slack.result(timeout=10.0)
+        finally:
+            scheduler.shutdown(cancel_queued=True)
+        assert ran == ["slack"]
+        assert scheduler.worker_stats[0].expired == 1
+
+
+class TestShutdownDrain:
+    def test_shutdown_works_off_queue_before_exit(self):
+        """shutdown() without cancel_queued runs every queued job, in
+        order, before the dispatcher exits; no new work is accepted
+        once it has begun."""
+        scheduler, release, blocker = _pinned_pool()
+        ran = []
+        futures = [
+            scheduler.submit_call(
+                f"job{index}", lambda index=index: ran.append(index)
+            )
+            for index in range(10)
         ]
-        assert keys == sorted(keys)
+        stopper = threading.Thread(target=scheduler.shutdown)
+        stopper.start()
+        deadline = time.monotonic() + 5.0
+        while scheduler._accepting and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with pytest.raises(RuntimeError, match="not accepting"):
+            scheduler.submit_call("late", lambda: None)
+        release.set()
+        stopper.join(timeout=10.0)
+        assert not stopper.is_alive()
+        assert blocker.done()
+        assert all(future.done() for future in futures)
+        assert [future.result() for future in futures] == [None] * 10
+        assert ran == list(range(10))
+        assert not scheduler.started
+        assert scheduler.backlog() == 0
 
+    def test_submits_racing_shutdown_all_resolve(self):
+        """Eight submitters race shutdown() on a full bounded queue
+        (more threads than cores, short switch interval): every future
+        they got back resolves, run or cancelled, and the backlog
+        returns to zero."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        ran = []
+        futures = []
+        lock = threading.Lock()
+        try:
+            scheduler = BatchScheduler({}, 2, queue_depth=2).start()
 
-class TestNormalizePriority:
-    @pytest.mark.parametrize(
-        "value,expected",
-        [
-            ("high", PRIORITY_BANDS["high"]),
-            ("HIGH", PRIORITY_BANDS["high"]),
-            ("normal", PRIORITY_BANDS["normal"]),
-            ("low", PRIORITY_BANDS["low"]),
-            (0, 0),
-            (9, 9),
-            (None, PRIORITY_BANDS["normal"]),
-        ],
-    )
-    def test_accepted(self, value, expected):
-        assert normalize_priority(value) == expected
+            def submitter():
+                for _ in range(200):
+                    try:
+                        future = scheduler.submit_call(
+                            "job", lambda: ran.append(1)
+                        )
+                    except RuntimeError:
+                        return
+                    with lock:
+                        futures.append(future)
 
-    @pytest.mark.parametrize(
-        "value", ["urgent", -1, 10, 1.5, True, [], {}]
-    )
-    def test_rejected(self, value):
-        with pytest.raises(ValueError):
-            normalize_priority(value)
+            threads = [threading.Thread(target=submitter) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            time.sleep(0.05)
+            scheduler.shutdown()
+            for thread in threads:
+                thread.join(timeout=10.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        _done, pending = wait(futures, timeout=10.0)
+        assert not pending
+        assert len(ran) == sum(not future.cancelled() for future in futures)
+        assert scheduler.backlog() == 0

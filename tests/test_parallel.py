@@ -237,35 +237,6 @@ class TestResidentPool:
         finally:
             scheduler.shutdown()
 
-    def test_recycling_replaces_dispatcher_threads(self):
-        """recycle_after=1 forces a fresh thread per task; every task
-        still completes and the slot records its recycle count."""
-        # Hold the thread *objects* (idents are reused by the OS once
-        # a recycled thread exits; live references are not).
-        workers = []
-        lock = threading.Lock()
-
-        class Recorder(FakeExecutor):
-            def run(self, function, timeout):
-                with lock:
-                    workers.append(threading.current_thread())
-                return super().run(function, timeout)
-
-        scheduler = BatchScheduler({"STP": Recorder()}, jobs=1)
-        scheduler.start(recycle_after=1)
-        try:
-            futures = [
-                scheduler.submit(t)
-                for t in _tasks(["8ff8", "aaaa", "0001"])
-            ]
-            for f in futures:
-                assert f.result(timeout=10).solved
-        finally:
-            scheduler.shutdown()
-        assert len({id(w) for w in workers}) == 3  # fresh thread per task
-        assert scheduler.worker_stats[0].recycled >= 2
-        assert scheduler.worker_stats[0].tasks == 3
-
     def test_submit_after_shutdown_rejected(self):
         scheduler = BatchScheduler({"STP": FakeExecutor()}, jobs=1)
         scheduler.start()

@@ -3,9 +3,8 @@
 The fast serve suite pins down each serving behaviour in isolation;
 this module is the ISSUE-mandated lock-down of their *composition*
 under sustained hostile load: waves of concurrent requests across
-several NPN classes with mixed priorities and tiny deadlines, while a
-wildcard fault plan crashes engine attempts mid-flight and the
-scheduler recycles its dispatcher threads underneath everything.
+several NPN classes, some with tiny deadlines, while a wildcard fault
+plan crashes engine attempts mid-flight.
 
 Three invariants must hold no matter how the chaos interleaves:
 
@@ -33,7 +32,6 @@ import os
 import signal
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -61,18 +59,15 @@ _MEMBERS = [
     )
 ]
 
-_PRIORITIES = ["high", "normal", "low"]
-
-
 def _chaos_service():
     """A pool under active sabotage: early engine attempts crash (a
-    wildcard plan that burns out), dispatcher threads recycle every
-    few tasks — the "workers killed mid-flight" half of the chaos."""
+    wildcard plan that burns out) — the "workers killed mid-flight"
+    half of the chaos."""
     plan = FaultPlan(
         {FaultPlan.WILDCARD: FaultSpec(kind="crash", times=10)}
     )
     scheduler = BatchScheduler({}, 4, queue_depth=0).start(
-        recycle_after=5, stop_on_error=False
+        stop_on_error=False
     )
     service = SynthesisService(
         scheduler,
@@ -91,12 +86,7 @@ class TestServiceSoak:
 
         def build(wave: int, index: int) -> SynthesisRequest:
             member = _MEMBERS[index]
-            priority = _PRIORITIES[(wave + index) % len(_PRIORITIES)]
-            payload = {
-                "function": member.to_hex(),
-                "vars": 3,
-                "priority": priority,
-            }
+            payload = {"function": member.to_hex(), "vars": 3}
             # A third of the storm carries deadlines, some of them
             # hopeless (sub-millisecond) — those must come back 504
             # ("expired"), never wrong, never hung.
@@ -116,7 +106,6 @@ class TestServiceSoak:
                     )
                 )
                 responses.extend(batch)
-                # A breather between waves lets recycling kick in.
                 await asyncio.sleep(0.02)
             return responses
 
@@ -277,7 +266,6 @@ class TestMultiProcSoak:
                     {
                         "function": _MEMBERS[i % len(_MEMBERS)].to_hex(),
                         "vars": 3,
-                        "priority": _PRIORITIES[i % 3],
                     }
                     for i in range(36)
                 ]
