@@ -22,6 +22,7 @@ __all__ = [
     "fanout_cost",
     "DEFAULT_OP_WEIGHTS",
     "COST_MODELS",
+    "NPN_INVARIANT_COSTS",
     "select_best",
     "rank_solutions",
 ]
@@ -82,6 +83,15 @@ COST_MODELS: dict[str, Callable[[BooleanChain], float]] = {
     "weighted": weighted_op_cost,
     "fanout": fanout_cost,
 }
+
+#: The :data:`COST_MODELS` no NPN transform of a chain can change.  An
+#: input permutation, input complements absorbed into gate codes and
+#: complemented outputs keep the fanin graph, so gate count, depth and
+#: internal fanout are equal on a chain and on every image of it;
+#: ``inverters`` counts complemented outputs and ``weighted`` reads gate
+#: codes, so both move.  The chain store picks by these in canonical
+#: space (:meth:`~repro.store.ChainStore.lookup`'s ``pick``).
+NPN_INVARIANT_COSTS = frozenset({"gates", "depth", "fanout"})
 
 
 def rank_solutions(

@@ -10,7 +10,12 @@ chain is smaller than the logic it makes dead (DAG-aware gain, as in
 
 Because the database serves *all* optimal chains, the replacement can
 be chosen by a secondary cost (depth by default) — the flexibility the
-paper's all-solutions output is for.
+paper's all-solutions output is for.  :func:`rewrite_with_store` hands
+a cost that no NPN transform changes (gates, depth, fanout) to the
+store as its ``pick``: the store chooses the same chain in canonical
+space, from a row it checks once per process, and transforms, checks
+and builds that chain alone.  Any other cost, a callable included,
+picks here over every chain the store serves.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..chain.chain import BooleanChain
-from ..chain.costs import COST_MODELS
+from ..chain.costs import COST_MODELS, NPN_INVARIANT_COSTS
 from ..chain.transform import trivial_chain
 from ..core.database import NPNDatabase
 from ..truthtable.table import TruthTable
@@ -225,6 +230,10 @@ def rewrite_with_store(
     the store once and every later pass over any circuit sharing the
     same NPN classes replays with **zero** synthesis calls.
 
+    A ``tie_break`` in :data:`~repro.chain.costs.NPN_INVARIANT_COSTS`
+    goes to the executor as ``pick``, so a store hit carries only the
+    chain ``tie_break`` chooses (see the module docstring).
+
     Each distinct cut function is resolved once per pass: the chain
     picked by ``tie_break`` from a store answer, and a failed run
     (timeout, crash, infeasible or a degraded upper bound), serve
@@ -252,17 +261,19 @@ def rewrite_with_store(
         Synthesis budget per cut miss, seconds (None = unbounded).
     executor:
         Pre-built executor override (must expose
-        ``run(function, timeout)``); ``engines``/``race`` are ignored
-        when given.  The executor should share ``store`` so write-backs
-        land in the same database.
+        ``run(function, timeout, pick=...)``); ``engines``/``race`` are
+        ignored when given.  The executor should share ``store`` so
+        write-backs land in the same database.
     """
     if cut_size > 4:
         raise ValueError(
             "rewriting uses exact NPN classification (cut_size <= 4)"
         )
-    cost = (
-        COST_MODELS[tie_break] if isinstance(tie_break, str) else tie_break
-    )
+    if isinstance(tie_break, str):
+        cost = COST_MODELS[tie_break]
+        pick = tie_break if tie_break in NPN_INVARIANT_COSTS else None
+    else:
+        cost, pick = tie_break, None
     if executor is None:
         from ..runtime.executor import FaultTolerantExecutor
         from ..runtime.health import EngineHealth
@@ -297,7 +308,7 @@ def rewrite_with_store(
             else:
                 result.store_hits += 1
             return chain
-        outcome = executor.run(local, timeout_per_cut)
+        outcome = executor.run(local, timeout_per_cut, pick=pick)
         # A failed run is remembered because a repeat would spend the
         # same budget again.  A failure may degrade to a stored upper
         # bound, which is not a hit: only a solved outcome served from

@@ -9,7 +9,9 @@ a recorded :class:`ExecutionOutcome` instead of an aborted run.  The
 steps always run in this order:
 
 1. **lookup** — an exact store row is served through the inverse NPN
-   transform (``engine == "store"``); quarantined rows are counted;
+   transform (``engine == "store"``); quarantined rows are counted.
+   With ``pick`` the store serves only the chain that NPN-invariant
+   cost chooses (:meth:`~repro.store.ChainStore.lookup`);
 2. **floor** — the store's proven-infeasible gate floor reaches every
    lane as ``min_gates``;
 3. **lanes** — the engine list, filtered by an
@@ -323,6 +325,7 @@ class FaultTolerantExecutor:
         timeout: float | None = None,
         *,
         expire_at: float | None = None,
+        pick: str | None = None,
     ) -> ExecutionOutcome:
         """Resolve ``function``: one truth table or a joint vector.
 
@@ -338,6 +341,10 @@ class FaultTolerantExecutor:
         wall clock.  An already-lapsed ``expire_at`` returns a
         ``timeout`` outcome without touching the store or dispatching
         any engine.
+
+        ``pick`` goes to the store lookup alone: a store hit then
+        carries the one chain that cost chooses.  Engine answers and
+        degraded bounds carry every chain.
         """
         if isinstance(function, TruthTable):
             tables: tuple[TruthTable, ...] = (function,)
@@ -364,7 +371,7 @@ class FaultTolerantExecutor:
         floor = 0
         if self._store is not None:
             stored = self._store_read(
-                outcome, self._store.lookup_multi, tables
+                outcome, self._store.lookup_multi, tables, pick=pick
             )
             if stored is not None:
                 return self._settle(outcome, deadline, "ok", "store", stored)
@@ -687,10 +694,12 @@ class FaultTolerantExecutor:
             outcome.store_errors += 1
             return None
 
-    def _store_read(self, outcome, method, function):
+    def _store_read(self, outcome, method, function, **kwargs):
         """A store read that also counts the rows it quarantined."""
         events: list = []
-        found = self._store_call(outcome, method, function, events=events)
+        found = self._store_call(
+            outcome, method, function, events=events, **kwargs
+        )
         outcome.store_quarantined += sum(
             1 for kind, _ in events if kind == "quarantined"
         )

@@ -44,6 +44,21 @@ instead of re-checking (or worse, raising) on every suite instance
 that touches the class; a write-back drops (and counts) the failing
 stored records instead of reviving them.
 
+A lookup with a ``pick`` serves one chain instead of the whole set:
+the cheapest under a cost no NPN transform can change
+(:data:`~repro.chain.costs.NPN_INVARIANT_COSTS`).  Such a cost is
+equal on a record and on its image, so the cheapest record can be
+chosen in canonical space — the first minimum in list order, the one
+``min`` over the served set would choose.  The row's records are
+set-checked there once per store instance; the transform is a
+bijection on functions and leaves a malformed record malformed, so
+that check fails exactly when the caller-space one would.  The picked
+record alone is transformed, set-checked and AllSAT-checked against
+the caller's tables on every lookup.  The memo of checked rows holds
+the payload string each check read, so a payload changed by a merge
+or behind the store's back is checked again; a row that fails is
+quarantined and never memoized.
+
 Two row grades share the table: ``exact = 1`` rows are optimal chains
 from engines whose capabilities claim exactness (the store's original
 contract), while ``exact = 0`` rows are verified **upper bounds** from
@@ -63,6 +78,7 @@ import threading
 import time
 
 from ..chain.chain import BooleanChain
+from ..chain.costs import COST_MODELS, NPN_INVARIANT_COSTS
 from ..chain.transform import npn_transform_record
 from ..core.circuit_sat import verify_chain, verify_chain_outputs
 from ..core.spec import SynthesisResult, SynthesisSpec
@@ -138,6 +154,20 @@ def _decode_payload(payload) -> tuple[list[tuple], int] | None:
     return records, len(objects) - len(records)
 
 
+def _checked_row(payload, tables) -> list[tuple] | None:
+    """Every record of a row's payload when all of them compute
+    ``tables``, else None: an unreadable payload, an object that is not
+    a record, an empty list or one failing record makes the row
+    corrupt."""
+    decoded = _decode_payload(payload)
+    if decoded is None or decoded[1]:
+        return None
+    records = decoded[0]
+    if not records or len(_checked(records, tables)) != len(records):
+        return None
+    return records
+
+
 def _checked(records, tables) -> list[tuple]:
     """The records whose every output computes ``tables``: one packed
     simulation of the whole set."""
@@ -145,6 +175,13 @@ def _checked(records, tables) -> list[tuple]:
         records, [t.bits for t in tables], tables[0].num_vars
     )
     return [record for record, ok in zip(records, verdicts) if ok]
+
+
+def _transformed(record, transform) -> tuple:
+    """``record`` rewritten through an NPN ``transform``."""
+    return npn_transform_record(
+        record, transform.perm, transform.input_flips, transform.output_flips
+    )
 
 
 def _allsat_agrees(chain: BooleanChain, tables) -> bool:
@@ -195,16 +232,19 @@ class ChainStore:
                 conn.execute(_INFEASIBLE_SCHEMA)
                 self._migrate(conn)
         #: Served lookups / fell-through lookups / completed write-backs,
-        #: plus total wall-clock spent inside *served* lookups, the
-        #: number of corrupt rows quarantined by a failed lookup check
-        #: and of stored records a write-back dropped for failing its
-        #: check.
+        #: plus the number of corrupt rows quarantined by a failed
+        #: lookup check and of stored records a write-back dropped for
+        #: failing its check.
         self.hits = 0
         self.misses = 0
         self.writes = 0
         self.quarantined = 0
         self.dropped = 0
-        self.hit_seconds = 0.0
+        #: Rows a pick lookup has checked, by ``(num_vars, canon_hex,
+        #: num_gates)``: the payload string the check read, and the
+        #: canonical record picked per cost name.  Unbounded on
+        #: purpose; see :meth:`lookup`.
+        self._picks: dict[tuple, tuple[str, dict[str, tuple]]] = {}
 
     def _connection(self) -> sqlite3.Connection:
         """This thread's connection, created on first use.
@@ -307,6 +347,7 @@ class ChainStore:
         function: TruthTable,
         *,
         events: list | None = None,
+        pick: str | None = None,
     ) -> SynthesisResult | None:
         """Serve ``function``'s optimal chains from the store, or miss.
 
@@ -319,11 +360,29 @@ class ChainStore:
         than escalating to the next row (a larger gate count must not
         be served as the optimum).
 
+        ``pick``, the name of an NPN-invariant cost
+        (:data:`~repro.chain.costs.NPN_INVARIANT_COSTS`), serves only
+        the chain ``min(chains, key=COST_MODELS[pick])`` would choose
+        from the full answer.  The row's records are set-checked in
+        canonical space on the first pick lookup of this instance that
+        reads its payload, and the served chain is set-checked and
+        AllSAT-checked against ``function`` on every one; a corrupt
+        record quarantines the row whether it is picked or not.  The
+        memo behind this needs no bound: the rewriter, the only caller
+        that picks, rejects cuts above four inputs, so it holds at most
+        one row per NPN class of up to four inputs (about 240).
+        Threads racing on one row may check it twice, and none serves
+        a chain before its row passed.
+
         ``events``, when given, receives ``("quarantined",
         num_gates)`` tuples for per-call accounting (the executor
-        surfaces them in suite worker summaries).
+        surfaces them in suite worker summaries).  A failing database
+        read raises ``sqlite3.Error``; the executor and the service
+        count it.
         """
-        return self._lookup((function,), exact_only=True, events=events)
+        return self._lookup(
+            (function,), exact_only=True, events=events, pick=pick
+        )
 
     def lookup_upper_bound(
         self,
@@ -405,6 +464,7 @@ class ChainStore:
         functions,
         *,
         events: list | None = None,
+        pick: str | None = None,
     ) -> SynthesisResult | None:
         """Serve a multi-output function vector from the store, or miss.
 
@@ -413,16 +473,19 @@ class ChainStore:
         fetched under the comma-joined canonical key, and every stored
         chain is rewritten back through the inverse transform and
         checked output by output; corruption quarantines the row
-        exactly as in the single-output path.  A one-element vector
-        delegates to :meth:`lookup`, so multi-output callers
-        transparently share the single-output keyspace.
+        exactly as in the single-output path.  ``pick`` serves one
+        chain as in :meth:`lookup`.  A one-element vector delegates to
+        :meth:`lookup`, so multi-output callers transparently share
+        the single-output keyspace.
         """
         functions = list(functions)
         if not functions:
             raise ValueError("need at least one output function")
         if len(functions) == 1:
-            return self.lookup(functions[0], events=events)
-        return self._lookup(tuple(functions), exact_only=True, events=events)
+            return self.lookup(functions[0], events=events, pick=pick)
+        return self._lookup(
+            tuple(functions), exact_only=True, events=events, pick=pick
+        )
 
     def _lookup(
         self,
@@ -430,14 +493,30 @@ class ChainStore:
         *,
         exact_only: bool,
         events: list | None,
+        pick: str | None = None,
     ) -> SynthesisResult | None:
+        if pick is not None and pick not in NPN_INVARIANT_COSTS:
+            raise ValueError(
+                f"cannot pick by {pick!r} in canonical space; pick one "
+                f"of {sorted(NPN_INVARIANT_COSTS)}"
+            )
         started = time.perf_counter()
-        _, canon_hex, transform = self._canonical_space(tables)
+        canon_tables, canon_hex, transform = self._canonical_space(tables)
         num_vars = tables[0].num_vars
         rows = self._fetch_rows(num_vars, canon_hex, exact_only=exact_only)
         inverse = transform.inverse()
         for num_gates, _engine, payload, exact in rows:
-            chains = self._served_chains(payload, inverse, tables)
+            if pick is None:
+                chains = self._served_chains(payload, inverse, tables)
+            else:
+                chains = self._picked_chain(
+                    (num_vars, canon_hex, num_gates),
+                    payload,
+                    canon_tables,
+                    pick,
+                    inverse,
+                    tables,
+                )
             if chains is None:
                 self._quarantine(num_vars, canon_hex, num_gates, events)
                 if exact_only:
@@ -446,7 +525,6 @@ class ChainStore:
             runtime = time.perf_counter() - started
             with self._lock:
                 self.hits += 1
-                self.hit_seconds += runtime
             if len(tables) == 1:
                 spec = SynthesisSpec(function=tables[0])
             else:
@@ -472,13 +550,7 @@ class ChainStore:
             return None
         try:
             records = [
-                npn_transform_record(
-                    record,
-                    inverse.perm,
-                    inverse.input_flips,
-                    inverse.output_flips,
-                )
-                for record in decoded[0]
+                _transformed(record, inverse) for record in decoded[0]
             ]
         except (TypeError, ValueError):
             return None
@@ -486,6 +558,39 @@ class ChainStore:
             return None
         chains = [BooleanChain.from_record(record) for record in records]
         return chains if _allsat_agrees(chains[0], tables) else None
+
+    def _picked_chain(
+        self, key, payload, canon_tables, pick, inverse, tables
+    ) -> list | None:
+        """The one chain of a row that ``pick`` chooses, in the
+        caller's input space, or None when the row is corrupt: any
+        record failing the canonical set check (once per payload), or
+        the picked chain failing the set check or AllSAT against
+        ``tables``."""
+        records = None
+        entry = self._picks.get(key)
+        if entry is None or entry[0] != payload:
+            records = _checked_row(payload, canon_tables)
+            if records is None:
+                self._picks.pop(key, None)
+                return None
+            entry = (payload, {})
+        picked = entry[1].get(pick)
+        if picked is None:
+            if records is None:  # checked before, under another cost
+                records = _decode_payload(payload)[0]
+            cost = COST_MODELS[pick]
+            picked = entry[1][pick] = min(
+                records, key=lambda r: cost(BooleanChain.from_record(r))
+            )
+        record = _transformed(picked, inverse)
+        if _checked([record], tables):
+            chain = BooleanChain.from_record(record)
+            if _allsat_agrees(chain, tables):
+                self._picks[key] = entry
+                return [chain]
+        self._picks.pop(key, None)
+        return None
 
     def _fetch_rows(
         self, num_vars: int, canon_hex: str, *, exact_only: bool
@@ -497,13 +602,8 @@ class ChainStore:
         if exact_only:
             query += "AND exact = 1 "
         query += "ORDER BY num_gates ASC"
-        try:
-            cursor = self._connection().execute(
-                query, (num_vars, canon_hex)
-            )
-            return cursor.fetchall()
-        except sqlite3.Error:
-            return []
+        cursor = self._connection().execute(query, (num_vars, canon_hex))
+        return cursor.fetchall()
 
     def _quarantine(
         self,
@@ -553,7 +653,8 @@ class ChainStore:
         a verified upper bound (heuristic engines); merging with an
         existing row keeps the *stronger* grade, and a fresh write
         clears any quarantine mark on the row.  Returns True when a
-        row was written.
+        row was written, False when no chain survived the checks; a
+        failing database write raises ``sqlite3.Error``.
         """
         return self._put((function,), result, engine, exact)
 
@@ -571,7 +672,7 @@ class ChainStore:
         input transform, per-output negations) and checked against
         the canonical tables before storage; the row carries its
         output count in ``num_outputs``.  A one-element vector
-        delegates to :meth:`put`.  Returns True when a row was written.
+        delegates to :meth:`put`.  Returns and raises as :meth:`put`.
         """
         functions = list(functions)
         if not functions:
@@ -588,12 +689,7 @@ class ChainStore:
         canon_tables, canon_hex, transform = self._canonical_space(tables)
         records = _checked(
             [
-                npn_transform_record(
-                    chain.signature(),
-                    transform.perm,
-                    transform.input_flips,
-                    transform.output_flips,
-                )
+                _transformed(chain.signature(), transform)
                 for chain in result.chains[: self._max_chains]
                 if len(chain.outputs) == len(tables)
             ],
@@ -605,14 +701,11 @@ class ChainStore:
             return False
         key = (tables[0].num_vars, canon_hex, result.num_gates)
         with self._lock:
-            try:
-                conn = self._connection()
-                with conn:
-                    self._merge_row(
-                        conn, key, records, canon_tables, engine, exact
-                    )
-            except sqlite3.Error:
-                return False
+            conn = self._connection()
+            with conn:
+                self._merge_row(
+                    conn, key, records, canon_tables, engine, exact
+                )
             self.writes += 1
         return True
 

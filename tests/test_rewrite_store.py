@@ -14,7 +14,7 @@ from repro.network import (
 )
 from repro.network.cli import main as rewrite_main
 from repro.network.cuts import cut_function
-from repro.runtime.executor import ExecutionOutcome
+from repro.runtime.executor import ExecutionOutcome, FaultTolerantExecutor
 from repro.store import ChainStore
 from repro.truthtable import TruthTable, from_hex
 
@@ -128,6 +128,45 @@ class TestRewriteWithStore:
                 assert result.verified, path.name
                 gates[path.stem] = (result.gates_before, result.gates_after)
         assert gates == SUITE_COLD_GATES
+
+    def test_every_tie_break_rewrites_as_the_all_chains_path(self, tmp_path):
+        """A store pick and a pick over every served chain rewrite the
+        suite to the same BLIF and counters, under each tie-break: the
+        invariant costs take the store pick, ``weighted``,
+        ``inverters`` and a callable keep the full answer."""
+
+        class AllChainsExecutor(FaultTolerantExecutor):
+            """Drops ``pick``: every store hit carries the whole row."""
+
+            def run(self, function, timeout=None, *, pick=None, **kwargs):
+                return super().run(function, timeout, **kwargs)
+
+        paths = sorted(CIRCUITS.glob("*.blif"))
+        tie_breaks = ["depth", "gates", "fanout", "weighted", "inverters"]
+        tie_breaks.append(lambda chain: (chain.depth(), -chain.num_gates))
+        passes = {}
+        for name, executor_cls in (
+            ("pick", FaultTolerantExecutor),
+            ("all", AllChainsExecutor),
+        ):
+            with ChainStore(tmp_path / f"{name}.db") as store:
+                executor = executor_cls(("stp",), store=store)
+                rows = []
+                for tie_break in ["depth"] + tie_breaks:  # cold, then warm
+                    for path in paths:
+                        net = blif_to_network(path.read_text())
+                        result = rewrite_with_store(
+                            net,
+                            store,
+                            tie_break=tie_break,
+                            timeout_per_cut=60.0,
+                            executor=executor,
+                        )
+                        assert result.verified, path.name
+                        rows.append((network_to_blif(net), result))
+                passes[name] = rows
+        assert passes["pick"] == passes["all"]
+        assert sum(r.synthesis_calls for _, r in passes["pick"]) == 14
 
     def test_warm_pass_looks_up_each_cut_function_once(
         self, tmp_path, monkeypatch

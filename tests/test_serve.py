@@ -352,6 +352,36 @@ class TestCoalescing:
         assert snapshot["serving"]["store_errors"] == 1
         assert_chain_realizes(member, response.chains[0])
 
+    def test_failing_store_read_is_an_error_not_a_miss(self, tmp_path):
+        """A database error inside the store's own read (its table
+        dropped) counts as a store error, the counter behind /metrics
+        ``serving.store_errors``, and the engine path answers."""
+        import sqlite3
+
+        path = str(tmp_path / "chains.db")
+        store = ChainStore(path)
+        conn = sqlite3.connect(path)
+        conn.execute("DROP TABLE chains")
+        conn.commit()
+        conn.close()
+        scheduler, service = _service_stack(store=store)
+        member = _ORBIT[1]
+
+        async def drive():
+            return await service.synthesize(
+                SynthesisRequest(functions=(member,))
+            )
+
+        try:
+            response = asyncio.run(drive())
+        finally:
+            scheduler.shutdown(cancel_queued=True)
+            store.close()
+        assert response.status == "ok"
+        assert response.source == "engine"
+        assert service.metrics.store_errors == 1
+        assert_chain_realizes(member, response.chains[0])
+
 
 class TestDegradedPath:
     def _faulted_service(self, tmp_path):

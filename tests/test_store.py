@@ -7,6 +7,7 @@ warm store serves a repeated suite with zero new synthesis calls.
 """
 
 import json
+import random
 import sqlite3
 import threading
 
@@ -14,6 +15,7 @@ import pytest
 
 from repro.bench.runner import default_algorithms, run_suite
 from repro.bench.suites import get_suite
+from repro.chain.costs import COST_MODELS, NPN_INVARIANT_COSTS
 from repro.core.spec import SynthesisResult
 from repro.engine import run_engine
 from repro.runtime.executor import FaultTolerantExecutor
@@ -128,6 +130,16 @@ class TestExecutorIntegration:
         assert outcome.solved and outcome.engine == "fen"
         assert outcome.store_errors >= 1
         assert outcome.to_record()["store_errors"] == outcome.store_errors
+
+    def test_every_failing_store_call_is_counted(self, tmp_path):
+        """On a closed store the lookup, the floor read, the write-back
+        and the infeasible mark all fail, and each one counts."""
+        store = ChainStore(str(tmp_path / "chains.db"))
+        store.close()
+        executor = FaultTolerantExecutor(("fen",), store=store)
+        outcome = executor.run(from_hex("e8", 3), 30.0)
+        assert outcome.solved and outcome.engine == "fen"
+        assert outcome.store_errors == 4
 
     def test_failed_walk_serves_stored_upper_bound(self, tmp_path):
         function = from_hex("e8", 3)
@@ -423,6 +435,145 @@ class TestEveryChainChecked:
             assert sorted(c.signature() for c in again.result.chains) == (
                 sorted(c.signature() for c in result.chains)
             )
+
+
+def _orbit_member(rnd, table):
+    perm = list(range(table.num_vars))
+    rnd.shuffle(perm)
+    transform = NPNTransform(
+        tuple(perm),
+        rnd.getrandbits(table.num_vars),
+        bool(rnd.getrandbits(1)),
+    )
+    return transform.apply(table)
+
+
+class TestPickLookup:
+    """A pick lookup serves the one chain ``min`` chooses from the full
+    answer, and corruption anywhere in the row still costs the row."""
+
+    #: 4-input classes whose stored rows hold many optimal chains, and
+    #: where the depth or the fanout pick is not the row's first.
+    CLASSES = ("003d", "01a8", "01a9", "01aa", "01ef")
+    FUNCTION = from_hex("01a9", 4)
+    MEMBER = NPNTransform((2, 0, 3, 1), 0b0110, True).apply(FUNCTION)
+
+    def _stored(self, tmp_path):
+        """A store holding the class's row, and the position of a
+        stored record the depth pick does not choose."""
+        path = str(tmp_path / "chains.db")
+        result = run_engine("stp", self.FUNCTION, 30.0)
+        with ChainStore(path) as store:
+            assert store.put(self.FUNCTION, result, "stp")
+        conn = sqlite3.connect(path)
+        (payload,) = conn.execute("SELECT solutions FROM chains").fetchone()
+        conn.close()
+        depths = [chain_from_record(r).depth() for r in json.loads(payload)]
+        assert len(set(depths)) > 1
+        return path, (depths.index(min(depths)) + 1) % len(depths)
+
+    def test_pick_is_the_min_of_the_full_answer(self, tmp_path):
+        rnd = random.Random(21)
+        moved = 0
+        with ChainStore(tmp_path / "chains.db") as store:
+            for rep in (from_hex(h, 4) for h in self.CLASSES):
+                assert store.put(rep, run_engine("stp", rep, 30.0), "stp")
+                for _ in range(3):
+                    member = _orbit_member(rnd, rep)
+                    full = store.lookup(member)
+                    for name in sorted(NPN_INVARIANT_COSTS):
+                        best = min(full.chains, key=COST_MODELS[name])
+                        moved += best is not full.chains[0]
+                        picked = store.lookup(member, pick=name)
+                        assert picked.num_gates == full.num_gates
+                        assert [c.signature() for c in picked.chains] == [
+                            best.signature()
+                        ]
+                        assert_chain_realizes(member, picked.chains[0])
+            assert store.quarantined == 0
+        assert moved, "every pick was the first chain: nothing was tested"
+
+    def test_unpicked_corrupt_record_quarantines_the_row(self, tmp_path):
+        path, unpicked = self._stored(tmp_path)
+        corrupt = _poison_record(path, unpicked, _flip_first_op)
+        canon = npn_canonical(self.FUNCTION)[0]
+        assert chain_from_record(corrupt).simulate_output() != canon
+        with ChainStore(path) as store:
+            events = []
+            assert store.lookup(self.MEMBER, pick="depth", events=events) is None
+            assert store.quarantined == 1 and store.misses == 1
+            assert [kind for kind, _ in events] == ["quarantined"]
+            assert store.lookup(self.MEMBER) is None  # the row stays skipped
+
+    def test_payload_changed_after_a_checked_pick_is_checked_again(
+        self, tmp_path
+    ):
+        path, unpicked = self._stored(tmp_path)
+        with ChainStore(path) as store:
+            served = store.lookup(self.MEMBER, pick="depth")
+            assert served is not None
+            assert_chain_realizes(self.MEMBER, served.chains[0])
+            _poison_record(path, unpicked, _flip_first_op)
+            assert store.lookup(self.MEMBER, pick="depth") is None
+            assert store.quarantined == 1
+
+    def test_concurrent_pick_lookups_serve_only_checked_chains(
+        self, tmp_path
+    ):
+        """Threads share one store's memo while its row is rewritten
+        behind it: every chain served realizes its query, and once the
+        corrupt payload is read the row is gone for everyone."""
+        import sys
+
+        path, unpicked = self._stored(tmp_path)
+        served, errors = [], []
+        poisoned = threading.Event()
+
+        def reader(seed):
+            rnd = random.Random(seed)
+            try:
+                for i in range(40):
+                    if seed == 0 and i == 10:
+                        _poison_record(path, unpicked, _flip_first_op)
+                        poisoned.set()
+                    member = _orbit_member(rnd, self.FUNCTION)
+                    name = rnd.choice(sorted(NPN_INVARIANT_COSTS))
+                    result = store.lookup(member, pick=name)
+                    if result is not None:
+                        served.append((member, result.chains))
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ChainStore(path) as store:
+                threads = [
+                    threading.Thread(target=reader, args=(seed,))
+                    for seed in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                assert not errors
+                assert poisoned.is_set()
+                assert store.quarantined >= 1
+                assert store.lookup(self.MEMBER, pick="depth") is None
+        finally:
+            sys.setswitchinterval(interval)
+        assert served
+        for member, chains in served:
+            assert len(chains) == 1
+            assert_chain_realizes(member, chains[0])
+
+    def test_only_npn_invariant_costs_can_pick(self, tmp_path):
+        path, _ = self._stored(tmp_path)
+        with ChainStore(path) as store:
+            for name in sorted(set(COST_MODELS) - NPN_INVARIANT_COSTS):
+                with pytest.raises(ValueError):
+                    store.lookup(self.MEMBER, pick=name)
 
 
 class TestSuiteWarmStore:

@@ -5,7 +5,9 @@ into truth tables, so these properties stay fast enough for tier 1
 while still sweeping the NPN canonicalization, serialization, and
 corruption-guard paths with thousands of distinct shapes over time.
 The poisoned-store property corrupts either a whole row or one record
-at any position of a multi-chain row.
+at any position of a multi-chain row.  The pick properties pin why a
+lookup may choose among a row's chains in canonical space: the costs
+it picks by are equal on a chain and on each of its NPN images.
 
 All examples derive from explicitly drawn integer seeds and
 ``derandomize=True``, so a failure reproduces bit-for-bit from the
@@ -19,7 +21,8 @@ import sqlite3
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.chain import BooleanChain
-from repro.chain.transform import polarity_variants
+from repro.chain.costs import COST_MODELS, NPN_INVARIANT_COSTS
+from repro.chain.transform import npn_transform_record, polarity_variants
 from repro.core.spec import SynthesisResult, SynthesisSpec
 from repro.store import ChainStore, chain_to_record
 from repro.truthtable.npn import NPNTransform
@@ -137,3 +140,70 @@ class TestPoisonedStoreProperty:
                 for chain in served.chains:
                     assert_chain_realizes(function, chain)
         assert served is None, "corruption guard served a poisoned row"
+
+
+def _image(chain, transform):
+    """``chain`` rewritten through an NPN transform."""
+    return BooleanChain.from_record(
+        npn_transform_record(
+            chain.signature(),
+            transform.perm,
+            transform.input_flips,
+            transform.output_flips,
+        )
+    )
+
+
+class TestPickProperty:
+    @given(seed=st.integers(0, 10**9))
+    @settings(**_SETTINGS)
+    def test_invariant_costs_survive_any_npn_transform(self, seed):
+        chain = random_chain(random.Random(seed), num_inputs=4, num_gates=5)
+        transform = _probe(seed, 4)
+        image = _image(chain, transform)
+        assert image.simulate_output() == transform.apply(
+            chain.simulate_output()
+        )
+        for name in NPN_INVARIANT_COSTS:
+            assert COST_MODELS[name](image) == COST_MODELS[name](chain)
+
+    def test_the_other_costs_move(self):
+        """One counterexample per cost left out of the invariant set."""
+        chain = BooleanChain(2)
+        chain.set_output(chain.add_gate(0x8, (0, 1)))  # x0 & x1
+        moves = {
+            "inverters": NPNTransform((0, 1), 0, True),
+            "weighted": NPNTransform((0, 1), 0b01, False),
+        }
+        for name, transform in moves.items():
+            image = _image(chain, transform)
+            assert COST_MODELS[name](image) != COST_MODELS[name](chain)
+        assert set(COST_MODELS) == set(NPN_INVARIANT_COSTS) | set(moves)
+
+    @given(seed=st.integers(0, 10**9))
+    @settings(**_SETTINGS)
+    def test_pick_lookup_serves_the_min_of_the_full_one(
+        self, seed, tmp_path_factory
+    ):
+        """lookup(T(f), pick=c) serves exactly the chain min(lookup(T(f))
+        .chains, key=c) chooses, for a random orbit member T."""
+        chain, function, _ = _chain_and_function(seed)
+        chains = list(polarity_variants(chain, max_variants=8))
+        result = SynthesisResult(
+            spec=SynthesisSpec(function=function),
+            chains=chains,
+            num_gates=chain.num_gates,
+            runtime=0.0,
+        )
+        member = _probe(seed, function.num_vars).apply(function)
+        db = tmp_path_factory.mktemp("store") / "chains.db"
+        with ChainStore(db) as store:
+            assert store.put(function, result, engine="prop")
+            full = store.lookup(member)
+            for name in sorted(NPN_INVARIANT_COSTS):
+                picked = store.lookup(member, pick=name)
+                best = min(full.chains, key=COST_MODELS[name])
+                assert [c.signature() for c in picked.chains] == [
+                    best.signature()
+                ]
+                assert_chain_realizes(member, picked.chains[0])
