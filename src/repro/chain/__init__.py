@@ -3,9 +3,6 @@
 from .chain import BooleanChain, Gate
 from .export import chain_to_expression, chain_to_verilog
 from .transform import (
-    SharedChainBuilder,
-    extract_output_cone,
-    merge_chains_shared,
     npn_transform_chain,
     npn_transform_record,
 )
@@ -26,9 +23,6 @@ __all__ = [
     "Gate",
     "chain_to_expression",
     "chain_to_verilog",
-    "SharedChainBuilder",
-    "extract_output_cone",
-    "merge_chains_shared",
     "npn_transform_chain",
     "npn_transform_record",
     "COST_MODELS",

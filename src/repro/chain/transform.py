@@ -27,9 +27,6 @@ __all__ = [
     "polarity_variants",
     "npn_transform_record",
     "npn_transform_chain",
-    "merge_chains_shared",
-    "SharedChainBuilder",
-    "extract_output_cone",
 ]
 
 
@@ -276,151 +273,16 @@ def npn_transform_record(
 
 def npn_transform_chain(chain: BooleanChain, transform) -> BooleanChain:
     """A chain computing ``transform.apply(f)`` from one computing ``f``
-    (:func:`npn_transform_record`).
-
-    ``transform`` is an :class:`~repro.truthtable.npn.NPNTransform` for
-    a one-output chain or a
-    :class:`~repro.truthtable.npn.MultiNPNTransform` (one shared input
-    permutation/negation plus a per-output negation flag); both carry
-    one ``output_flips`` entry per output.
-    """
+    (:func:`npn_transform_record`), for a one-output chain and an
+    :class:`~repro.truthtable.npn.NPNTransform`."""
     return BooleanChain.from_record(
         npn_transform_record(
             chain.signature(),
             transform.perm,
             transform.input_flips,
-            transform.output_flips,
+            (transform.output_flip,),
         )
     )
-
-
-def _merge_one(
-    merged: BooleanChain,
-    chain: BooleanChain,
-    gate_index: dict[tuple[int, tuple[int, ...]], int],
-    *,
-    commit: bool,
-) -> int:
-    """Map ``chain``'s gates into ``merged``, sharing structurally
-    identical gates; returns how many *new* gates the chain needs.
-
-    With ``commit=False`` nothing is added — the count is the
-    sharing-aware cost a candidate chain would incur, which the
-    decompose-and-share merger minimizes over each output's optimal
-    solution set.
-    """
-    n = merged.num_inputs
-    mapping: dict[int, int] = {i: i for i in range(n)}
-    added = 0
-    staged: dict[tuple[int, tuple[int, ...]], int] = {}
-    next_signal = merged.num_signals
-    for gi, gate in enumerate(chain.gates):
-        fanins = tuple(mapping[f] for f in gate.fanins)
-        key = (gate.op, fanins)
-        signal = gate_index.get(key)
-        if signal is None:
-            signal = staged.get(key)
-        if signal is None:
-            if commit:
-                signal = merged.add_gate(gate.op, fanins)
-                gate_index[key] = signal
-            else:
-                signal = next_signal
-                staged[key] = signal
-                next_signal += 1
-            added += 1
-        mapping[n + gi] = signal
-    if commit:
-        for out_signal, complemented in chain.outputs:
-            merged.set_output(
-                out_signal
-                if out_signal == BooleanChain.CONST0
-                else mapping[out_signal],
-                complemented,
-            )
-    return added
-
-
-class SharedChainBuilder:
-    """Incrementally fuse single-output chains into one multi-output
-    chain with structural gate sharing.
-
-    Gate ``(op, fanins)`` pairs already present in the merged prefix
-    are reused rather than duplicated, so common subexpressions across
-    outputs are built once — the "shared interior gates" a
-    multi-output spec asks for.  :meth:`cost` prices a candidate
-    without committing it, which lets a caller pick, from each
-    output's optimal-solution set, the chain that shares the most
-    logic with what is already merged.
-    """
-
-    def __init__(self, num_inputs: int) -> None:
-        self.chain = BooleanChain(num_inputs)
-        self._index: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def cost(self, chain: BooleanChain) -> int:
-        """New gates ``chain`` would add after sharing (no commit)."""
-        return _merge_one(self.chain, chain, self._index, commit=False)
-
-    def append(self, chain: BooleanChain) -> int:
-        """Merge ``chain`` in; its outputs append to the merged chain.
-
-        Returns the number of gates actually added.
-        """
-        if chain.num_inputs != self.chain.num_inputs:
-            raise ValueError("chains must share one input space")
-        return _merge_one(self.chain, chain, self._index, commit=True)
-
-
-def merge_chains_shared(
-    chains: Sequence[BooleanChain],
-) -> BooleanChain:
-    """Fuse single-output chains into one multi-output chain, sharing
-    structurally identical gates (see :class:`SharedChainBuilder`).
-
-    All chains must read the same primary inputs; output ``j`` of the
-    result is chain ``j``'s output.
-    """
-    chains = list(chains)
-    if not chains:
-        raise ValueError("need at least one chain")
-    builder = SharedChainBuilder(chains[0].num_inputs)
-    for chain in chains:
-        builder.append(chain)
-    return builder.chain
-
-
-def extract_output_cone(chain: BooleanChain, index: int) -> BooleanChain:
-    """The single-output chain computing output ``index`` alone.
-
-    Gates outside the output's transitive fanin cone are dropped and
-    the survivors renumbered, so splitting a shared multi-output chain
-    yields per-output chains with no dead logic.
-    """
-    signal, complemented = chain.outputs[index]
-    n = chain.num_inputs
-    needed: set[int] = set()
-    stack = [] if signal == BooleanChain.CONST0 else [signal]
-    while stack:
-        current = stack.pop()
-        if current < n or current in needed:
-            continue
-        needed.add(current)
-        stack.extend(chain.gate(current).fanins)
-    single = BooleanChain(n)
-    mapping: dict[int, int] = {i: i for i in range(n)}
-    for gi, gate in enumerate(chain.gates):
-        old = n + gi
-        if old not in needed:
-            continue
-        mapping[old] = single.add_gate(
-            gate.op, tuple(mapping[f] for f in gate.fanins)
-        )
-    single.set_output(
-        signal if signal == BooleanChain.CONST0 else mapping[signal],
-        complemented,
-    )
-    return single
 
 
 def polarity_variants(

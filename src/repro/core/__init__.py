@@ -17,7 +17,6 @@ from .circuit_sat import (
     merge_cubes,
     simulate_solutions,
     verify_chain,
-    verify_chain_outputs,
 )
 from .pipeline import PipelineState, run_pipeline
 from .synthesizer import STPSynthesizer, synthesize, synthesize_all
@@ -43,7 +42,6 @@ __all__ = [
     "merge_cubes",
     "simulate_solutions",
     "verify_chain",
-    "verify_chain_outputs",
     "STPSynthesizer",
     "synthesize",
     "synthesize_all",

@@ -32,7 +32,6 @@ from typing import Iterable, Sequence
 from ..chain.chain import BooleanChain
 from ..kernels import (
     chain_onset,
-    chain_output_onsets,
     merge_packed_sets,
     pack_cube,
     pack_cubes,
@@ -51,7 +50,6 @@ __all__ = [
     "cubes_to_onset",
     "simulate_solutions",
     "verify_chain",
-    "verify_chain_outputs",
 ]
 
 #: A partial PI assignment: one entry per primary input, ``None`` = '-'.
@@ -120,26 +118,3 @@ def verify_chain(chain: BooleanChain, target: TruthTable) -> bool:
     if target.num_vars != chain.num_inputs:
         raise ValueError("arity mismatch between chain and target")
     return chain_onset(chain) == target.bits
-
-
-def verify_chain_outputs(
-    chain: BooleanChain, targets: Sequence[TruthTable]
-) -> bool:
-    """Multi-output verification: output ``j``'s AllSAT onset must
-    expand exactly to ``targets[j]``.
-
-    One packed traversal with a memo shared across outputs, so gates
-    feeding several outputs are solved once.  A chain with the wrong
-    output count never verifies (the spec's output list is part of the
-    contract, not just the functions).
-    """
-    targets = list(targets)
-    if len(targets) != len(chain.outputs):
-        return False
-    for target in targets:
-        if target.num_vars != chain.num_inputs:
-            raise ValueError("arity mismatch between chain and target")
-    onsets = chain_output_onsets(chain)
-    return all(
-        onset == target.bits for onset, target in zip(onsets, targets)
-    )

@@ -104,14 +104,7 @@ class SynthesisSpec:
     Parameters
     ----------
     function:
-        The (first) target function.  Single-output call sites keep
-        passing exactly this; it is always ``functions[0]``.
-    functions:
-        The full output vector.  Every output shares the chain's
-        primary inputs (all tables must have the same arity); interior
-        gates may be shared between outputs.  When omitted it defaults
-        to ``(function,)``, so existing single-output specs are
-        untouched.
+        The target function.
     operators:
         Allowed 2-input operator codes (default: the ten operators that
         depend on both inputs).
@@ -143,7 +136,7 @@ class SynthesisSpec:
         cache; a wrong floor silently yields non-minimal chains.
     """
 
-    function: TruthTable | None = None
+    function: TruthTable
     operators: tuple[int, ...] = NONTRIVIAL_BINARY_OPS
     max_gates: int | None = None
     min_gates: int = 0
@@ -153,65 +146,16 @@ class SynthesisSpec:
     max_solutions: int = 10_000
     canonicalize_dont_cares: bool = True
     npn_canonicalize: bool = False
-    functions: tuple[TruthTable, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.function is None and not self.functions:
-            raise ValueError("spec needs a function or a functions vector")
-        if not self.functions:
-            self.functions = (self.function,)
-        else:
-            self.functions = tuple(self.functions)
-            if self.function is None:
-                self.function = self.functions[0]
-            elif self.function != self.functions[0]:
-                raise ValueError(
-                    "function must be functions[0] when both are given"
-                )
-        arity = self.functions[0].num_vars
-        for table in self.functions:
-            if table.num_vars != arity:
-                raise ValueError(
-                    "all outputs must share one primary-input space"
-                )
         for code in self.operators:
             if not 0 <= code <= 0xF:
                 raise ValueError(f"bad operator code {code}")
 
-    @property
-    def num_outputs(self) -> int:
-        """Number of target outputs."""
-        return len(self.functions)
-
-    @property
-    def is_multi_output(self) -> bool:
-        """True for specs with more than one output."""
-        return len(self.functions) > 1
-
-    def output_spec(self, index: int) -> "SynthesisSpec":
-        """The single-output spec for output ``index`` (same knobs)."""
-        from dataclasses import replace
-
-        return replace(
-            self,
-            function=self.functions[index],
-            functions=(self.functions[index],),
-        )
-
     def effective_max_gates(self) -> int:
-        """Default gate cap: generous for the support size.
-
-        Multi-output specs sum the per-output caps — the shared chain
-        can never legitimately need more than the outputs built
-        separately.
-        """
+        """Default gate cap: generous for the support size."""
         if self.max_gates is not None:
             return self.max_gates
-        if self.is_multi_output:
-            return sum(
-                max(3 * table.support_size(), 7)
-                for table in self.functions
-            )
         support = self.function.support_size()
         return max(3 * support, 7)
 

@@ -15,8 +15,6 @@ and runs it.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from ..core.spec import SynthesisResult, SynthesisSpec
 from ..truthtable.table import TruthTable
 from . import adapters as _adapters  # noqa: F401  (registers engines)
@@ -55,15 +53,14 @@ __all__ = [
 
 def run_engine(
     name: str,
-    function: TruthTable | Sequence[TruthTable],
+    function: TruthTable,
     timeout: float | None = None,
     ctx=None,
     **kwargs,
 ) -> SynthesisResult:
     """Dispatch a bare ``(function, timeout)`` call to a named engine.
 
-    ``function`` is one truth table or a joint output vector (which the
-    adapters synthesize by decompose-and-share).  Unknown names raise
+    Unknown names raise
     :class:`~repro.runtime.errors.EngineUnavailable`.  ``kwargs``
     become spec overrides for knobs the engine supports; the rest are
     ignored (the fallback-chain contract).  ``min_gates`` is a spec
@@ -72,10 +69,7 @@ def run_engine(
     """
     min_gates = int(kwargs.pop("min_gates", 0) or 0)
     engine = create_engine(name, **kwargs)
-    functions = (
-        (function,) if isinstance(function, TruthTable) else tuple(function)
-    )
     spec = SynthesisSpec(
-        functions=functions, timeout=timeout, min_gates=min_gates
+        function=function, timeout=timeout, min_gates=min_gates
     )
     return engine.synthesize(spec, ctx)

@@ -30,15 +30,7 @@ __all__ = [
 
 
 class _SpecAdapter:
-    """Shared plumbing: spec overrides, context-aware timeouts, and
-    the multi-output route.
-
-    ``synthesize`` is the protocol entry point for every adapter: a
-    multi-output spec is dispatched to the decompose-and-share fusion
-    (which calls back into this adapter once per distinct output),
-    while single-output specs go straight to the engine's own
-    ``_synthesize_single``.
-    """
+    """Shared plumbing: spec overrides and context-aware timeouts."""
 
     #: Spec fields this engine's backend honours as ctor overrides.
     _SPEC_KEYS: tuple[str, ...] = ()
@@ -49,20 +41,6 @@ class _SpecAdapter:
             for key, value in kwargs.items()
             if key in self._SPEC_KEYS and value is not None
         }
-
-    def synthesize(
-        self, spec: SynthesisSpec, ctx: SynthesisContext | None = None
-    ) -> SynthesisResult:
-        if spec.is_multi_output:
-            from .multioutput import decompose_and_share
-
-            return decompose_and_share(self, spec, ctx)
-        return self._synthesize_single(spec, ctx)
-
-    def _synthesize_single(
-        self, spec: SynthesisSpec, ctx: SynthesisContext | None
-    ) -> SynthesisResult:
-        raise NotImplementedError
 
     def _effective_spec(self, spec: SynthesisSpec) -> SynthesisSpec:
         if not self._overrides:
@@ -87,7 +65,6 @@ class STPEngine(_SpecAdapter):
         verification=True,
         custom_operators=True,
         exact=True,
-        multi_output=True,
     )
     _SPEC_KEYS = (
         "operators",
@@ -99,7 +76,7 @@ class STPEngine(_SpecAdapter):
         "npn_canonicalize",
     )
 
-    def _synthesize_single(
+    def synthesize(
         self, spec: SynthesisSpec, ctx: SynthesisContext | None = None
     ) -> SynthesisResult:
         from ..core.pipeline import run_pipeline
@@ -116,11 +93,10 @@ class HierEngine(_SpecAdapter):
         verification=True,
         custom_operators=True,
         exact=False,
-        multi_output=True,
     )
     _SPEC_KEYS = ("operators", "all_solutions", "max_solutions")
 
-    def _synthesize_single(
+    def synthesize(
         self, spec: SynthesisSpec, ctx: SynthesisContext | None = None
     ) -> SynthesisResult:
         from ..core.hierarchical import HierarchicalSynthesizer
@@ -141,7 +117,7 @@ class _BaselineAdapter(_SpecAdapter):
     def _backend(self, spec: SynthesisSpec):
         raise NotImplementedError
 
-    def _synthesize_single(
+    def synthesize(
         self, spec: SynthesisSpec, ctx: SynthesisContext | None = None
     ) -> SynthesisResult:
         eff = self._effective_spec(spec)
@@ -162,7 +138,6 @@ class FENEngine(_BaselineAdapter):
         verification=True,
         custom_operators=False,
         exact=True,
-        multi_output=True,
     )
 
     def _backend(self, spec: SynthesisSpec):
@@ -180,7 +155,6 @@ class BMSEngine(_BaselineAdapter):
         verification=True,
         custom_operators=False,
         exact=True,
-        multi_output=True,
     )
 
     def _backend(self, spec: SynthesisSpec):
@@ -198,7 +172,6 @@ class LutExactEngine(_BaselineAdapter):
         verification=True,
         custom_operators=False,
         exact=True,
-        multi_output=True,
     )
 
     def _backend(self, spec: SynthesisSpec):
@@ -216,7 +189,6 @@ class CegisEngine(_BaselineAdapter):
         verification=True,
         custom_operators=False,
         exact=True,
-        multi_output=True,
     )
 
     def _backend(self, spec: SynthesisSpec):

@@ -39,19 +39,12 @@ class EngineCapabilities:
         it always use the full nontrivial binary set.
     exact:
         Returned chains are guaranteed gate-count optimal.
-    multi_output:
-        Multi-output specs (``spec.functions`` longer than one) are
-        accepted and answered with a single shared-gate chain.  For
-        the built-in adapters this is the decompose-and-share path
-        (per-output exact, sharing-aware fusion); ``exact`` continues
-        to describe the per-output guarantee.
     """
 
     all_solutions: bool = False
     verification: bool = True
     custom_operators: bool = False
     exact: bool = True
-    multi_output: bool = False
 
 
 @runtime_checkable

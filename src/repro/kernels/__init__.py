@@ -30,7 +30,6 @@ without cycles.
 
 from .allsat import (
     chain_onset,
-    chain_output_onsets,
     packed_all_sat,
     stp_assignments,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "array_to_bits",
     "bits_to_array",
     "chain_onset",
-    "chain_output_onsets",
     "check_solution_set",
     "cofactor_bits",
     "collapse_indices",

@@ -35,7 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 __all__ = [
     "packed_all_sat",
     "chain_onset",
-    "chain_output_onsets",
     "stp_assignments",
 ]
 
@@ -123,33 +122,6 @@ def chain_onset(
     """Bitmask of minterms whose assignment satisfies every output
     target — AllSAT plus the word-parallel onset expansion, fused."""
     return packed_onset(packed_all_sat(chain, targets), chain.num_inputs)
-
-
-def chain_output_onsets(chain: "BooleanChain") -> list[int]:
-    """Per-output onset bitmasks of a (multi-output) chain.
-
-    Runs one AllSAT traversal per declared output with a *shared*
-    memo, so interior gates feeding several outputs are solved once —
-    the multi-output analogue of :func:`chain_onset`, answering "which
-    minterms drive output ``j`` to 1" independently per output rather
-    than jointly.
-    """
-    outputs = chain.outputs
-    if not outputs:
-        raise ValueError("chain has no outputs")
-    t0 = time.perf_counter()
-    n = chain.num_inputs
-    memo: dict[int, list[int]] = {}
-    onsets: list[int] = []
-    for signal, complemented in outputs:
-        node_target = 1 ^ int(complemented)
-        if signal == _CONST0:
-            cubes = [0] if node_target == 0 else []
-        else:
-            cubes = _traverse(chain, signal, node_target, memo, n)
-        onsets.append(packed_onset(cubes, n))
-    KERNEL_STATS.add("chain_allsat", time.perf_counter() - t0)
-    return onsets
 
 
 def stp_assignments(top_row: np.ndarray, num_vars: int) -> list[tuple[int, ...]]:

@@ -556,24 +556,21 @@ def npn_transform_chain_ref(chain, transform):
     return rewritten
 
 
-def npn_transform_chain_multi_ref(chain, transform):
-    """Rewrite a multi-output chain through a joint NPN transform.
+def npn_transform_chain_multi_ref(chain, perm, flips, output_flips):
+    """Rewrite a multi-output chain through an NPN transform with one
+    shared input permutation/negation (``perm``, ``flips``) and
+    a *per-output* negation flag (``output_flips``).
 
-    ``transform`` is a :class:`~repro.truthtable.npn.MultiNPNTransform`:
-    one shared input permutation/negation plus a *per-output* negation
-    flag.  Same absorption rules as :func:`npn_transform_chain` — the
+    Same absorption rules as :func:`npn_transform_chain_ref` — the
     gate codes swallow the input complements, the output flags swallow
-    the rest — so gate count is preserved and the rewrite is the
-    bijection between a multi-output orbit member's solution set and
-    the canonical representative's.
+    the rest — so gate count is preserved.  The reference for
+    :func:`~repro.chain.transform.npn_transform_record`'s per-output
+    flips.
     """
     from ..chain.chain import BooleanChain
     from ..chain.transform import _flip_code_input
 
     n = chain.num_inputs
-    perm = transform.perm
-    flips = transform.input_flips
-    output_flips = transform.output_flips
     if len(perm) != n:
         raise ValueError("transform arity does not match chain")
     if len(output_flips) != len(chain.outputs):

@@ -300,10 +300,9 @@ class BatchScheduler:
         """Queue an arbitrary synthesis closure on the pool.
 
         The serving layer uses this for work that is not a plain
-        ``(algorithm, function)`` pair — e.g. multi-output specs, or a
-        canonical-representative synthesis shared by coalesced
-        requests.  ``fn`` runs on a dispatcher thread and its return
-        value resolves the future.
+        ``(algorithm, function)`` pair: a canonical-representative
+        synthesis shared by coalesced requests.  ``fn`` runs on a
+        dispatcher thread and its return value resolves the future.
 
         ``deadline`` is an absolute ``time.monotonic()`` instant: a
         job whose deadline has lapsed when a dispatcher pops it

@@ -2,10 +2,10 @@
 
 :class:`FaultTolerantExecutor` is the single choke point every entry
 point (CLI, bench runner, rewriter, serving layer, NPN database) routes
-synthesis through.  One ``run()`` call resolves a single truth table or
-a joint multi-output vector, and turns any per-instance disaster — a
-hung loop, a crashed worker, a corrupt result, a missing engine — into
-a recorded :class:`ExecutionOutcome` instead of an aborted run.  The
+synthesis through.  One ``run()`` call resolves one truth table, and
+turns any per-instance disaster — a hung loop, a crashed worker, a
+corrupt result, a missing engine — into a recorded
+:class:`ExecutionOutcome` instead of an aborted run.  The
 steps always run in this order:
 
 1. **lookup** — an exact store row is served through the inverse NPN
@@ -23,16 +23,15 @@ steps always run in this order:
      (cooperative deadline) or process-isolated (hard kill).  Crashes
      are retried with exponential backoff, a timeout ends the walk
      unless ``fallback_on_timeout`` is set, and the first verified
-     answer wins.  Joint vectors always walk: a worker carries one
-     table.
+     answer wins.
    * ``width >= 2`` races isolated worker lanes.  The first verified
      *exact* answer wins, inexact answers are held, and losers are
      killed and reaped (``last_cancellations``).  When the health
      history shortened the first round, a second round gets the full
      remaining budget;
 
-5. **verify** — every chain of an answer must have one output per
-   requested table and simulate to it (one packed simulation of the
+5. **verify** — every chain of an answer must have one output and
+   simulate to the requested table (one packed simulation of the
    whole solution set), else the attempt counts as
    ``crash``/``corrupt``;
 6. **write-back** — answers are stored graded by the answering engine's
@@ -321,13 +320,13 @@ class FaultTolerantExecutor:
     # ------------------------------------------------------------------
     def run(
         self,
-        function: TruthTable | Sequence[TruthTable],
+        function: TruthTable,
         timeout: float | None = None,
         *,
         expire_at: float | None = None,
         pick: str | None = None,
     ) -> ExecutionOutcome:
-        """Resolve ``function``: one truth table or a joint vector.
+        """Resolve one truth table.
 
         Never raises for per-instance failures — the outcome records
         what happened.  ``KeyboardInterrupt`` is deliberately *not*
@@ -346,14 +345,9 @@ class FaultTolerantExecutor:
         carries the one chain that cost chooses.  Engine answers and
         degraded bounds carry every chain.
         """
-        if isinstance(function, TruthTable):
-            tables: tuple[TruthTable, ...] = (function,)
-        else:
-            tables = tuple(function)
-        single = tables[0] if len(tables) == 1 else None
         outcome = ExecutionOutcome(
-            function_hex=",".join(table.to_hex() for table in tables),
-            num_vars=tables[0].num_vars,
+            function_hex=function.to_hex(),
+            num_vars=function.num_vars,
             status="crash",
         )
         self.last_cancellations = cancelled = []
@@ -371,29 +365,28 @@ class FaultTolerantExecutor:
         floor = 0
         if self._store is not None:
             stored = self._store_read(
-                outcome, self._store.lookup_multi, tables, pick=pick
+                outcome, self._store.lookup, function, pick=pick
             )
             if stored is not None:
                 return self._settle(outcome, deadline, "ok", "store", stored)
-            if single is not None:
-                floor = self._store_call(
-                    outcome, self._store.min_feasible_gates, single
-                ) or 0
+            floor = self._store_call(
+                outcome, self._store.min_feasible_gates, function
+            ) or 0
 
-        raced = self._width > 1 and single is not None
+        raced = self._width > 1
         if raced:
             answer, status, error = self._race(
-                single, floor, deadline, outcome, cancelled
+                function, floor, deadline, outcome, cancelled
             )
         else:
             answer, status, error = self._walk(
-                tables, floor, deadline, outcome
+                function, floor, deadline, outcome
             )
 
         if answer is not None:
             engine, result = answer
             exact = self._is_exact(engine)
-            self._write_back(outcome, tables, engine, result, exact)
+            self._write_back(outcome, function, engine, result, exact)
             if exact or not raced:
                 outcome.exact = exact
                 return self._settle(outcome, deadline, "ok", engine, result)
@@ -403,9 +396,9 @@ class FaultTolerantExecutor:
         # upper bound, the store's first.
         outcome.error = error
         if status != "infeasible":
-            if single is not None and self._store is not None:
+            if self._store is not None:
                 bound = self._store_read(
-                    outcome, self._store.lookup_upper_bound, single
+                    outcome, self._store.lookup_upper_bound, function
                 )
                 if bound is not None:
                     answer = ("store", bound[0])
@@ -417,13 +410,13 @@ class FaultTolerantExecutor:
     # ------------------------------------------------------------------
     # lane schedulers
     # ------------------------------------------------------------------
-    def _walk(self, tables, floor, deadline, outcome):
+    def _walk(self, function, floor, deadline, outcome):
         """Width 1: the lanes as a fallback chain; first verified wins."""
         lanes = self._lanes(None)
         status, error = "crash", ""
         for name in lanes:
             result, status, error = self._run_engine(
-                name, tables, floor, deadline, outcome
+                name, function, floor, deadline, outcome
             )
             if result is not None:
                 if name != lanes[0]:
@@ -441,9 +434,8 @@ class FaultTolerantExecutor:
                 break
         return None, status, error
 
-    def _run_engine(self, name, tables, floor, deadline, outcome):
+    def _run_engine(self, name, function, floor, deadline, outcome):
         """All walk attempts (first try + retries) on one engine."""
-        single = tables[0] if len(tables) == 1 else None
         pause = self._backoff
         for attempt in range(self._max_retries + 1):
             budget = deadline.remaining()
@@ -452,11 +444,11 @@ class FaultTolerantExecutor:
             started = time.perf_counter()
             fault = self._draw(outcome, name)
             result, exc = self._verified(
-                lambda: self._attempt(name, tables, budget, fault, floor),
-                tables,
+                lambda: self._attempt(name, function, budget, fault, floor),
+                function,
             )
             record = self._record(
-                outcome, single, name, attempt,
+                outcome, function, name, attempt,
                 time.perf_counter() - started, fault, exc,
             )
             if record.status != "crash":
@@ -469,22 +461,21 @@ class FaultTolerantExecutor:
                 pause *= self._backoff_factor
         return None, record.status, record.error
 
-    def _attempt(self, name, tables, budget, fault, floor):
+    def _attempt(self, name, function, budget, fault, floor):
         """One walk attempt: isolated worker, injected fault, or
         in-process engine."""
         kwargs = self._kwargs(name, floor)
-        if self._isolate and len(tables) == 1:
+        if self._isolate:
             return run_isolated(
-                self._task(name, tables[0], budget, kwargs, fault),
+                self._task(name, function, budget, kwargs, fault),
                 self._pool,
             )
         if fault is not None:
-            return execute_fault(fault, tables[0], budget, isolated=False)
-        target = tables[0] if len(tables) == 1 else tables
+            return execute_fault(fault, function, budget, isolated=False)
         fn = self._callables.get(name)
         if fn is not None:
-            return fn(target, budget, **kwargs)
-        return run_engine(name, target, budget, **kwargs)
+            return fn(function, budget, **kwargs)
+        return run_engine(name, function, budget, **kwargs)
 
     def _race(self, function, floor, deadline, outcome, cancelled):
         """Width >= 2: race isolated lanes; first verified exact wins.
@@ -554,7 +545,7 @@ class FaultTolerantExecutor:
                 for handle in done:
                     pending.remove(handle)
                     result, exc = self._verified(
-                        lambda: handle.result(block=False), (function,)
+                        lambda: handle.result(block=False), function
                     )
                     record = self._record(
                         outcome, function, handle.engine, 0,
@@ -612,10 +603,10 @@ class FaultTolerantExecutor:
             return None
         return self._fault_plan.draw(outcome.function_hex, name)
 
-    def _verified(self, produce, tables):
+    def _verified(self, produce, function):
         """The one verify: ``(result, None)`` for a result whose every
-        chain has one output per table and realises ``tables`` — one
-        packed simulation of the whole solution set — else ``(None,
+        chain has one output and realises ``function`` — one packed
+        simulation of the whole solution set — else ``(None,
         exception)``."""
         try:
             result = produce()
@@ -629,13 +620,13 @@ class FaultTolerantExecutor:
                     raise WorkerCrash("engine returned no chains")
                 verdicts = check_solution_set(
                     [chain.signature() for chain in result.chains],
-                    [table.bits for table in tables],
-                    tables[0].num_vars,
+                    [function.bits],
+                    function.num_vars,
                 )
                 if not all(verdicts):
                     raise VerificationFailed(
                         "engine returned a chain that does not "
-                        f"realise 0x{','.join(t.to_hex() for t in tables)}"
+                        f"realise 0x{function.to_hex()}"
                     )
         except Exception as exc:
             return None, exc
@@ -669,19 +660,19 @@ class FaultTolerantExecutor:
         except EngineUnavailable:  # ad-hoc callables declare nothing
             return False
 
-    def _write_back(self, outcome, tables, engine, result, exact) -> None:
+    def _write_back(self, outcome, function, engine, result, exact) -> None:
         """Store an answer graded by its engine's exactness."""
         if self._store is None:
             return
         self._store_call(
-            outcome, self._store.put_multi, tables, result,
+            outcome, self._store.put, function, result,
             engine=engine, exact=exact,
         )
-        if exact and len(tables) == 1 and result.num_gates > 0:
+        if exact and result.num_gates > 0:
             # An optimal r-gate result proves sizes below r empty;
             # persist the mark so warm runs start at r directly.
             self._store_call(
-                outcome, self._store.mark_infeasible, tables[0],
+                outcome, self._store.mark_infeasible, function,
                 result.num_gates - 1,
             )
 

@@ -5,7 +5,7 @@ Everything the batch reproduction grew — the NPN-keyed
 :class:`~repro.parallel.BatchScheduler` pool, engine racing, health
 breakers, graceful degradation — hosted behind a long-lived asyncio
 HTTP + JSON API (``repro-serve``).  Requests are canonicalized to
-their (joint) NPN class, concurrent duplicates coalesce onto one
+their NPN class, concurrent duplicates coalesce onto one
 in-flight synthesis, warm classes are served straight from the store
 through the caller's inverse transform, and misses run on the
 persistent dispatcher pool in arrival order.  A request may carry a

@@ -1,15 +1,14 @@
 """The synthesis service: NPN coalescing over the resident runtime.
 
-This is the heart of synthesis-as-a-service.  Every request — a
-single truth table or a joint multi-output vector — goes through the
-same funnel:
+This is the heart of synthesis-as-a-service.  Every request — one
+truth table — goes through the same funnel:
 
 1. **Warm path.**  The persistent :class:`~repro.store.ChainStore` is
    consulted first (in a worker thread — SQLite I/O must not block
    the event loop).  A hit is served immediately through the store's
    own inverse-NPN rewrite, graded exact.  A lookup that raises is
    counted in ``store_errors`` and the request goes on as a miss.
-2. **Coalescing.**  A miss is canonicalized to its (joint) NPN class.
+2. **Coalescing.**  A miss is canonicalized to its NPN class.
    If that class already has a synthesis in flight, the request simply
    awaits the shared future — K concurrent requests for one class cost
    exactly one engine run, and each caller maps the canonical chains
@@ -29,7 +28,7 @@ same funnel:
    leaves here with ``exact: false`` and a ``degraded`` status the
    HTTP layer maps to its own (non-failure) status code.
 
-Every chain of a response is checked against the *caller's* tables
+Every chain of a response is checked against the *caller's* table
 before it leaves the service — one packed simulation of the whole set,
 plus the paper's AllSAT verifier on the first chain as a second
 opinion — so a transform bug or corrupt store row becomes a counted
@@ -52,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from ..chain.transform import npn_transform_chain
-from ..core.circuit_sat import verify_chain, verify_chain_outputs
+from ..core.circuit_sat import verify_chain
 from ..core.spec import SynthesisStats
 from ..kernels import check_solution_set
 from ..parallel.scheduler import DeadlineExpired
@@ -64,7 +63,7 @@ from ..runtime.executor import (
 from ..runtime.health import EngineHealth
 from ..runtime.racing import RACE_WIDTH
 from ..truthtable import from_hex
-from ..truthtable.npn import canonicalize, canonicalize_multi
+from ..truthtable.npn import canonicalize
 from ..truthtable.table import TruthTable
 from .metrics import ServingMetrics
 
@@ -81,13 +80,9 @@ _ANSWERED = frozenset({"ok", "degraded"})
 
 @dataclass(frozen=True)
 class SynthesisRequest:
-    """One validated synthesis request.
+    """One validated synthesis request for one truth table."""
 
-    ``functions`` is the output vector (length 1 for the classic
-    single-output request); all outputs share one input space.
-    """
-
-    functions: tuple[TruthTable, ...]
+    function: TruthTable
     timeout: float | None = None
     max_chains: int = 4
     client: str = "anonymous"
@@ -97,11 +92,7 @@ class SynthesisRequest:
 
     @property
     def num_vars(self) -> int:
-        return self.functions[0].num_vars
-
-    @property
-    def is_multi(self) -> bool:
-        return len(self.functions) > 1
+        return self.function.num_vars
 
     def expired(self, now: float | None = None) -> bool:
         """True once the caller's deadline has lapsed."""
@@ -121,8 +112,7 @@ class SynthesisRequest:
     ) -> "SynthesisRequest":
         """Parse and validate a JSON request body.
 
-        Accepts ``{"function": "8ff8", "vars": 4}`` or
-        ``{"functions": ["8ff8", "0660"], "vars": 4}`` plus optional
+        Accepts ``{"function": "8ff8", "vars": 4}`` plus optional
         ``timeout`` (seconds), ``max_chains`` and ``deadline_ms``
         (milliseconds of budget from *now* — past it the request is
         answered 504 without occupying a worker).  Raises
@@ -138,26 +128,10 @@ class SynthesisRequest:
             raise ValueError(
                 f'"vars" must be between 1 and {MAX_REQUEST_VARS}'
             )
-        if "functions" in payload:
-            raw = payload["functions"]
-            if (
-                not isinstance(raw, Sequence)
-                or isinstance(raw, (str, bytes))
-                or not raw
-            ):
-                raise ValueError('"functions" must be a non-empty list')
-            if len(raw) > 8:
-                raise ValueError("at most 8 outputs per request")
-            hexes = list(raw)
-        elif "function" in payload:
-            hexes = [payload["function"]]
-        else:
-            raise ValueError('missing "function" or "functions"')
-        tables = []
-        for entry in hexes:
-            if not isinstance(entry, str):
-                raise ValueError("truth tables must be hex strings")
-            tables.append(from_hex(entry, num_vars))
+        entry = payload.get("function")
+        if not isinstance(entry, str):
+            raise ValueError('"function" must be a hex string')
+        function = from_hex(entry, num_vars)
         timeout = _budget(payload, "timeout")
         max_chains = payload.get("max_chains", 4)
         if (
@@ -171,7 +145,7 @@ class SynthesisRequest:
         if deadline_ms is not None:
             expire_at = time.monotonic() + deadline_ms / 1000.0
         return SynthesisRequest(
-            functions=tuple(tables),
+            function=function,
             timeout=timeout,
             max_chains=min(max_chains, 64),
             client=client,
@@ -257,7 +231,7 @@ class SynthesisService:
     race:
         Race the healthy lanes in isolated workers per miss instead of
         walking them as an in-process fallback chain (the executor's
-        ``width``).  Joint vectors always walk.
+        ``width``).
     default_timeout / max_timeout:
         Per-request synthesis budget when the caller names none, and
         the hard cap a caller may request.
@@ -307,8 +281,8 @@ class SynthesisService:
         #: next integer, so a gap-free, strictly increasing sequence
         #: is an invariant the soak harness can assert.
         self._request_seq = itertools.count(1)
-        #: (num_vars, num_outputs, canon_key) -> shared asyncio future
-        #: resolving to the canonical-space ExecutionOutcome.
+        #: (num_vars, canon_hex) -> shared asyncio future resolving to
+        #: the canonical-space ExecutionOutcome.
         self._inflight: dict[tuple, asyncio.Future] = {}
         #: Aggregated search effort across every engine run this
         #: process served; feeds the ``synthesis`` /metrics section.
@@ -375,7 +349,7 @@ class SynthesisService:
         if self._store is not None:
             try:
                 result = await asyncio.to_thread(
-                    self._store.lookup_multi, request.functions
+                    self._store.lookup, request.function
                 )
             except Exception:
                 # A failing store must not fail the request: count it
@@ -395,12 +369,9 @@ class SynthesisService:
                 )
 
         # 2. Canonicalize and coalesce.
-        canon_tables, inverse = self._canonicalize(request.functions)
-        key = (
-            request.num_vars,
-            len(canon_tables),
-            ",".join(t.to_hex() for t in canon_tables),
-        )
+        canon, transform = canonicalize(request.function)
+        inverse = transform.inverse()
+        key = (request.num_vars, canon.to_hex())
         # Two admission attempts: if this caller coalesced onto (or
         # launched) a shared job that then expired in the queue on the
         # *launcher's* tighter deadline, a caller with budget left
@@ -416,15 +387,15 @@ class SynthesisService:
                     return SynthesisResponse(
                         status="overloaded",
                         error="scheduler backlog full; retry later",
-                        npn_class=key[2],
+                        npn_class=key[1],
                     )
-                shared = self._launch(key, canon_tables, timeout, request)
+                shared = self._launch(key, canon, timeout, request)
                 if shared is None:
                     self.metrics.failures += 1
                     return SynthesisResponse(
                         status="unavailable",
                         error="scheduler is not accepting work",
-                        npn_class=key[2],
+                        npn_class=key[1],
                     )
                 self.metrics.engine_runs += 1
             else:
@@ -449,14 +420,14 @@ class SynthesisService:
                     return self._expired_response(
                         request,
                         "awaiting the in-flight synthesis",
-                        npn_class=key[2],
+                        npn_class=key[1],
                         coalesced=coalesced,
                     )
                 self.metrics.failures += 1
                 return SynthesisResponse(
                     status="timeout",
                     error="timed out waiting for the in-flight synthesis",
-                    npn_class=key[2],
+                    npn_class=key[1],
                     coalesced=coalesced,
                 )
             if (
@@ -471,13 +442,13 @@ class SynthesisService:
             return self._expired_response(
                 request,
                 "in the dispatch queue",
-                npn_class=key[2],
+                npn_class=key[1],
                 coalesced=coalesced,
             )
 
         # 4. Map the canonical outcome into the caller's space.
         return self._materialize(
-            request, key[2], inverse, outcome, coalesced
+            request, key[1], inverse, outcome, coalesced
         )
 
     # ------------------------------------------------------------------
@@ -486,7 +457,7 @@ class SynthesisService:
     def _launch(
         self,
         key: tuple,
-        canon_tables: tuple[TruthTable, ...],
+        canon: TruthTable,
         timeout: float,
         request: SynthesisRequest,
     ) -> asyncio.Future | None:
@@ -502,13 +473,11 @@ class SynthesisService:
         expire_at = request.expire_at
 
         def job() -> ExecutionOutcome:
-            return self._executor.run(
-                canon_tables, timeout, expire_at=expire_at
-            )
+            return self._executor.run(canon, timeout, expire_at=expire_at)
 
         try:
             handle = self._scheduler.submit_call(
-                f"serve {key[2]}", job, deadline=expire_at
+                f"serve {key[1]}", job, deadline=expire_at
             )
         except RuntimeError:
             return None
@@ -529,7 +498,7 @@ class SynthesisService:
             return
         if done.cancelled():
             outcome = ExecutionOutcome(
-                function_hex=key[2],
+                function_hex=key[1],
                 num_vars=key[0],
                 status="unavailable",
                 error="synthesis cancelled during shutdown",
@@ -540,14 +509,14 @@ class SynthesisService:
                 # The dispatcher answered the job without running it; waiters map this onto HTTP 504 (or relaunch if
                 # their own deadline still has budget).
                 outcome = ExecutionOutcome(
-                    function_hex=key[2],
+                    function_hex=key[1],
                     num_vars=key[0],
                     status="expired",
                     error=str(exc),
                 )
             elif exc is not None:
                 outcome = ExecutionOutcome(
-                    function_hex=key[2],
+                    function_hex=key[1],
                     num_vars=key[0],
                     status="crash",
                     error=f"{type(exc).__name__}: {exc}",
@@ -613,18 +582,14 @@ class SynthesisService:
         """Final response assembly + the caller-space verification gate."""
         chains = list(chains[: request.max_chains])
         if chains:
-            tables = request.functions
+            function = request.function
             ok = all(
                 check_solution_set(
                     [chain.signature() for chain in chains],
-                    [table.bits for table in tables],
-                    tables[0].num_vars,
+                    [function.bits],
+                    function.num_vars,
                 )
-            ) and (
-                verify_chain_outputs(chains[0], tables)
-                if request.is_multi
-                else verify_chain(chains[0], tables[0])
-            )
+            ) and verify_chain(chains[0], function)
             if not ok:
                 self.metrics.verify_failures += 1
                 self.metrics.failures += 1
@@ -650,15 +615,6 @@ class SynthesisService:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _canonicalize(functions: tuple[TruthTable, ...]):
-        """Canonical tables + the inverse transform for this caller."""
-        if len(functions) == 1:
-            canon, transform = canonicalize(functions[0])
-            return (canon,), transform.inverse()
-        canon_tables, transform = canonicalize_multi(functions)
-        return canon_tables, transform.inverse()
-
     def metrics_snapshot(self, extra: Mapping | None = None) -> dict:
         """The merged ``/metrics`` document (JSON-safe).
 

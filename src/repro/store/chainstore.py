@@ -10,13 +10,11 @@ the class transform before being stored — and a lookup maps them back
 through the inverse transform of the queried orbit member, so one row
 serves the whole orbit.
 
-Multi-output solution sets share the same table: the key is the
-comma-joined per-output canonical hex under the *joint* NPN transform
-(one shared input permutation/negation, per-output output negations),
-which can never collide with a single-output hex, and the row's
-``num_outputs`` column records the vector width.  Old single-output
-databases migrate in place (``ALTER TABLE`` adds the column with
-DEFAULT 1) and keep serving unmodified.
+Databases written by older code migrate in place on open (``ALTER
+TABLE`` adds the later columns with their defaults) and keep serving.
+Rows of the retired joint multi-output path (``num_outputs > 1``, keyed
+by comma-joined hexes) may remain in such a file; no single-output hex
+contains a comma, so no lookup, merge or quarantine ever reaches them.
 
 Rows are keyed by ``(num_vars, canonical_hex, num_gates)`` in SQLite:
 a single file, safe under concurrent readers and writers (WAL journal
@@ -54,7 +52,7 @@ set-checked there once per store instance; the transform is a
 bijection on functions and leaves a malformed record malformed, so
 that check fails exactly when the caller-space one would.  The picked
 record alone is transformed, set-checked and AllSAT-checked against
-the caller's tables on every lookup.  The memo of checked rows holds
+the caller's table on every lookup.  The memo of checked rows holds
 the payload string each check read, so a payload changed by a merge
 or behind the store's back is checked again; a row that fails is
 quarantined and never memoized.
@@ -80,7 +78,7 @@ import time
 from ..chain.chain import BooleanChain
 from ..chain.costs import COST_MODELS, NPN_INVARIANT_COSTS
 from ..chain.transform import npn_transform_record
-from ..core.circuit_sat import verify_chain, verify_chain_outputs
+from ..core.circuit_sat import verify_chain
 from ..core.spec import SynthesisResult, SynthesisSpec
 from ..kernels import check_solution_set
 from ..truthtable.table import TruthTable
@@ -154,42 +152,32 @@ def _decode_payload(payload) -> tuple[list[tuple], int] | None:
     return records, len(objects) - len(records)
 
 
-def _checked_row(payload, tables) -> list[tuple] | None:
+def _checked_row(payload, table) -> list[tuple] | None:
     """Every record of a row's payload when all of them compute
-    ``tables``, else None: an unreadable payload, an object that is not
+    ``table``, else None: an unreadable payload, an object that is not
     a record, an empty list or one failing record makes the row
     corrupt."""
     decoded = _decode_payload(payload)
     if decoded is None or decoded[1]:
         return None
     records = decoded[0]
-    if not records or len(_checked(records, tables)) != len(records):
+    if not records or len(_checked(records, table)) != len(records):
         return None
     return records
 
 
-def _checked(records, tables) -> list[tuple]:
-    """The records whose every output computes ``tables``: one packed
+def _checked(records, table) -> list[tuple]:
+    """The records with one output computing ``table``: one packed
     simulation of the whole set."""
-    verdicts = check_solution_set(
-        records, [t.bits for t in tables], tables[0].num_vars
-    )
+    verdicts = check_solution_set(records, [table.bits], table.num_vars)
     return [record for record, ok in zip(records, verdicts) if ok]
 
 
 def _transformed(record, transform) -> tuple:
     """``record`` rewritten through an NPN ``transform``."""
     return npn_transform_record(
-        record, transform.perm, transform.input_flips, transform.output_flips
+        record, transform.perm, transform.input_flips, (transform.output_flip,)
     )
-
-
-def _allsat_agrees(chain: BooleanChain, tables) -> bool:
-    """The paper's circuit AllSAT on one chain: an independent second
-    opinion behind the set check."""
-    if len(tables) == 1:
-        return verify_chain(chain, tables[0])
-    return verify_chain_outputs(chain, tables)
 
 
 class ChainStore:
@@ -314,31 +302,6 @@ class ChainStore:
 
         return get_cache().npn_canonical(function)
 
-    @staticmethod
-    def _canonical_multi(functions):
-        from ..truthtable.npn import canonicalize_multi
-
-        return canonicalize_multi(functions)
-
-    @staticmethod
-    def _multi_key(canon_tables) -> str:
-        """Comma-joined per-output canonical hexes.
-
-        Commas never occur in a single-output hex key, so multi-output
-        rows share the ``chains`` table without colliding with the
-        single-output keyspace — old databases keep serving unmodified.
-        """
-        return ",".join(t.to_hex() for t in canon_tables)
-
-    def _canonical_space(self, tables):
-        """``(canonical tables, row key, transform)`` of a function
-        vector; one table keys by its class hex alone."""
-        if len(tables) == 1:
-            canon, transform = self._canonical(tables[0])
-            return (canon,), canon.to_hex(), transform
-        canon_tables, transform = self._canonical_multi(tables)
-        return canon_tables, self._multi_key(canon_tables), transform
-
     # ------------------------------------------------------------------
     # read path
     # ------------------------------------------------------------------
@@ -381,7 +344,7 @@ class ChainStore:
         count it.
         """
         return self._lookup(
-            (function,), exact_only=True, events=events, pick=pick
+            function, exact_only=True, events=events, pick=pick
         )
 
     def lookup_upper_bound(
@@ -397,9 +360,7 @@ class ChainStore:
         *next* row is tried (any verified bound beats a bare failure).
         Returns ``(result, exact_flag)``.
         """
-        result = self._lookup(
-            (function,), exact_only=False, events=events
-        )
+        result = self._lookup(function, exact_only=False, events=events)
         if result is None:
             return None
         return result, bool(getattr(result, "_store_exact", True))
@@ -459,37 +420,9 @@ class ChainStore:
                     ),
                 )
 
-    def lookup_multi(
-        self,
-        functions,
-        *,
-        events: list | None = None,
-        pick: str | None = None,
-    ) -> SynthesisResult | None:
-        """Serve a multi-output function vector from the store, or miss.
-
-        The vector is canonicalized jointly (one shared input
-        permutation/negation, per-output output negations), the row is
-        fetched under the comma-joined canonical key, and every stored
-        chain is rewritten back through the inverse transform and
-        checked output by output; corruption quarantines the row
-        exactly as in the single-output path.  ``pick`` serves one
-        chain as in :meth:`lookup`.  A one-element vector delegates to
-        :meth:`lookup`, so multi-output callers transparently share
-        the single-output keyspace.
-        """
-        functions = list(functions)
-        if not functions:
-            raise ValueError("need at least one output function")
-        if len(functions) == 1:
-            return self.lookup(functions[0], events=events, pick=pick)
-        return self._lookup(
-            tuple(functions), exact_only=True, events=events, pick=pick
-        )
-
     def _lookup(
         self,
-        tables: tuple[TruthTable, ...],
+        function: TruthTable,
         *,
         exact_only: bool,
         events: list | None,
@@ -501,21 +434,22 @@ class ChainStore:
                 f"of {sorted(NPN_INVARIANT_COSTS)}"
             )
         started = time.perf_counter()
-        canon_tables, canon_hex, transform = self._canonical_space(tables)
-        num_vars = tables[0].num_vars
+        canon, transform = self._canonical(function)
+        canon_hex = canon.to_hex()
+        num_vars = function.num_vars
         rows = self._fetch_rows(num_vars, canon_hex, exact_only=exact_only)
         inverse = transform.inverse()
         for num_gates, _engine, payload, exact in rows:
             if pick is None:
-                chains = self._served_chains(payload, inverse, tables)
+                chains = self._served_chains(payload, inverse, function)
             else:
                 chains = self._picked_chain(
                     (num_vars, canon_hex, num_gates),
                     payload,
-                    canon_tables,
+                    canon,
                     pick,
                     inverse,
-                    tables,
+                    function,
                 )
             if chains is None:
                 self._quarantine(num_vars, canon_hex, num_gates, events)
@@ -525,12 +459,8 @@ class ChainStore:
             runtime = time.perf_counter() - started
             with self._lock:
                 self.hits += 1
-            if len(tables) == 1:
-                spec = SynthesisSpec(function=tables[0])
-            else:
-                spec = SynthesisSpec(functions=tables)
             result = SynthesisResult(
-                spec=spec,
+                spec=SynthesisSpec(function=function),
                 chains=chains,
                 num_gates=num_gates,
                 runtime=runtime,
@@ -541,10 +471,10 @@ class ChainStore:
         return None
 
     @staticmethod
-    def _served_chains(payload, inverse, tables) -> list | None:
+    def _served_chains(payload, inverse, function) -> list | None:
         """A row's chains in the caller's input space, or None when the
         row is corrupt: unreadable, any chain failing the set check
-        against ``tables``, or the first failing AllSAT."""
+        against ``function``, or the first failing AllSAT."""
         decoded = _decode_payload(payload)
         if decoded is None or decoded[1]:
             return None
@@ -554,23 +484,23 @@ class ChainStore:
             ]
         except (TypeError, ValueError):
             return None
-        if not records or len(_checked(records, tables)) != len(records):
+        if not records or len(_checked(records, function)) != len(records):
             return None
         chains = [BooleanChain.from_record(record) for record in records]
-        return chains if _allsat_agrees(chains[0], tables) else None
+        return chains if verify_chain(chains[0], function) else None
 
     def _picked_chain(
-        self, key, payload, canon_tables, pick, inverse, tables
+        self, key, payload, canon, pick, inverse, function
     ) -> list | None:
         """The one chain of a row that ``pick`` chooses, in the
         caller's input space, or None when the row is corrupt: any
         record failing the canonical set check (once per payload), or
         the picked chain failing the set check or AllSAT against
-        ``tables``."""
+        ``function``."""
         records = None
         entry = self._picks.get(key)
         if entry is None or entry[0] != payload:
-            records = _checked_row(payload, canon_tables)
+            records = _checked_row(payload, canon)
             if records is None:
                 self._picks.pop(key, None)
                 return None
@@ -584,9 +514,9 @@ class ChainStore:
                 records, key=lambda r: cost(BooleanChain.from_record(r))
             )
         record = _transformed(picked, inverse)
-        if _checked([record], tables):
+        if _checked([record], function):
             chain = BooleanChain.from_record(record)
-            if _allsat_agrees(chain, tables):
+            if verify_chain(chain, function):
                 self._picks[key] = entry
                 return [chain]
         self._picks.pop(key, None)
@@ -653,59 +583,30 @@ class ChainStore:
         a verified upper bound (heuristic engines); merging with an
         existing row keeps the *stronger* grade, and a fresh write
         clears any quarantine mark on the row.  Returns True when a
-        row was written, False when no chain survived the checks; a
-        failing database write raises ``sqlite3.Error``.
+        row was written, False when no chain survived the checks (a
+        chain with other than one output never does); a failing
+        database write raises ``sqlite3.Error``.
         """
-        return self._put((function,), result, engine, exact)
-
-    def put_multi(
-        self,
-        functions,
-        result: SynthesisResult,
-        engine: str = "",
-        *,
-        exact: bool = True,
-    ) -> bool:
-        """Record a shared multi-output chain for a function vector.
-
-        Chains are rewritten into the joint canonical space (shared
-        input transform, per-output negations) and checked against
-        the canonical tables before storage; the row carries its
-        output count in ``num_outputs``.  A one-element vector
-        delegates to :meth:`put`.  Returns and raises as :meth:`put`.
-        """
-        functions = list(functions)
-        if not functions:
-            raise ValueError("need at least one output function")
-        if len(functions) == 1:
-            return self.put(functions[0], result, engine, exact=exact)
-        return self._put(tuple(functions), result, engine, exact)
-
-    def _put(self, tables, result, engine, exact) -> bool:
-        """The write path: transform, set check, AllSAT on the first
-        survivor, merge."""
         if not result.chains or result.num_gates < 0:
             return False
-        canon_tables, canon_hex, transform = self._canonical_space(tables)
+        canon, transform = self._canonical(function)
         records = _checked(
             [
                 _transformed(chain.signature(), transform)
                 for chain in result.chains[: self._max_chains]
-                if len(chain.outputs) == len(tables)
+                if len(chain.outputs) == 1
             ],
-            canon_tables,
+            canon,
         )
-        if not records or not _allsat_agrees(
-            BooleanChain.from_record(records[0]), canon_tables
+        if not records or not verify_chain(
+            BooleanChain.from_record(records[0]), canon
         ):
             return False
-        key = (tables[0].num_vars, canon_hex, result.num_gates)
+        key = (function.num_vars, canon.to_hex(), result.num_gates)
         with self._lock:
             conn = self._connection()
             with conn:
-                self._merge_row(
-                    conn, key, records, canon_tables, engine, exact
-                )
+                self._merge_row(conn, key, records, canon, engine, exact)
             self.writes += 1
         return True
 
@@ -714,7 +615,7 @@ class ChainStore:
         conn: sqlite3.Connection,
         key,
         records: list[tuple],
-        canon_tables: tuple[TruthTable, ...],
+        canon: TruthTable,
         engine: str,
         exact: bool,
     ) -> None:
@@ -736,7 +637,7 @@ class ChainStore:
         merged = set(records)
         if row is not None:
             grade = max(grade, int(row[1]))  # grades only escalate
-            merged.update(self._stored_records(row[0], canon_tables))
+            merged.update(self._stored_records(row[0], canon))
         payload = json.dumps(
             [encode_record(r) for r in sorted(merged)[: self._max_chains]]
         )
@@ -745,8 +646,8 @@ class ChainStore:
         conn.execute(
             "INSERT OR REPLACE INTO chains "
             "(num_vars, canon_hex, num_gates, engine, solutions, "
-            "created, exact, quarantined, num_outputs) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, 0, ?)",
+            "created, exact, quarantined) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?, 0)",
             (
                 num_vars,
                 canon_hex,
@@ -755,11 +656,10 @@ class ChainStore:
                 payload,
                 time.time(),
                 grade,
-                len(canon_tables),
             ),
         )
 
-    def _stored_records(self, payload, canon_tables) -> list[tuple]:
+    def _stored_records(self, payload, canon) -> list[tuple]:
         """The records of a stored row that pass the set check; each
         other one (or an unreadable payload, once) counts in
         :attr:`dropped`."""
@@ -768,7 +668,7 @@ class ChainStore:
             self.dropped += 1
             return []
         records, bad = decoded
-        kept = _checked(records, canon_tables)
+        kept = _checked(records, canon)
         self.dropped += bad + len(records) - len(kept)
         return kept
 
@@ -782,14 +682,19 @@ class ChainStore:
         return int(cursor.fetchone()[0])
 
     def counters(self) -> dict:
-        """JSON-safe hit/miss/write counters plus the row count."""
+        """JSON-safe hit/miss/write counters plus the row count, which
+        reads ``None`` when the table cannot be read."""
+        try:
+            classes = len(self)
+        except sqlite3.Error:
+            classes = None
         return {
             "hits": self.hits,
             "misses": self.misses,
             "writes": self.writes,
             "quarantined": self.quarantined,
             "dropped": self.dropped,
-            "classes": len(self),
+            "classes": classes,
         }
 
     def close(self) -> None:

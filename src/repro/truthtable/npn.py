@@ -24,9 +24,7 @@ from .table import TruthTable
 
 __all__ = [
     "NPNTransform",
-    "MultiNPNTransform",
     "canonicalize",
-    "canonicalize_multi",
     "exact_canonical",
     "semi_canonical",
     "npn_classes",
@@ -51,12 +49,6 @@ class NPNTransform:
     perm: tuple[int, ...]
     input_flips: int
     output_flip: bool
-
-    @property
-    def output_flips(self) -> tuple[bool]:
-        """The output flag per output, as :class:`MultiNPNTransform`
-        holds it for a one-output vector."""
-        return (self.output_flip,)
 
     def apply(self, table: TruthTable) -> TruthTable:
         """Apply the transform to ``table`` (cached index-gather kernel)."""
@@ -169,112 +161,6 @@ def canonicalize(table: TruthTable) -> tuple[TruthTable, NPNTransform]:
     if table.num_vars <= _EXACT_LIMIT:
         return exact_canonical(table)
     return semi_canonical(table)
-
-
-@dataclass(frozen=True)
-class MultiNPNTransform:
-    """A joint NPN transform of a multi-output function vector.
-
-    All outputs share one input permutation and one input-flip mask
-    (they read the same primary inputs), while output negation is free
-    *per output*: ``g_j(y) = f_j(..., y_perm[i] ^ flips_i, ...) ^
-    output_flips[j]``.  Output order is never permuted — callers that
-    need order-insensitivity sort before canonicalizing.
-    """
-
-    perm: tuple[int, ...]
-    input_flips: int
-    output_flips: tuple[bool, ...]
-
-    @property
-    def num_outputs(self) -> int:
-        """Number of outputs the transform covers."""
-        return len(self.output_flips)
-
-    def component(self, index: int) -> NPNTransform:
-        """The single-output transform seen by output ``index``."""
-        return NPNTransform(
-            self.perm, self.input_flips, self.output_flips[index]
-        )
-
-    def apply(
-        self, tables: tuple[TruthTable, ...]
-    ) -> tuple[TruthTable, ...]:
-        """Apply the transform to a function vector."""
-        if len(tables) != len(self.output_flips):
-            raise ValueError("transform output count does not match")
-        return tuple(
-            self.component(j).apply(table)
-            for j, table in enumerate(tables)
-        )
-
-    def inverse(self) -> "MultiNPNTransform":
-        """The transform undoing this one."""
-        base = NPNTransform(self.perm, self.input_flips, False).inverse()
-        return MultiNPNTransform(
-            base.perm, base.input_flips, self.output_flips
-        )
-
-    @staticmethod
-    def identity(num_vars: int, num_outputs: int) -> "MultiNPNTransform":
-        """The do-nothing transform."""
-        return MultiNPNTransform(
-            tuple(range(num_vars)), 0, (False,) * num_outputs
-        )
-
-
-def canonicalize_multi(
-    tables: tuple[TruthTable, ...] | list[TruthTable],
-) -> tuple[tuple[TruthTable, ...], MultiNPNTransform]:
-    """Joint NPN canonical form of a multi-output function vector.
-
-    For ``n <= 4`` the form is exact over the *shared-input* transform
-    group: all ``2**n * n!`` input permutation/negation pairs are
-    enumerated, each output independently picks the cheaper of table
-    and complement, and the lexicographically smallest bit vector
-    wins.  Two function vectors reachable from each other by that
-    group canonicalize identically, so one store row serves the whole
-    orbit.  Above four inputs the orbit is too large for pure Python
-    and the identity transform is returned (exact-table keying — still
-    a valid, just finer, store key).
-    """
-    tables = tuple(tables)
-    if not tables:
-        raise ValueError("need at least one output")
-    n = tables[0].num_vars
-    for table in tables:
-        if table.num_vars != n:
-            raise ValueError("outputs must share one input space")
-    if len(tables) == 1:
-        canon, transform = canonicalize(tables[0])
-        return (canon,), MultiNPNTransform(
-            transform.perm, transform.input_flips, (transform.output_flip,)
-        )
-    if n > _EXACT_LIMIT:
-        return tables, MultiNPNTransform.identity(n, len(tables))
-    mask = (1 << (1 << n)) - 1
-    best_key: tuple[int, ...] | None = None
-    best: MultiNPNTransform | None = None
-    for perm in itertools.permutations(range(n)):
-        for flips in range(1 << n):
-            key = []
-            out_flips = []
-            for table in tables:
-                bits = npn_apply_bits(table.bits, n, perm, flips, False)
-                flipped = bits ^ mask
-                if flipped < bits:
-                    key.append(flipped)
-                    out_flips.append(True)
-                else:
-                    key.append(bits)
-                    out_flips.append(False)
-            key = tuple(key)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = MultiNPNTransform(perm, flips, tuple(out_flips))
-    assert best is not None and best_key is not None
-    canon = tuple(TruthTable(bits, n) for bits in best_key)
-    return canon, best
 
 
 def npn_classes(num_vars: int) -> list[TruthTable]:

@@ -20,11 +20,8 @@ from .corpus import (
 from .fuzz import FuzzConfig, FuzzReport, run_fuzz
 from .generators import (
     DEFAULT_SEED_FUNCTIONS,
-    MULTI_PATTERNS,
     STRATEGIES,
     FunctionGenerator,
-    MultiOutputGenerator,
-    multi_pattern_names,
     strategy_names,
 )
 from .oracle import (
@@ -45,11 +42,8 @@ __all__ = [
     "FuzzReport",
     "run_fuzz",
     "DEFAULT_SEED_FUNCTIONS",
-    "MULTI_PATTERNS",
     "STRATEGIES",
     "FunctionGenerator",
-    "MultiOutputGenerator",
-    "multi_pattern_names",
     "strategy_names",
     "DifferentialHarness",
     "DifferentialReport",

@@ -24,11 +24,7 @@ from ..core.spec import Deadline
 from ..runtime.faults import FaultPlan
 from ..truthtable.table import TruthTable
 from .corpus import CorpusEntry, save_entry
-from .generators import (
-    FunctionGenerator,
-    MultiOutputGenerator,
-    strategy_names,
-)
+from .generators import FunctionGenerator, strategy_names
 from .oracle import DifferentialHarness, DifferentialReport, Discrepancy
 from .shrink import ShrinkResult, shrink_function
 
@@ -57,10 +53,6 @@ class FuzzConfig:
     check_kernels: bool = True
     fault_plan: FaultPlan | None = None
     max_shrink_evaluations: int = 200
-    #: Every Nth instance is a multi-output vector run through
-    #: :meth:`DifferentialHarness.check_multi` (0 disables).
-    multi_every: int = 0
-    multi_num_outputs: tuple[int, ...] = (2, 3)
 
     def effective_count(self) -> int | None:
         if self.count is not None:
@@ -125,13 +117,6 @@ def run_fuzz(
         strategies=config.strategies or None,
         seed_functions=seed_functions,
     )
-    multi_generator = None
-    if config.multi_every > 0:
-        multi_generator = MultiOutputGenerator(
-            seed=config.seed,
-            num_vars=config.num_vars,
-            num_outputs=config.multi_num_outputs,
-        )
     deadline = Deadline(config.budget_seconds)
     count = config.effective_count()
     report = FuzzReport(seed=config.seed)
@@ -157,20 +142,8 @@ def run_fuzz(
                     break
                 if deadline.expired():
                     break
-                is_multi = (
-                    multi_generator is not None
-                    and index % config.multi_every == config.multi_every - 1
-                )
-                if is_multi:
-                    pattern, functions = multi_generator.generate()
-                    strategy = f"multi:{pattern}"
-                    function = functions[0]
-                    instance = harness.check_multi(
-                        functions, deadline=deadline
-                    )
-                else:
-                    strategy, function = generator.generate()
-                    instance = harness.check(function, deadline=deadline)
+                strategy, function = generator.generate()
+                instance = harness.check(function, deadline=deadline)
                 report.instances += 1
                 _count(report.strategy_counts, strategy)
                 for observation in instance.observations:
@@ -179,12 +152,7 @@ def run_fuzz(
                 record.update(
                     {"type": "instance", "index": index, "strategy": strategy}
                 )
-                if instance.discrepancies and is_multi:
-                    # Vector discrepancies are recorded unshrunk: the
-                    # single-function shrinker cannot preserve the
-                    # sharing pattern that provoked them.
-                    report.discrepancies.extend(instance.discrepancies)
-                elif instance.discrepancies:
+                if instance.discrepancies:
                     report.discrepancies.extend(instance.discrepancies)
                     shrunk = _handle_failure(
                         config,

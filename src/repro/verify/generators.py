@@ -27,12 +27,9 @@ from ..truthtable.table import TruthTable, constant, from_hex, projection
 
 __all__ = [
     "STRATEGIES",
-    "MULTI_PATTERNS",
     "DEFAULT_SEED_FUNCTIONS",
     "FunctionGenerator",
-    "MultiOutputGenerator",
     "strategy_names",
-    "multi_pattern_names",
 ]
 
 #: Built-in mutation seeds: the paper's Example 7 function, 3-input
@@ -195,93 +192,6 @@ class FunctionGenerator:
         return strategy, STRATEGIES[strategy](rng, num_vars)
 
     def __iter__(self) -> Iterator[tuple[str, TruthTable]]:
-        while True:
-            yield self.generate()
-
-
-#: Multi-output sharing patterns the vector generator cycles through.
-#: Each targets a distinct decompose-and-share code path: unrelated
-#: outputs (no sharing), exact duplicates and complements (zero-cost
-#: merges), NPN-related outputs (sharing after transform), and
-#: near-miss mutations (almost-shareable cones).
-MULTI_PATTERNS: tuple[str, ...] = (
-    "independent",
-    "duplicate",
-    "complement",
-    "related",
-    "mutated",
-)
-
-
-def multi_pattern_names() -> tuple[str, ...]:
-    """All multi-output pattern names, registry order."""
-    return MULTI_PATTERNS
-
-
-class MultiOutputGenerator:
-    """Deterministic generator of multi-output function *vectors*.
-
-    Every output in a vector shares one input space (same ``num_vars``)
-    — the shape a multi-output :class:`~repro.core.spec.SynthesisSpec`
-    requires.  Patterns cycle round-robin, and the base functions are
-    drawn from the same stratified :data:`STRATEGIES` the single-output
-    generator uses, so each vector stresses both a sharing pattern and
-    a function stratum.
-    """
-
-    def __init__(
-        self,
-        seed: int = 0,
-        num_vars: Sequence[int] = (2, 3, 4),
-        num_outputs: Sequence[int] = (2, 3),
-        strategies: Sequence[str] | None = None,
-    ) -> None:
-        if not num_vars:
-            raise ValueError("need at least one arity")
-        if not num_outputs or min(num_outputs) < 1:
-            raise ValueError("need at least one output count >= 1")
-        names = tuple(strategies) if strategies else tuple(
-            n for n in strategy_names() if n != "mutation"
-        )
-        for name in names:
-            if name not in STRATEGIES or STRATEGIES[name] is None:
-                raise ValueError(f"unknown strategy {name!r}")
-        self._strategies = names
-        self._num_vars = tuple(num_vars)
-        self._num_outputs = tuple(num_outputs)
-        self._rng = random.Random(seed)
-        self._index = 0
-
-    def _draw(self, num_vars: int) -> TruthTable:
-        strategy = self._rng.choice(self._strategies)
-        return STRATEGIES[strategy](self._rng, num_vars)
-
-    def generate(self) -> tuple[str, tuple[TruthTable, ...]]:
-        """The next ``(pattern, functions)`` pair."""
-        pattern = MULTI_PATTERNS[self._index % len(MULTI_PATTERNS)]
-        self._index += 1
-        rng = self._rng
-        n = rng.choice(self._num_vars)
-        k = rng.choice(self._num_outputs)
-        base = self._draw(n)
-        outputs = [base]
-        while len(outputs) < k:
-            if pattern == "independent":
-                outputs.append(self._draw(n))
-            elif pattern == "duplicate":
-                outputs.append(base)
-            elif pattern == "complement":
-                outputs.append(~outputs[-1])
-            elif pattern == "related":
-                outputs.append(_random_transform(rng, n).apply(base))
-            else:  # mutated: flip a few rows of the previous output
-                bits = outputs[-1].bits
-                for _ in range(rng.randint(1, 3)):
-                    bits ^= 1 << rng.randrange(1 << n)
-                outputs.append(TruthTable(bits, n))
-        return pattern, tuple(outputs)
-
-    def __iter__(self) -> Iterator[tuple[str, tuple[TruthTable, ...]]]:
         while True:
             yield self.generate()
 

@@ -41,11 +41,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..core.circuit_sat import (
-    chain_all_sat,
-    verify_chain,
-    verify_chain_outputs,
-)
+from ..core.circuit_sat import chain_all_sat, verify_chain
 from ..core.spec import Deadline
 from ..engine import engine_capabilities, engine_names
 from ..kernels.reference import chain_all_sat_ref, verify_chain_ref
@@ -309,251 +305,6 @@ class DifferentialHarness:
                 function, exact_results[0], report
             )
         return report
-
-    def check_multi(
-        self,
-        functions: Sequence[TruthTable],
-        deadline: Deadline | None = None,
-    ) -> DifferentialReport:
-        """Differential battery for a multi-output function vector.
-
-        Every engine synthesizes the vector through its multi-output
-        path (decompose-and-share for the built-in adapters); the
-        merged chain is cross-checked three independent ways:
-
-        * **realization** — per-output plain simulation
-          (:meth:`BooleanChain.simulate`) against each target;
-        * **kernel** — the packed shared-memo verifier
-          (:func:`verify_chain_outputs`) must agree with simulation;
-        * **optimality** — for exact engines, each output's extracted
-          cone (:func:`~repro.chain.transform.extract_output_cone`)
-          must have the same gate count across engines: sharing is
-          heuristic, per-output optima are not;
-        * **store** — the first exact result round-trips through
-          ``put_multi`` / ``lookup_multi`` of a jointly-transformed
-          orbit member.
-        """
-        from ..chain.transform import extract_output_cone
-        from ..core.spec import SynthesisSpec
-        from ..engine import create_engine
-
-        functions = list(functions)
-        key_hex = ",".join(f.to_hex() for f in functions)
-        report = DifferentialReport(
-            function_hex=key_hex, num_vars=functions[0].num_vars
-        )
-        exact_cones: list[tuple[str, list[int]]] = []
-        first_exact: tuple[str, object] | None = None
-        for entry in self._engines:
-            name = self._engine_name(entry)
-            if deadline is not None and deadline.expired():
-                report.observations.append(
-                    EngineObservation(
-                        engine=name,
-                        status="skipped",
-                        error="fuzz budget exhausted",
-                    )
-                )
-                continue
-            budget = self._timeout
-            if deadline is not None:
-                remaining = deadline.remaining()
-                if remaining is not None:
-                    budget = min(budget, remaining)
-            spec = SynthesisSpec(
-                functions=tuple(functions),
-                timeout=budget,
-                max_solutions=self._max_solutions,
-                verify=False,
-            )
-            observation = EngineObservation(engine=name, status="ok")
-            try:
-                engine = (
-                    create_engine(name)
-                    if isinstance(entry, str)
-                    else entry[1]
-                )
-                synth = (
-                    engine.synthesize
-                    if hasattr(engine, "synthesize")
-                    else engine
-                )
-                result = synth(spec)
-            except Exception as exc:
-                observation.status = "crash"
-                observation.error = f"{type(exc).__name__}: {exc}"
-                report.observations.append(observation)
-                continue
-            observation.num_gates = result.num_gates
-            observation.num_solutions = result.num_solutions
-            observation.runtime = result.runtime
-            report.observations.append(observation)
-            chain = result.chains[0]
-            simulated = chain.simulate()
-            realized = [
-                got == want for got, want in zip(simulated, functions)
-            ]
-            if len(simulated) != len(functions) or not all(realized):
-                report.discrepancies.append(
-                    Discrepancy(
-                        kind="realization",
-                        function_hex=key_hex,
-                        num_vars=functions[0].num_vars,
-                        engine=name,
-                        detail=(
-                            "merged chain realises outputs "
-                            f"{[t.to_hex() for t in simulated]} "
-                            "instead of the targets"
-                        ),
-                    )
-                )
-            if self._check_kernels:
-                packed = verify_chain_outputs(chain, functions)
-                if packed != all(realized):
-                    report.discrepancies.append(
-                        Discrepancy(
-                            kind="kernel",
-                            function_hex=key_hex,
-                            num_vars=functions[0].num_vars,
-                            engine=name,
-                            detail=(
-                                f"packed verify_chain_outputs says "
-                                f"{packed}, per-output simulation "
-                                f"says {all(realized)}"
-                            ),
-                        )
-                    )
-            if self._is_exact(entry) and all(realized):
-                cones = [
-                    extract_output_cone(chain, i).num_gates
-                    for i in range(len(functions))
-                ]
-                exact_cones.append((name, cones))
-                if first_exact is None:
-                    first_exact = (name, result)
-        if len(exact_cones) >= 2:
-            baseline_name, baseline = exact_cones[0]
-            for name, cones in exact_cones[1:]:
-                if cones != baseline:
-                    report.discrepancies.append(
-                        Discrepancy(
-                            kind="optimality",
-                            function_hex=key_hex,
-                            num_vars=functions[0].num_vars,
-                            engine=name,
-                            detail=(
-                                f"per-output cone sizes {cones} differ "
-                                f"from {baseline_name}'s {baseline}"
-                            ),
-                        )
-                    )
-        if self._store is not None and first_exact is not None:
-            self._check_store_roundtrip_multi(
-                functions, first_exact, key_hex, report
-            )
-        return report
-
-    def _check_store_roundtrip_multi(
-        self, functions, exact_result, key_hex, report
-    ) -> None:
-        """put_multi → lookup_multi of a joint orbit member."""
-        from ..truthtable.npn import MultiNPNTransform
-
-        engine, result = exact_result
-        num_vars = functions[0].num_vars
-        try:
-            written = self._store.put_multi(
-                functions, result, engine=engine
-            )
-        except Exception as exc:
-            report.discrepancies.append(
-                Discrepancy(
-                    kind="store",
-                    function_hex=key_hex,
-                    num_vars=num_vars,
-                    engine=engine,
-                    detail=(
-                        f"store.put_multi raised "
-                        f"{type(exc).__name__}: {exc}"
-                    ),
-                )
-            )
-            return
-        if not written:
-            report.discrepancies.append(
-                Discrepancy(
-                    kind="store",
-                    function_hex=key_hex,
-                    num_vars=num_vars,
-                    engine=engine,
-                    detail=(
-                        "store.put_multi rejected a verified "
-                        "solution set"
-                    ),
-                )
-            )
-            return
-        shared = _probe_transform(functions[0])
-        if num_vars > 4 or num_vars == 0:
-            # Above four variables the joint canonical form keys on
-            # the exact tables; only the identity member is guaranteed
-            # to hit.
-            probe = MultiNPNTransform.identity(num_vars, len(functions))
-        else:
-            rng = random.Random(
-                sum(f.bits for f in functions) + len(functions)
-            )
-            probe = MultiNPNTransform(
-                perm=shared.perm,
-                input_flips=shared.input_flips,
-                output_flips=tuple(
-                    bool(rng.getrandbits(1)) for _ in functions
-                ),
-            )
-        members = list(probe.apply(functions))
-        served = self._store.lookup_multi(members)
-        if served is None:
-            report.discrepancies.append(
-                Discrepancy(
-                    kind="store",
-                    function_hex=key_hex,
-                    num_vars=num_vars,
-                    engine=engine,
-                    detail=(
-                        "lookup_multi missed the joint orbit member "
-                        "right after put_multi"
-                    ),
-                )
-            )
-            return
-        if served.num_gates != result.num_gates:
-            report.discrepancies.append(
-                Discrepancy(
-                    kind="store",
-                    function_hex=key_hex,
-                    num_vars=num_vars,
-                    engine=engine,
-                    detail=(
-                        f"store serves {served.num_gates} gates, "
-                        f"engine found {result.num_gates}"
-                    ),
-                )
-            )
-        for index, chain in enumerate(served.chains[: self._max_chains]):
-            simulated = chain.simulate()
-            if [t.bits for t in simulated] != [t.bits for t in members]:
-                report.discrepancies.append(
-                    Discrepancy(
-                        kind="store",
-                        function_hex=key_hex,
-                        num_vars=num_vars,
-                        engine=engine,
-                        detail=(
-                            f"served chain {index} does not realise "
-                            "the joint orbit member vector"
-                        ),
-                    )
-                )
 
     def _check_chains(self, function, engine, result, report) -> None:
         """Independent re-simulation plus the packed/reference pair."""

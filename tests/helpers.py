@@ -51,6 +51,27 @@ def random_chain(rnd, num_inputs: int = 4, num_gates: int = 5) -> BooleanChain:
     return chain
 
 
+def stacked_chain(chains) -> BooleanChain:
+    """One multi-output chain over the shared inputs of ``chains``:
+    each chain's gates appended in turn, its outputs declared after
+    them, and no gate shared."""
+    n = chains[0].num_inputs
+    stacked = BooleanChain(n)
+    for chain in chains:
+        offset = stacked.num_signals - n
+
+        def moved(signal: int) -> int:
+            if signal == BooleanChain.CONST0 or signal < n:
+                return signal
+            return signal + offset
+
+        for gate in chain.gates:
+            stacked.add_gate(gate.op, tuple(moved(f) for f in gate.fanins))
+        for signal, complemented in chain.outputs:
+            stacked.set_output(moved(signal), complemented)
+    return stacked
+
+
 def record_race_lanes(monkeypatch) -> list:
     """Record the :class:`~repro.runtime.worker.WorkerTask` of every
     race lane the executor spawns (the returned list fills in place)."""

@@ -102,10 +102,3 @@ class TestRunEngine:
     def test_run_engine_unknown(self):
         with pytest.raises(EngineUnavailable):
             run_engine("missing", parity(3), 120)
-
-    def test_run_engine_joint_vector(self):
-        # A sequence of tables is one joint multi-output spec.
-        functions = (majority(3), parity(3))
-        result = run_engine("fen", functions, 120)
-        assert result.spec.functions == functions
-        assert len(result.chains[0].outputs) == 2

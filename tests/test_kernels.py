@@ -26,7 +26,6 @@ from repro.core import (
     merge_cube_sets,
     run_pipeline,
     verify_chain,
-    verify_chain_outputs,
 )
 from repro.kernels import (
     KERNEL_STATS,
@@ -67,7 +66,7 @@ from repro.kernels.reference import (
     verify_chain_ref,
 )
 from repro.truthtable import TruthTable, from_hex
-from repro.truthtable.npn import MultiNPNTransform, NPNTransform
+from repro.truthtable.npn import NPNTransform
 
 from tests.helpers import assert_chain_realizes, random_chain
 
@@ -617,7 +616,7 @@ class TestSolutionSetCheck:
             if num_outputs == 1:
                 want = verify_chain(chain, targets[0])
             else:
-                want = verify_chain_outputs(chain, targets)
+                want = chain.simulate() == targets
             assert verdict == want, record
 
     def test_malformed_records_are_false(self):
@@ -667,12 +666,8 @@ class TestSolutionSetCheck:
                 single = NPNTransform(
                     tuple(perm), flips, bool(rnd.getrandbits(1))
                 )
-                multi = MultiNPNTransform(
-                    tuple(perm),
-                    flips,
-                    tuple(
-                        bool(rnd.getrandbits(1)) for _ in range(num_outputs)
-                    ),
+                output_flips = tuple(
+                    bool(rnd.getrandbits(1)) for _ in range(num_outputs)
                 )
                 want = npn_transform_chain_ref(chain, single).signature()
                 if num_outputs == 1:
@@ -689,10 +684,11 @@ class TestSolutionSetCheck:
                     flips,
                     (single.output_flip,) * num_outputs,
                 ) == want
-                want = npn_transform_chain_multi_ref(chain, multi).signature()
-                assert npn_transform_chain(chain, multi).signature() == want
+                want = npn_transform_chain_multi_ref(
+                    chain, tuple(perm), flips, output_flips
+                ).signature()
                 assert npn_transform_record(
-                    chain.signature(), multi.perm, flips, multi.output_flips
+                    chain.signature(), tuple(perm), flips, output_flips
                 ) == want
 
 

@@ -3,7 +3,7 @@ network round trips."""
 
 from pathlib import Path
 
-from repro.chain import merge_chains_shared
+from repro.chain import BooleanChain
 from repro.chain.transform import trivial_chain
 from repro.core import synthesize_all
 from repro.network import (
@@ -17,6 +17,8 @@ from repro.network.cuts import cut_function
 from repro.runtime.executor import ExecutionOutcome, FaultTolerantExecutor
 from repro.store import ChainStore
 from repro.truthtable import TruthTable, from_hex
+
+from tests.helpers import stacked_chain
 
 AND = TruthTable(0x8, 2)
 OR = TruthTable(0xE, 2)
@@ -284,7 +286,7 @@ class TestMultiOutputNetworkRoundTrip:
     def test_from_chain_keeps_every_output(self):
         maj = from_hex("e8", 3)
         fa_sum = from_hex("96", 3)
-        merged = merge_chains_shared(
+        merged = stacked_chain(
             [synthesize_all(maj)[0], synthesize_all(fa_sum)[0]]
         )
         net = LogicNetwork.from_chain(merged, name="fa")
@@ -297,7 +299,7 @@ class TestMultiOutputNetworkRoundTrip:
     def test_blif_round_trip_is_lossless(self):
         maj = from_hex("e8", 3)
         fa_sum = from_hex("96", 3)
-        merged = merge_chains_shared(
+        merged = stacked_chain(
             [synthesize_all(maj)[0], synthesize_all(fa_sum)[0]]
         )
         net = LogicNetwork.from_chain(merged, name="fa")
@@ -308,8 +310,6 @@ class TestMultiOutputNetworkRoundTrip:
         ]
 
     def test_const0_output_round_trips(self):
-        from repro.chain import BooleanChain
-
         chain = BooleanChain(2)
         chain.add_gate(0x6, (0, 1))
         chain.set_output(2, False)
@@ -326,9 +326,12 @@ class TestMultiOutputNetworkRoundTrip:
 
     def test_splice_chain_multi_shares_gates(self):
         maj = from_hex("e8", 3)
-        merged = merge_chains_shared(
-            [synthesize_all(maj)[0], synthesize_all(maj)[0]]
-        )
+        single = synthesize_all(maj)[0]
+        merged = BooleanChain(3)
+        for gate in single.gates:
+            merged.add_gate(gate.op, gate.fanins)
+        for _ in range(2):  # the same output twice: every gate shared
+            merged.set_output(*single.outputs[0])
         net = LogicNetwork("host")
         leaves = [net.add_pi() for _ in range(3)]
         outs = net.splice_chain_multi(merged, leaves)

@@ -30,7 +30,6 @@ import sys
 import pytest
 
 import repro
-from repro.core.circuit_sat import verify_chain_outputs
 from repro.core.spec import SynthesisResult
 from repro.engine import run_engine
 from repro.parallel.scheduler import BatchScheduler
@@ -126,17 +125,9 @@ class TestRequestParsing:
         request = SynthesisRequest.from_payload(
             {"function": "e8", "vars": 3, "timeout": 5, "max_chains": 2}
         )
-        assert request.functions == (from_hex("e8", 3),)
+        assert request.function == from_hex("e8", 3)
         assert request.timeout == 5.0
         assert request.max_chains == 2
-        assert not request.is_multi
-
-    def test_multi_output(self):
-        request = SynthesisRequest.from_payload(
-            {"functions": ["e8", "96"], "vars": 3}
-        )
-        assert request.is_multi
-        assert len(request.functions) == 2
 
     @pytest.mark.parametrize(
         "payload",
@@ -161,6 +152,9 @@ class TestRequestParsing:
             {"function": "e8", "vars": 3, "deadline_ms": float("nan")},
             {"function": "e8", "vars": 3, "deadline_ms": float("inf")},
             {"function": "e8", "vars": 3, "deadline_ms": float("-inf")},
+            # A vector body is refused, not served from its first table.
+            {"functions": ["e8"], "vars": 3},
+            {"functions": ["e8", "96"], "vars": 3},
         ],
     )
     def test_malformed_payloads_rejected(self, payload):
@@ -237,7 +231,7 @@ class TestCoalescing:
             return await asyncio.gather(
                 *(
                     service.synthesize(
-                        SynthesisRequest(functions=(member,))
+                        SynthesisRequest(function=member)
                     )
                     for member in members
                 )
@@ -264,7 +258,7 @@ class TestCoalescing:
         async def drive():
             return await asyncio.gather(
                 *(
-                    service.synthesize(SynthesisRequest(functions=(t,)))
+                    service.synthesize(SynthesisRequest(function=t))
                     for t in tables
                 )
             )
@@ -279,23 +273,6 @@ class TestCoalescing:
             assert response.status == "ok"
             assert_chain_realizes(table, response.chains[0])
 
-    def test_multi_output_request_verified_jointly(self):
-        scheduler, service = _service_stack(engines=("fen",))
-        functions = (from_hex("e8", 3), from_hex("96", 3))
-
-        async def drive():
-            return await service.synthesize(
-                SynthesisRequest(functions=functions)
-            )
-
-        try:
-            response = asyncio.run(drive())
-        finally:
-            scheduler.shutdown(cancel_queued=True)
-        assert response.status == "ok"
-        assert response.chains
-        assert verify_chain_outputs(response.chains[0], functions)
-
     def test_warm_store_hit_skips_the_pool(self, tmp_path):
         store = ChainStore(str(tmp_path / "chains.db"))
         result = run_engine("fen", _CLASS_REP, 30.0)
@@ -305,7 +282,7 @@ class TestCoalescing:
 
         async def drive():
             return await service.synthesize(
-                SynthesisRequest(functions=(member,))
+                SynthesisRequest(function=member)
             )
 
         try:
@@ -327,16 +304,16 @@ class TestCoalescing:
         counts the error."""
         store = ChainStore(str(tmp_path / "chains.db"))
 
-        def broken_lookup(functions):
+        def broken_lookup(function):
             raise OSError("disk I/O error")
 
-        store.lookup_multi = broken_lookup
+        store.lookup = broken_lookup
         scheduler, service = _service_stack(store=store)
         member = _ORBIT[1]
 
         async def drive():
             return await service.synthesize(
-                SynthesisRequest(functions=(member,))
+                SynthesisRequest(function=member)
             )
 
         try:
@@ -354,8 +331,9 @@ class TestCoalescing:
 
     def test_failing_store_read_is_an_error_not_a_miss(self, tmp_path):
         """A database error inside the store's own read (its table
-        dropped) counts as a store error, the counter behind /metrics
-        ``serving.store_errors``, and the engine path answers."""
+        dropped) counts as a store error, the engine path answers, and
+        /metrics still answers: ``serving.store_errors`` counts the
+        error and the unreadable row count reads ``None``."""
         import sqlite3
 
         path = str(tmp_path / "chains.db")
@@ -369,17 +347,19 @@ class TestCoalescing:
 
         async def drive():
             return await service.synthesize(
-                SynthesisRequest(functions=(member,))
+                SynthesisRequest(function=member)
             )
 
         try:
             response = asyncio.run(drive())
+            snapshot = service.metrics_snapshot()
         finally:
             scheduler.shutdown(cancel_queued=True)
             store.close()
         assert response.status == "ok"
         assert response.source == "engine"
-        assert service.metrics.store_errors == 1
+        assert snapshot["serving"]["store_errors"] == 1
+        assert snapshot["store"]["classes"] is None
         assert_chain_realizes(member, response.chains[0])
 
 
@@ -409,7 +389,7 @@ class TestDegradedPath:
 
         async def drive():
             return await service.synthesize(
-                SynthesisRequest(functions=(member,))
+                SynthesisRequest(function=member)
             )
 
         try:
@@ -466,7 +446,7 @@ class TestDegradedPath:
 
         async def drive():
             return await service.synthesize(
-                SynthesisRequest(functions=(_CLASS_REP,))
+                SynthesisRequest(function=_CLASS_REP)
             )
 
         try:
@@ -508,8 +488,8 @@ class TestResponseVerification:
             corrupt = good.chains[:1] + [self._corrupt(good.chains[1])]
             monkeypatch.setattr(
                 store,
-                "lookup_multi",
-                lambda functions: SynthesisResult(
+                "lookup",
+                lambda function: SynthesisResult(
                     spec=good.spec,
                     chains=corrupt,
                     num_gates=good.num_gates,
@@ -530,7 +510,7 @@ class TestResponseVerification:
 
         async def drive():
             return await service.synthesize(
-                SynthesisRequest(functions=(member,))
+                SynthesisRequest(function=member)
             )
 
         try:
@@ -837,7 +817,7 @@ class TestPriorityAndDeadlines:
         blocker = scheduler.submit_call("pin", pin)
         assert pinned.wait(5.0)  # the worker is genuinely occupied
         request = SynthesisRequest(
-            functions=(_CLASS_REP,),
+            function=_CLASS_REP,
             expire_at=time.monotonic() + 0.15,
         )
 

@@ -165,7 +165,7 @@ class TestServiceSoak:
             return await asyncio.gather(
                 *(
                     service.synthesize(
-                        SynthesisRequest(functions=(_MEMBERS[0],))
+                        SynthesisRequest(function=_MEMBERS[0])
                     )
                     for _ in range(6)
                 )

@@ -16,8 +16,8 @@ import pytest
 from repro.bench.runner import default_algorithms, run_suite
 from repro.bench.suites import get_suite
 from repro.chain.costs import COST_MODELS, NPN_INVARIANT_COSTS
-from repro.core.spec import SynthesisResult
-from repro.engine import run_engine
+from repro.core.spec import SynthesisResult, SynthesisSpec
+from repro.engine import create_engine, run_engine
 from repro.runtime.executor import FaultTolerantExecutor
 from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.store import ChainStore, chain_from_record, chain_to_record
@@ -25,7 +25,34 @@ from repro.truthtable import from_hex
 from repro.truthtable.npn import NPNTransform, npn_classes
 from repro.truthtable.npn import canonicalize as npn_canonical
 
-from tests.helpers import assert_chain_realizes, record_race_lanes
+from tests.helpers import (
+    assert_chain_realizes,
+    record_race_lanes,
+    stacked_chain,
+)
+
+MAJ = from_hex("e8", 3)
+FA_SUM = from_hex("96", 3)
+
+#: The very first shipped schema, before the exact/quarantined/
+#: num_outputs migrations — kept verbatim as the migration fixture.
+V1_SCHEMA = """
+CREATE TABLE chains (
+    num_vars    INTEGER NOT NULL,
+    canon_hex   TEXT    NOT NULL,
+    num_gates   INTEGER NOT NULL,
+    engine      TEXT    NOT NULL,
+    solutions   TEXT    NOT NULL,
+    created     REAL    NOT NULL,
+    PRIMARY KEY (num_vars, canon_hex, num_gates)
+)
+"""
+
+
+def synth(function, **kwargs):
+    return create_engine("stp").synthesize(
+        SynthesisSpec(function=function, **kwargs)
+    )
 
 
 class TestSerialization:
@@ -174,17 +201,6 @@ class TestExecutorIntegration:
         assert len(tasks) == 3
         assert all(task.engine_kwargs["min_gates"] == 3 for task in tasks)
 
-    def test_joint_vector_is_written_back_and_served(self, tmp_path):
-        functions = (from_hex("e8", 3), from_hex("96", 3))
-        with ChainStore(tmp_path / "chains.db") as store:
-            executor = FaultTolerantExecutor(("fen",), store=store)
-            cold = executor.run(functions, 30.0)
-            assert cold.solved and cold.engine == "fen"
-            warm = executor.run(functions, 30.0)
-        assert warm.solved and warm.engine == "store"
-        assert warm.function_hex == "e8,96"
-        assert len(warm.result.chains[0].outputs) == 2
-
     def test_inexact_engines_only_write_upper_bounds(self, tmp_path):
         # A heuristic engine's result lands as an upper-bound row:
         # the plain (optimal) lookup must refuse to serve it, while
@@ -205,6 +221,111 @@ class TestExecutorIntegration:
             assert exact is False
             for chain in result.chains:
                 assert_chain_realizes(function, chain)
+
+
+class TestSchemaMigration:
+    def _make_v1_db(self, path, store_with_row):
+        """A database in the original shipped schema, seeded with a
+        row copied from a modern store."""
+        src = sqlite3.connect(store_with_row)
+        row = src.execute(
+            "SELECT num_vars, canon_hex, num_gates, engine, "
+            "solutions, created FROM chains"
+        ).fetchone()
+        src.close()
+        conn = sqlite3.connect(path)
+        conn.execute(V1_SCHEMA)
+        conn.execute(
+            "INSERT INTO chains VALUES (?, ?, ?, ?, ?, ?)", row
+        )
+        conn.commit()
+        conn.close()
+
+    def test_pre_migration_db_still_serves(self, tmp_path):
+        seed = tmp_path / "seed.db"
+        result = synth(MAJ, all_solutions=True)
+        with ChainStore(seed) as store:
+            store.put(MAJ, result, "stp")
+        old = tmp_path / "old.db"
+        self._make_v1_db(old, seed)
+
+        with ChainStore(old) as migrated:
+            columns = {
+                r[1]
+                for r in migrated._connection().execute(
+                    "PRAGMA table_info(chains)"
+                )
+            }
+            assert {"exact", "quarantined", "num_outputs"} <= columns
+            served = migrated.lookup(MAJ)
+            assert served is not None
+            assert served.num_gates == result.num_gates
+
+    def test_joint_row_is_never_served_or_quarantined(self, tmp_path):
+        """A file holding a row of the retired joint multi-output path
+        (a comma-joined key, ``num_outputs = 2``) beside a
+        single-output row: the store opens it, serves the single row,
+        never serves or quarantines the joint row, and still merges a
+        put of the single class."""
+        path = tmp_path / "store.db"
+        single = synth(MAJ, all_solutions=True)
+        with ChainStore(path) as store:
+            assert store.put(MAJ, single, "stp")
+        maj_canon = npn_canonical(MAJ)[0]
+        sum_canon = npn_canonical(FA_SUM)[0]
+        joint = stacked_chain(
+            [synth(maj_canon).best, synth(sum_canon).best]
+        )
+        joint_row = (
+            3,
+            f"{maj_canon.to_hex()},{sum_canon.to_hex()}",
+            joint.num_gates,
+            "stp",
+            json.dumps([chain_to_record(joint)]),
+            0.0,
+            1,
+            0,
+            2,
+        )
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute(
+                "INSERT INTO chains (num_vars, canon_hex, num_gates, "
+                "engine, solutions, created, exact, quarantined, "
+                "num_outputs) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                joint_row,
+            )
+        conn.close()
+
+        with ChainStore(path) as store:
+            served = store.lookup(MAJ)
+            assert served is not None
+            assert served.num_gates == single.num_gates
+            for chain in served.chains:
+                assert_chain_realizes(MAJ, chain)
+            assert store.lookup(FA_SUM) is None
+            assert store.lookup_upper_bound(FA_SUM) is None
+            assert store.put(MAJ, single, "stp")
+            assert store.lookup(MAJ).num_gates == single.num_gates
+            assert store.quarantined == 0 and store.dropped == 0
+            assert len(store) == 2
+        conn = sqlite3.connect(path)
+        rows = conn.execute(
+            "SELECT num_vars, canon_hex, num_gates, engine, solutions, "
+            "created, exact, quarantined, num_outputs FROM chains "
+            "WHERE num_outputs = 2"
+        ).fetchall()
+        conn.close()
+        assert rows == [joint_row]
+
+    def test_migration_is_idempotent(self, tmp_path):
+        path = tmp_path / "store.db"
+        result = synth(MAJ)
+        with ChainStore(path) as store:
+            store.put(MAJ, result, "stp")
+        # reopening re-runs _migrate() against the migrated schema
+        with ChainStore(path) as store:
+            assert store.lookup(MAJ) is not None
 
 
 class TestCorruptionAndConcurrency:

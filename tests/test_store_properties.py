@@ -149,7 +149,7 @@ def _image(chain, transform):
             chain.signature(),
             transform.perm,
             transform.input_flips,
-            transform.output_flips,
+            (transform.output_flip,),
         )
     )
 
