@@ -25,7 +25,8 @@ import time
 from repro.bench.runner import Algorithm, run_suite
 from repro.bench.suites import get_suite
 from repro.engine import run_engine
-from repro.runtime.racing import DEFAULT_RACE_ENGINES, RacingExecutor
+from repro.runtime.executor import FaultTolerantExecutor
+from repro.runtime.racing import DEFAULT_RACE_ENGINES, RACE_WIDTH
 
 
 def _percentile(values, fraction):
@@ -62,7 +63,7 @@ def _baseline_algorithm(engine):
 
 def _cancellation_latencies(functions, timeout):
     """Direct racing runs that surface per-loser cancellation times."""
-    executor = RacingExecutor(DEFAULT_RACE_ENGINES)
+    executor = FaultTolerantExecutor(DEFAULT_RACE_ENGINES, width=RACE_WIDTH)
     latencies = []
     for function in functions:
         executor.run(function, timeout)

@@ -2,25 +2,32 @@
 """Exact-synthesis-based network rewriting — the application side.
 
 Builds a deliberately redundant LUT network, runs a DAG-aware
-rewriting pass that replaces cut logic with optimal chains from the
-NPN database (every replacement is a size-optimal Boolean chain from
-the STP synthesizer), and round-trips the result through BLIF.
+rewriting pass that replaces cut logic with optimal chains from a
+chain store (every replacement is a size-optimal Boolean chain from
+the STP synthesizer, written back to the store on a miss), and
+round-trips the result through BLIF.
 
 Run::
 
     python examples/network_rewriting.py
 """
 
+import os
 import random
+import tempfile
 
-from repro.core import NPNDatabase
 from repro.network import (
     LogicNetwork,
     network_to_blif,
     blif_to_network,
-    rewrite_network,
+    rewrite_with_store,
 )
+from repro.store import ChainStore
 from repro.truthtable import TruthTable, binary_op_table
+
+#: Engine fallback chain and synthesis budget per cut miss.
+ENGINES = ("stp", "fen")
+TIMEOUT_PER_CUT = 60.0
 
 
 def build_redundant_network() -> LogicNetwork:
@@ -37,16 +44,27 @@ def build_redundant_network() -> LogicNetwork:
     return net
 
 
+def rewrite(net: LogicNetwork, store: ChainStore):
+    return rewrite_with_store(
+        net, store, engines=ENGINES, timeout_per_cut=TIMEOUT_PER_CUT
+    )
+
+
 def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="network-rewriting-") as tmp:
+        with ChainStore(os.path.join(tmp, "chains.db")) as store:
+            run(store)
+
+
+def run(store: ChainStore) -> None:
     rng = random.Random(7)
-    database = NPNDatabase(timeout=60)
 
     net = build_redundant_network()
     target = net.simulate()[0]
     print(f"function: 0x{target.to_hex()}")
     print(f"before: {net.num_gates()} LUTs, depth {net.depth()}")
 
-    result = rewrite_network(net, database=database)
+    result = rewrite(net, store)
     assert net.simulate()[0] == target  # function preserved
     print(
         f"after : {net.num_gates()} LUTs, depth {net.depth()} "
@@ -58,7 +76,7 @@ def main() -> None:
     print("\nBLIF export:\n" + blif)
     assert blif_to_network(blif).simulate()[0] == target
 
-    # A bigger random cleanup, same database (classes are cached).
+    # A bigger random cleanup, same store (classes are reused).
     big = LogicNetwork("random")
     nodes = [big.add_pi() for _ in range(5)]
     for _ in range(14):
@@ -69,11 +87,11 @@ def main() -> None:
         )
     big.add_po(nodes[-1])
     want = big.simulate()[0]
-    result = rewrite_network(big, database=database)
+    result = rewrite(big, store)
     assert big.simulate()[0] == want
     print(
         f"random network: {result.gates_before} -> {result.gates_after} "
-        f"LUTs ({len(database)} NPN classes synthesized so far)"
+        f"LUTs ({store.counters()['classes']} NPN classes stored so far)"
     )
 
 

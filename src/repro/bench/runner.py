@@ -27,8 +27,10 @@ workers stopped) before ``run_suite`` returns.  Aggregate counters and
 ordered solution lists are identical to a sequential run; only timings
 (and the ``worker`` attribution) differ.  With ``store_path``, every
 executor consults the persistent chain store before synthesizing and
-writes optimal results back — a warm store serves a repeated suite
-with zero new synthesis calls.
+writes results back graded by the engine's exactness — a warm store
+serves a repeated suite of an exact algorithm (BMS, FEN, ABC) with
+zero new synthesis calls, while STP's ``hier`` answers are kept as
+upper bounds only.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
-from ..cache import get_cache
 from ..core.spec import SynthesisResult
 from ..engine import run_engine
 from ..parallel.progress import ProgressReporter
@@ -287,7 +288,6 @@ def run_suite(
     fault_plan: FaultPlan | None = None,
     max_retries: int = 1,
     memory_limit_mb: int | None = None,
-    cache_path: str | None = None,
     jobs: int = 1,
     store_path: str | None = None,
     race: bool = False,
@@ -301,11 +301,6 @@ def run_suite(
     after the in-flight state is flushed; everything already measured
     is on disk.
 
-    With ``cache_path``, the process-global synthesis cache (topology
-    families) is loaded before the suite and saved after it, so
-    resumed checkpoint runs and later suites skip re-enumerating the
-    shared fence/DAG families.
-
     ``jobs > 1`` dispatches the unfinished instances of *all*
     algorithms through the batch scheduler; this implies process
     isolation (the parallelism lives in forked workers), so every
@@ -316,16 +311,13 @@ def run_suite(
     ``race=True`` makes every executor race its lanes (``RACE_WIDTH``):
     the algorithm's named engines run concurrently on each instance in
     isolated workers (first verified exact answer wins, losers are
-    cancelled), and a single health/breaker tracker is shared across
-    the whole suite.  Algorithms with a single named engine race the
+    cancelled).  Algorithms with a single named engine race the
     default lane set.  Either way, a store-backed instance with no
     exact answer degrades to the stored upper bound (``status ==
     "degraded"``, ``exact=False``) instead of a plain failure.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if cache_path:
-        get_cache().load(cache_path)
     store = None
     if store_path:
         from ..store import ChainStore
@@ -334,11 +326,6 @@ def run_suite(
     log = CheckpointLog(checkpoint_path) if checkpoint_path else None
     done = log.load() if log is not None else {}
     algorithms = list(algorithms)
-    health = None
-    if race:
-        from ..runtime.health import EngineHealth
-
-        health = EngineHealth()
     try:
         if jobs > 1:
             return _run_suite_parallel(
@@ -355,7 +342,6 @@ def run_suite(
                 memory_limit_mb=memory_limit_mb,
                 store=store,
                 race=race,
-                health=health,
             )
         reports = []
         for algorithm in algorithms:
@@ -369,7 +355,6 @@ def run_suite(
                 memory_limit_mb=memory_limit_mb,
                 store=store,
                 race=race,
-                health=health,
             ) as executor:
                 for function in functions:
                     key = instance_key(
@@ -391,8 +376,6 @@ def run_suite(
                         _print_progress(algorithm.name, outcome)
         return reports
     finally:
-        if cache_path:
-            get_cache().save(cache_path)
         if store is not None:
             store.close()
 
@@ -412,7 +395,6 @@ def _run_suite_parallel(
     memory_limit_mb: int | None,
     store,
     race: bool = False,
-    health=None,
 ) -> list[SuiteReport]:
     """Scheduler-backed suite execution (see :func:`run_suite`)."""
     executors = {
@@ -424,7 +406,6 @@ def _run_suite_parallel(
             memory_limit_mb=memory_limit_mb,
             store=store,
             race=race,
-            health=health,
         )
         for algorithm in algorithms
     }
@@ -501,7 +482,6 @@ def _executor_for(
     memory_limit_mb: int | None,
     store=None,
     race: bool = False,
-    health=None,
 ):
     if algorithm.engines is not None:
         engines: Sequence = algorithm.engines
@@ -520,7 +500,6 @@ def _executor_for(
     return FaultTolerantExecutor(
         engines,
         width=RACE_WIDTH if race else 1,
-        health=health,
         isolate=isolate,
         max_retries=max_retries,
         memory_limit_mb=memory_limit_mb,

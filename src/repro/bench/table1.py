@@ -181,14 +181,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "here and replayed on restart (resume support)",
     )
     parser.add_argument(
-        "--cache",
-        type=str,
-        default=None,
-        help="topology-cache persistence path; loaded before each "
-        "suite and saved after, so resumed/repeated runs skip "
-        "re-enumerating fence/DAG families",
-    )
-    parser.add_argument(
         "--isolate",
         action="store_true",
         help="run each instance in a killable worker process "
@@ -265,7 +257,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 isolate=args.isolate,
                 max_retries=args.retries,
                 memory_limit_mb=args.memory_limit_mb,
-                cache_path=args.cache,
                 jobs=args.jobs,
                 store_path=args.store,
                 race=args.race,

@@ -3,11 +3,11 @@
 Three caches back the pipeline stages:
 
 * :class:`NPNCache` — memoized NPN canonicalization (``canonicalize``
-  is an orbit sweep; the database and the canonicalize stage call it
-  for every lookup);
+  is an orbit sweep; the canonicalize stage and the chain store call
+  it for every lookup);
 * :class:`TopologyCache` — per-``(num_gates, num_pis)`` fence/DAG
   topology families, the dominant repeated cost across a Table-I
-  suite, with optional on-disk persistence;
+  suite, kept in memory for the life of the process;
 * :class:`FactorizationPool` — memoizing factorization engines keyed
   on their immutable config, so each engine's query memo survives
   across synthesis calls.
@@ -22,19 +22,9 @@ without touching the recorded counters — the cache on/off ablation in
 
 from __future__ import annotations
 
-import os
-import pickle
-import tempfile
-from contextlib import contextmanager
-
 from .factorization import FactorizationPool
 from .npn import NPNCache
 from .topology import TopologyCache
-
-try:  # pragma: no cover - fcntl exists on every POSIX target
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
 
 __all__ = [
     "SynthesisCache",
@@ -45,8 +35,6 @@ __all__ = [
     "set_cache",
     "reset_cache",
 ]
-
-_PERSIST_VERSION = 1
 
 
 class SynthesisCache:
@@ -145,90 +133,6 @@ class SynthesisCache:
         self.npn.clear()
         self.topology.clear()
         self.factorization.clear()
-
-    # ------------------------------------------------------------------
-    # persistence (topology families only — the others rebuild fast or
-    # hold live objects)
-    # ------------------------------------------------------------------
-    def save(self, path: str) -> None:
-        """Persist the topology families atomically to ``path``.
-
-        Safe under concurrent writers: an exclusive lock on
-        ``path + ".lock"`` serializes savers, the current on-disk
-        payload is re-read and merged under that lock (families only
-        on disk are preserved, in-memory families win), and the merged
-        payload lands via temp-file + atomic rename — so parallel
-        suite runs sharing one cache path never tear the file or drop
-        each other's families.
-        """
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        with _writer_lock(path):
-            state = self._read_disk_state(path)
-            state.update(
-                TopologyCache.sanitize_state(self.topology.export_state())
-            )
-            payload = {"version": _PERSIST_VERSION, "topology": state}
-            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(payload, handle)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-
-    @staticmethod
-    def _read_disk_state(path: str) -> dict:
-        """Sanitized topology state currently on disk ({} when absent,
-        corrupt, or an incompatible version)."""
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-        except (OSError, pickle.PickleError, EOFError, AttributeError):
-            return {}
-        if (
-            not isinstance(payload, dict)
-            or payload.get("version") != _PERSIST_VERSION
-        ):
-            return {}
-        return TopologyCache.sanitize_state(payload.get("topology", {}))
-
-    def load(self, path: str) -> int:
-        """Load persisted topology families; returns families restored.
-
-        Missing, corrupt, or incompatible files are treated as an
-        empty cache — persistence is an optimisation, never a failure
-        mode.
-        """
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-        except (OSError, pickle.PickleError, EOFError, AttributeError):
-            return 0
-        if (
-            not isinstance(payload, dict)
-            or payload.get("version") != _PERSIST_VERSION
-        ):
-            return 0
-        return self.topology.load_state(payload.get("topology", {}))
-
-
-@contextmanager
-def _writer_lock(path: str):
-    """Exclusive advisory lock on ``path + ".lock"`` (no-op when the
-    platform lacks ``fcntl``)."""
-    if fcntl is None:
-        yield
-        return
-    with open(path + ".lock", "a+b") as handle:
-        fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
 
 _GLOBAL_CACHE: SynthesisCache | None = None

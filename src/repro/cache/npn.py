@@ -1,7 +1,7 @@
 """Memoized NPN canonicalization.
 
 Exact NPN canonicalization of a 4-input function enumerates all 768
-transforms; the NPN database and the synthesizer's canonicalize stage
+transforms; the synthesizer's canonicalize stage and the chain store
 call it for every lookup.  Within a Table-I suite the same functions
 (and the same orbit members) recur constantly, so a ``(bits, n)``-keyed
 memo turns the repeated orbit sweeps into dictionary reads.

@@ -6,9 +6,9 @@ on ``(r, s)`` — yet the synthesizer used to re-enumerate them from
 scratch for every target function.  Across a Table-I suite (hundreds
 of functions, nearly all hitting the same handful of ``(r, s)`` pairs)
 that re-enumeration is the dominant repeated cost.  This cache
-materialises each family once and serves every later call from memory;
-families can also be persisted to disk so ``run_suite`` reuses them
-across resumed checkpoint runs and separate processes.
+materialises each family once and serves every later call from memory,
+for the life of the process; a family above ``MAX_DAGS_PER_FAMILY``
+DAGs is rebuilt on every call instead of kept.
 """
 
 from __future__ import annotations
@@ -90,75 +90,3 @@ class TopologyCache:
     def clear(self) -> None:
         """Drop every cached family (counters are kept)."""
         self._store.clear()
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-    def export_state(self) -> dict:
-        """Plain-data snapshot of the cached families (picklable)."""
-        return {
-            key: tuple(
-                (fence, tuple(dag.fanins for dag in dags))
-                for fence, dags in family
-            )
-            for key, family in self._store.items()
-        }
-
-    @staticmethod
-    def sanitize_state(state) -> dict:
-        """Validated plain-data subset of a raw exported/unpickled state.
-
-        Keys normalize to ``(num_gates, num_pis, require_all_pis)`` and
-        every family to nested plain tuples; malformed entries are
-        dropped rather than raising (a stale or torn cache file must
-        never break a run).  Both :meth:`load_state` and the read-merge
-        step of concurrent cache saves run untrusted disk data through
-        this before using it.
-        """
-        if not isinstance(state, dict):
-            return {}
-        clean: dict = {}
-        for key, family in state.items():
-            try:
-                num_gates, num_pis, require_all_pis = key
-                plain = tuple(
-                    (
-                        tuple(fence),
-                        tuple(
-                            tuple(tuple(pair) for pair in fanins)
-                            for fanins in dag_fanins
-                        ),
-                    )
-                    for fence, dag_fanins in family
-                )
-                clean_key = (int(num_gates), int(num_pis), bool(require_all_pis))
-            except (TypeError, ValueError):
-                continue
-            clean[clean_key] = plain
-        return clean
-
-    def load_state(self, state: dict) -> int:
-        """Restore families exported by :meth:`export_state`.
-
-        Returns the number of families restored; malformed entries are
-        skipped via :meth:`sanitize_state`.
-        """
-        restored = 0
-        for key, family in self.sanitize_state(state).items():
-            _, num_pis, _ = key
-            try:
-                rebuilt = tuple(
-                    (
-                        fence,
-                        tuple(
-                            DagTopology(num_pis, fanins, fence)
-                            for fanins in dag_fanins
-                        ),
-                    )
-                    for fence, dag_fanins in family
-                )
-            except (TypeError, ValueError):
-                continue
-            self._store[key] = rebuilt
-            restored += 1
-        return restored

@@ -21,7 +21,6 @@ from .circuit_sat import (
 from .pipeline import PipelineState, run_pipeline
 from .synthesizer import STPSynthesizer, synthesize, synthesize_all
 from .hierarchical import HierarchicalSynthesizer, hierarchical_synthesize
-from .database import NPNDatabase, apply_transform_to_chain
 from .sizebound import exact_min_gates_upto3, min_gates_lower_bound
 
 __all__ = [
@@ -47,8 +46,6 @@ __all__ = [
     "synthesize_all",
     "HierarchicalSynthesizer",
     "hierarchical_synthesize",
-    "NPNDatabase",
-    "apply_transform_to_chain",
     "exact_min_gates_upto3",
     "min_gates_lower_bound",
 ]

@@ -5,9 +5,9 @@ factorization engine, the DSD-hierarchical fast path, and the three
 baselines — is exposed as an :class:`Engine`: a named object with a
 static :class:`EngineCapabilities` description and a single
 ``synthesize(spec, ctx)`` entry point.  The CLI, the benchmark runner,
-the NPN database, hierarchical prime-block synthesis, and the
+the rewriter, the service, hierarchical prime-block synthesis, and the
 fault-tolerant fallback chain all dispatch through this protocol, so
-adding an engine means registering one adapter, not editing five call
+adding an engine means registering one adapter, not editing six call
 sites.
 """
 

@@ -3,12 +3,7 @@ exact-synthesis-based rewriting — the application side of the paper."""
 
 from .network import LogicNetwork, Node
 from .cuts import Cut, cut_function, enumerate_cuts
-from .rewrite import (
-    RewriteResult,
-    StoreRewriteResult,
-    rewrite_network,
-    rewrite_with_store,
-)
+from .rewrite import RewriteResult, rewrite_with_store
 from .blif import blif_to_network, network_to_blif, read_blif, write_blif
 
 __all__ = [
@@ -18,8 +13,6 @@ __all__ = [
     "cut_function",
     "enumerate_cuts",
     "RewriteResult",
-    "StoreRewriteResult",
-    "rewrite_network",
     "rewrite_with_store",
     "blif_to_network",
     "network_to_blif",

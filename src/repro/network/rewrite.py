@@ -3,13 +3,14 @@
 The application the paper's introduction motivates ("SAT has been used
 in logic synthesis to synthesize optimum Boolean chains … exact
 synthesis"): walk the network, and for each node try to replace the
-logic inside one of its cuts with a freshly synthesized *optimal*
-chain from the NPN database.  A replacement is accepted when the new
-chain is smaller than the logic it makes dead (DAG-aware gain, as in
-"On-the-fly and DAG-aware" rewriting).
+logic inside one of its cuts with an *optimal* chain for the cut's
+NPN class, served by the persistent chain store or synthesized on a
+miss.  A replacement is accepted when the new chain is smaller than
+the logic it makes dead (DAG-aware gain, as in "On-the-fly and
+DAG-aware" rewriting).
 
-Because the database serves *all* optimal chains, the replacement can
-be chosen by a secondary cost (depth by default) — the flexibility the
+Because the store keeps *all* optimal chains, the replacement can be
+chosen by a secondary cost (depth by default) — the flexibility the
 paper's all-solutions output is for.  :func:`rewrite_with_store` hands
 a cost that no NPN transform changes (gates, depth, fanout) to the
 store as its ``pick``: the store chooses the same chain in canonical
@@ -26,17 +27,11 @@ from typing import Callable, Sequence
 from ..chain.chain import BooleanChain
 from ..chain.costs import COST_MODELS, NPN_INVARIANT_COSTS
 from ..chain.transform import trivial_chain
-from ..core.database import NPNDatabase
 from ..truthtable.table import TruthTable
 from .cuts import Cut, cut_function, enumerate_cuts
 from .network import LogicNetwork
 
-__all__ = [
-    "RewriteResult",
-    "StoreRewriteResult",
-    "rewrite_network",
-    "rewrite_with_store",
-]
+__all__ = ["RewriteResult", "rewrite_with_store"]
 
 
 def _cone_above(
@@ -60,22 +55,8 @@ def _cone_above(
 
 @dataclass
 class RewriteResult:
-    """What a rewriting pass did."""
-
-    gates_before: int
-    gates_after: int
-    replacements: int = 0
-    cuts_tried: int = 0
-
-    @property
-    def gain(self) -> int:
-        """Gates saved."""
-        return self.gates_before - self.gates_after
-
-
-@dataclass
-class StoreRewriteResult(RewriteResult):
-    """A :func:`rewrite_with_store` pass, with its store traffic.
+    """What a :func:`rewrite_with_store` pass did, with its store
+    traffic.
 
     ``store_hits`` counts cuts answered by the store, directly or
     through the pass's memo of a store answer; ``store_misses`` counts
@@ -89,10 +70,19 @@ class StoreRewriteResult(RewriteResult):
     simulation cap).
     """
 
+    gates_before: int
+    gates_after: int
+    replacements: int = 0
+    cuts_tried: int = 0
     store_hits: int = 0
     store_misses: int = 0
     synthesis_calls: int = 0
     verified: bool = False
+
+    @property
+    def gain(self) -> int:
+        """Gates saved."""
+        return self.gates_before - self.gates_after
 
 
 def _rewrite_pass(
@@ -104,7 +94,7 @@ def _rewrite_pass(
     zero_gain: bool,
     result: RewriteResult,
 ) -> None:
-    """The shared DAG-aware replacement loop (in place).
+    """The DAG-aware replacement loop (in place).
 
     ``choose(local)`` maps a cut's local function (leaf ``i`` is
     variable ``i``) to the chain to splice, or None; the loop prices
@@ -156,57 +146,6 @@ def _rewrite_pass(
     result.gates_after = network.num_gates()
 
 
-def rewrite_network(
-    network: LogicNetwork,
-    database: NPNDatabase | None = None,
-    cut_size: int = 4,
-    tie_break: str | Callable[[BooleanChain], float] = "depth",
-    max_cuts_per_node: int = 8,
-    zero_gain: bool = False,
-) -> RewriteResult:
-    """One DAG-aware rewriting pass over the network (in place).
-
-    Parameters
-    ----------
-    database:
-        NPN chain database (shared across passes for caching); a fresh
-        one is created when omitted.
-    cut_size:
-        Cut leaf limit; 4 keeps lookups inside the exact-NPN range.
-    tie_break:
-        Secondary cost choosing among the optimal chains of a class.
-    zero_gain:
-        Accept replacements that keep the size (useful to reshape for
-        depth); by default only strictly size-reducing rewrites apply.
-    """
-    if cut_size > 4:
-        raise ValueError(
-            "rewriting uses exact NPN classification (cut_size <= 4)"
-        )
-    db = database if database is not None else NPNDatabase()
-    cost = (
-        COST_MODELS[tie_break] if isinstance(tie_break, str) else tie_break
-    )
-    result = RewriteResult(
-        gates_before=network.num_gates(),
-        gates_after=network.num_gates(),
-    )
-
-    def choose(local):
-        chains = db.lookup(local)
-        return min(chains, key=cost) if chains else None
-
-    _rewrite_pass(
-        network,
-        choose,
-        cut_size=cut_size,
-        max_cuts_per_node=max_cuts_per_node,
-        zero_gain=zero_gain,
-        result=result,
-    )
-    return result
-
-
 def rewrite_with_store(
     network: LogicNetwork,
     store,
@@ -220,7 +159,7 @@ def rewrite_with_store(
     timeout_per_cut: float | None = 5.0,
     verify: bool = True,
     executor=None,
-) -> StoreRewriteResult:
+) -> RewriteResult:
     """One store-backed DAG-aware rewriting pass (copy-verify-commit).
 
     Cut functions are served from the persistent
@@ -249,8 +188,21 @@ def rewrite_with_store(
     cap) leaves ``network`` untouched and reports ``verified=False``
     with ``gates_after == gates_before``.
 
-    Parameters beyond :func:`rewrite_network`'s:
-
+    Parameters
+    ----------
+    store:
+        The :class:`~repro.store.ChainStore` serving and receiving
+        optimal chains.
+    cut_size:
+        Cut leaf limit; 4 keeps lookups inside the exact-NPN range.
+    tie_break:
+        Secondary cost choosing among the optimal chains of a class:
+        a name in :data:`~repro.chain.costs.COST_MODELS` or a callable.
+    max_cuts_per_node:
+        Cuts kept per node by the enumeration.
+    zero_gain:
+        Accept replacements that keep the size (useful to reshape for
+        depth); by default only strictly size-reducing rewrites apply.
     engines:
         Engine fallback chain for cache misses (registry names).
     race:
@@ -263,7 +215,7 @@ def rewrite_with_store(
         Pre-built executor override (must expose
         ``run(function, timeout, pick=...)``); ``engines``/``race`` are
         ignored when given.  The executor should share ``store`` so
-        write-backs land in the same database.
+        write-backs land in the same store.
     """
     if cut_size > 4:
         raise ValueError(
@@ -276,17 +228,15 @@ def rewrite_with_store(
         cost, pick = tie_break, None
     if executor is None:
         from ..runtime.executor import FaultTolerantExecutor
-        from ..runtime.health import EngineHealth
         from ..runtime.racing import DEFAULT_RACE_ENGINES, RACE_WIDTH
 
         executor = FaultTolerantExecutor(
             DEFAULT_RACE_ENGINES if race else tuple(engines),
             width=RACE_WIDTH if race else 1,
-            health=EngineHealth() if race else None,
             store=store,
         )
 
-    result = StoreRewriteResult(
+    result = RewriteResult(
         gates_before=network.num_gates(),
         gates_after=network.num_gates(),
     )

@@ -5,9 +5,9 @@ instances across ``jobs`` concurrent fault-tolerant executors — each
 instance still runs in its own isolated, rlimit-capped worker process
 with a hard wall-clock kill — with a bounded FIFO work queue,
 longest-expected-first dispatch, per-worker fault accounting, and live
-progress (:mod:`~repro.parallel.progress`).  ``run_suite(jobs=N)``,
-``repro-table1 --jobs N``, and the ``repro-batch`` CLI
-(:mod:`~repro.parallel.cli`) all drive it.
+progress (:mod:`~repro.parallel.progress`).  ``run_suite(jobs=N)``
+and ``repro-table1 --jobs N`` drive it in batch mode, and the serving
+layer keeps one resident pool.
 """
 
 from .progress import ProgressReporter

@@ -8,17 +8,15 @@ The execution layer every entry point routes synthesis through:
   wall-clock timeouts and optional memory caps, leased one attempt at a
   time from a :class:`WorkerPool` and retired on any failure;
 * :mod:`.executor` — :class:`FaultTolerantExecutor`, the one resolve
-  path: store lookup, infeasible floor, health-filtered lanes, verify,
-  write-back and degradation to stored upper bounds, around two lane
-  schedulers — a sequential fallback chain with retry and backoff
-  (``width=1``) or a race of isolated lanes where the first exact
-  answer wins and losers are cancelled (``width>=2``); every isolated
-  attempt leases a worker from the executor's own pool, which
+  path: store lookup, infeasible floor, lanes, verify, write-back and
+  degradation to stored upper bounds, around two lane schedulers — a
+  sequential fallback chain with retry and backoff (``width=1``) or a
+  race of isolated lanes where the first exact answer wins and losers
+  are cancelled (``width>=2``); every isolated attempt leases a worker
+  from the executor's own pool, which
   :meth:`FaultTolerantExecutor.close` stops;
-* :mod:`.racing` — :class:`RacingExecutor`, the racing preset of that
-  executor;
-* :mod:`.health` — :class:`EngineHealth`: rolling per-engine scores,
-  circuit breakers, adaptive deadlines from per-class history;
+* :mod:`.racing` — the default race lanes and width, and the
+  :class:`CancellationRecord` of each reaped loser;
 * :mod:`.checkpoint` — streaming JSONL checkpoints for resumable
   benchmark runs;
 * :mod:`.faults` — deterministic fault injection for testing every
@@ -57,13 +55,8 @@ __all__ = [
     "ExecutionOutcome",
     "AttemptRecord",
     "format_trail",
-    "RacingExecutor",
     "CancellationRecord",
     "DEFAULT_RACE_ENGINES",
-    "EngineHealth",
-    "BREAKER_CLOSED",
-    "BREAKER_OPEN",
-    "BREAKER_HALF_OPEN",
     "WorkerTask",
     "WorkerHandle",
     "WorkerPool",
@@ -81,13 +74,8 @@ _LAZY = {
     "ExecutionOutcome": ("executor", "ExecutionOutcome"),
     "AttemptRecord": ("executor", "AttemptRecord"),
     "format_trail": ("executor", "format_trail"),
-    "RacingExecutor": ("racing", "RacingExecutor"),
     "CancellationRecord": ("racing", "CancellationRecord"),
     "DEFAULT_RACE_ENGINES": ("racing", "DEFAULT_RACE_ENGINES"),
-    "EngineHealth": ("health", "EngineHealth"),
-    "BREAKER_CLOSED": ("health", "BREAKER_CLOSED"),
-    "BREAKER_OPEN": ("health", "BREAKER_OPEN"),
-    "BREAKER_HALF_OPEN": ("health", "BREAKER_HALF_OPEN"),
     "WorkerTask": ("worker", "WorkerTask"),
     "WorkerHandle": ("worker", "WorkerHandle"),
     "WorkerPool": ("worker", "WorkerPool"),

@@ -1,8 +1,8 @@
 """Fault-tolerant synthesis execution: the one resolve path.
 
 :class:`FaultTolerantExecutor` is the single choke point every entry
-point (CLI, bench runner, rewriter, serving layer, NPN database) routes
-synthesis through.  One ``run()`` call resolves one truth table, and
+point (CLI, bench runner, rewriter, serving layer) routes synthesis
+through.  One ``run()`` call resolves one truth table, and
 turns any per-instance disaster — a hung loop, a crashed worker, a
 corrupt result, a missing engine — into a recorded
 :class:`ExecutionOutcome` instead of an aborted run.  The
@@ -14,9 +14,7 @@ steps always run in this order:
    cost chooses (:meth:`~repro.store.ChainStore.lookup`);
 2. **floor** — the store's proven-infeasible gate floor reaches every
    lane as ``min_gates``;
-3. **lanes** — the engine list, filtered by an
-   :class:`~repro.runtime.health.EngineHealth` circuit breaker when one
-   is given;
+3. **lanes** — the engine list, most preferred first;
 4. **schedule** — the only fork, on ``width``:
 
    * ``width == 1`` walks the lanes as a fallback chain, in-process
@@ -24,11 +22,11 @@ steps always run in this order:
      are retried with exponential backoff, a timeout ends the walk
      unless ``fallback_on_timeout`` is set, and the first verified
      answer wins.
-   * ``width >= 2`` races isolated worker lanes.  The first verified
-     *exact* answer wins, inexact answers are held, and losers are
-     killed and reaped (``last_cancellations``).  When the health
-     history shortened the first round, a second round gets the full
-     remaining budget;
+   * ``width >= 2`` races the first ``width`` lanes in isolated
+     workers, in one round on the remaining budget.  The first
+     verified *exact* answer wins, inexact answers are held, an exact
+     lane's ``infeasible`` ends the race, and losers are killed and
+     reaped (``last_cancellations``);
 
 5. **verify** — every chain of an answer must have one output and
    simulate to the requested table (one packed simulation of the
@@ -74,7 +72,7 @@ from .errors import (
     classify_failure,
 )
 from .faults import FaultPlan, execute_fault
-from .health import EngineHealth
+from .racing import CancellationRecord
 from .worker import WorkerHandle, WorkerPool, WorkerTask, run_isolated
 
 __all__ = [
@@ -210,11 +208,7 @@ class FaultTolerantExecutor:
         nor raced.
     width:
         The lane scheduler: ``1`` walks the lanes as a fallback chain,
-        ``>= 2`` races up to ``width`` isolated lanes per round.
-    health:
-        Optional shared :class:`EngineHealth`.  Its circuit breakers
-        filter the lanes, every attempt is recorded in it, and a race's
-        first round is shortened to the NPN class's solve-time history.
+        ``>= 2`` races the first ``width`` lanes in isolated workers.
     isolate:
         Walk named engines in killable worker processes (hard timeout).
         Race lanes are always isolated.  Isolated attempts lease
@@ -251,7 +245,6 @@ class FaultTolerantExecutor:
         engines: Sequence = DEFAULT_FALLBACK_CHAIN,
         *,
         width: int = 1,
-        health: EngineHealth | None = None,
         isolate: bool = False,
         max_retries: int = 1,
         backoff: float = 0.05,
@@ -283,7 +276,6 @@ class FaultTolerantExecutor:
             names.append(name)
             self._callables[name] = fn
         self._names = tuple(names)
-        self.health = health
         self._isolate = isolate
         self._max_retries = max(0, max_retries)
         self._backoff = backoff
@@ -412,7 +404,7 @@ class FaultTolerantExecutor:
     # ------------------------------------------------------------------
     def _walk(self, function, floor, deadline, outcome):
         """Width 1: the lanes as a fallback chain; first verified wins."""
-        lanes = self._lanes(None)
+        lanes = self._names
         status, error = "crash", ""
         for name in lanes:
             result, status, error = self._run_engine(
@@ -448,8 +440,8 @@ class FaultTolerantExecutor:
                 function,
             )
             record = self._record(
-                outcome, function, name, attempt,
-                time.perf_counter() - started, fault, exc,
+                outcome, name, attempt, time.perf_counter() - started,
+                fault, exc,
             )
             if record.status != "crash":
                 return result, record.status, record.error
@@ -478,61 +470,23 @@ class FaultTolerantExecutor:
         return run_engine(name, function, budget, **kwargs)
 
     def _race(self, function, floor, deadline, outcome, cancelled):
-        """Width >= 2: race isolated lanes; first verified exact wins.
+        """Width >= 2: launch the first ``width`` lanes at once on the
+        remaining budget; the first verified exact answer wins.
 
-        Returns the exact winner, or else the first held inexact
-        answer.  Round 0 runs on the health history's suggested
-        deadline when there is one; round 1 re-races with the full
-        remaining budget only when that suggestion shrank round 0.
+        Returns ``(answer, status, error)``: the exact winner's
+        ``(engine, result)``, else the first verified inexact answer
+        (or None), with the last failure.  ``infeasible`` from an exact
+        lane also ends the race.  On return every lane's worker is
+        back in the pool or dead and reaped, however the race ends.
         """
-        suggestion = None
-        if self.health is not None:
-            suggestion = self.health.suggest_timeout(
-                function, deadline.remaining()
-            )
-        held = None
-        status, error = "timeout", ""
-        for round_index in (0, 1):
-            remaining = deadline.remaining()
-            if remaining is not None and remaining <= 0:
-                break
-            budget = remaining
-            if round_index == 0 and suggestion is not None:
-                budget = (
-                    suggestion
-                    if remaining is None
-                    else min(suggestion, remaining)
-                )
-            won, status, error, inexact = self._race_round(
-                function, self._lanes(self._width), budget, floor,
-                outcome, cancelled,
-            )
-            held = held or inexact
-            if won is not None or status == "infeasible":
-                return won, status, error
-            if round_index == 0 and (
-                suggestion is None
-                or (remaining is not None and budget >= remaining)
-            ):
-                break
-        return held, status, error
-
-    def _race_round(self, function, lanes, budget, floor, outcome, cancelled):
-        """Launch ``lanes`` at once and resolve one round.
-
-        Returns ``(winner, status, error, held)``: the first verified
-        exact ``(engine, result)`` or None, the last failure, and the
-        first verified inexact answer.  ``infeasible`` from an exact
-        lane also ends the round.  On return every lane's worker is
-        back in the pool or dead and reaped, however the round ends.
-        """
-        from .racing import CancellationRecord
-
         pending: list[WorkerHandle] = []
         held = None
         status, error = "timeout", ""
+        budget = deadline.remaining()
+        if budget is not None and budget <= 0:
+            return None, status, error
         try:
-            for name in lanes:
+            for name in self._names[: self._width]:
                 fault = self._draw(outcome, name)
                 task = self._task(
                     name, function, budget, self._kwargs(name, floor), fault
@@ -548,18 +502,18 @@ class FaultTolerantExecutor:
                         lambda: handle.result(block=False), function
                     )
                     record = self._record(
-                        outcome, function, handle.engine, 0,
-                        handle.elapsed, handle.task.fault, exc,
+                        outcome, handle.engine, 0, handle.elapsed,
+                        handle.task.fault, exc,
                     )
                     exact = self._is_exact(handle.engine)
                     if record.status == "ok" and exact:
-                        return (handle.engine, result), "ok", "", held
+                        return (handle.engine, result), "ok", ""
                     if record.status == "ok":
                         held = held or (handle.engine, result)
                         continue
                     status, error = record.status, record.error
                     if status == "infeasible" and exact:
-                        return None, status, error, held
+                        return None, status, error
         finally:
             # Reap every lane not yet collected: the winner's early
             # return and a KeyboardInterrupt both land here.
@@ -569,17 +523,11 @@ class FaultTolerantExecutor:
                 cancelled.append(
                     CancellationRecord(handle.engine, pid, seconds)
                 )
-        return None, status, error, held
+        return held, status, error
 
     # ------------------------------------------------------------------
     # shared steps
     # ------------------------------------------------------------------
-    def _lanes(self, limit):
-        """Health-filtered lanes (all of them without a health)."""
-        if self.health is not None:
-            return self.health.select(self._names, limit=limit)
-        return self._names[:limit]
-
     def _kwargs(self, name, floor):
         kwargs = self._engine_kwargs.get(name, {})
         if floor > 0:
@@ -632,10 +580,11 @@ class FaultTolerantExecutor:
             return None, exc
         return result, None
 
+    @staticmethod
     def _record(
-        self, outcome, function, engine, attempt, runtime, fault, exc
+        outcome, engine, attempt, runtime, fault, exc
     ) -> AttemptRecord:
-        """Append one attempt to the trail and to the health score."""
+        """Append one attempt to the trail."""
         record = AttemptRecord(
             engine=engine,
             attempt=attempt,
@@ -647,10 +596,6 @@ class FaultTolerantExecutor:
         )
         outcome.attempts += 1
         outcome.trail.append(record)
-        if self.health is not None:
-            self.health.record(
-                engine, record.status, runtime, function=function
-            )
         return record
 
     @staticmethod

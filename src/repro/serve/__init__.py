@@ -2,8 +2,8 @@
 
 Everything the batch reproduction grew — the NPN-keyed
 :class:`~repro.store.ChainStore`, the resident
-:class:`~repro.parallel.BatchScheduler` pool, engine racing, health
-breakers, graceful degradation — hosted behind a long-lived asyncio
+:class:`~repro.parallel.BatchScheduler` pool, engine racing,
+graceful degradation — hosted behind a long-lived asyncio
 HTTP + JSON API (``repro-serve``).  Requests are canonicalized to
 their NPN class, concurrent duplicates coalesce onto one
 in-flight synthesis, warm classes are served straight from the store

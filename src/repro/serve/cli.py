@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--race",
         action="store_true",
-        help="race the healthy lanes in isolated workers per miss",
+        help="race the engine lanes in isolated workers per miss",
     )
     parser.add_argument(
         "--timeout",

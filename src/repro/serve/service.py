@@ -19,10 +19,10 @@ truth table — goes through the same funnel:
    <repro.runtime.executor.FaultTolerantExecutor.run>` call — the
    runtime's one resolve path.  The pool's queue is FIFO; a job whose
    caller's deadline lapses while it waits is answered ``expired``
-   (HTTP 504) without running.  Dispatch is health-aware — the shared
-   :class:`~repro.runtime.health.EngineHealth` breaker picks the lanes
-   — and optionally races engines (``race=True``).  Solved results are
-   written back to the store, so the whole orbit is warm afterwards.
+   (HTTP 504) without running.  The executor walks the engine lanes
+   as a fallback chain, or races them (``race=True``).  Solved results
+   are written back to the store, so the whole orbit is warm
+   afterwards.
 4. **Degradation.**  When no exact answer comes back, the executor
    serves the store's best-known upper bound for the class, which
    leaves here with ``exact: false`` and a ``degraded`` status the
@@ -60,7 +60,6 @@ from ..runtime.executor import (
     ExecutionOutcome,
     FaultTolerantExecutor,
 )
-from ..runtime.health import EngineHealth
 from ..runtime.racing import RACE_WIDTH
 from ..truthtable import from_hex
 from ..truthtable.npn import canonicalize
@@ -227,11 +226,11 @@ class SynthesisService:
         Optional :class:`~repro.store.ChainStore` for the warm path,
         write-back, and degraded upper bounds.
     engines:
-        Exact-lane preference order.  Health-filtered per dispatch.
+        Exact-lane preference order.
     race:
-        Race the healthy lanes in isolated workers per miss instead of
-        walking them as an in-process fallback chain (the executor's
-        ``width``).
+        Race the first ``RACE_WIDTH`` lanes in isolated workers per
+        miss instead of walking them as an in-process fallback chain
+        (the executor's ``width``).
     default_timeout / max_timeout:
         Per-request synthesis budget when the caller names none, and
         the hard cap a caller may request.
@@ -252,7 +251,6 @@ class SynthesisService:
         store=None,
         engines: Sequence[str] = DEFAULT_FALLBACK_CHAIN,
         race: bool = False,
-        health: EngineHealth | None = None,
         metrics: ServingMetrics | None = None,
         default_timeout: float = 20.0,
         max_timeout: float = 120.0,
@@ -262,7 +260,6 @@ class SynthesisService:
     ) -> None:
         self._scheduler = scheduler
         self._store = store
-        self.health = health if health is not None else EngineHealth()
         self.metrics = metrics if metrics is not None else ServingMetrics()
         self._default_timeout = default_timeout
         self._max_timeout = max_timeout
@@ -272,7 +269,6 @@ class SynthesisService:
         self._executor = FaultTolerantExecutor(
             engines,
             width=RACE_WIDTH if race else 1,
-            health=self.health,
             store=store,
             fault_plan=fault_plan,
             engine_kwargs=engine_kwargs,
@@ -628,7 +624,6 @@ class SynthesisService:
                 queue_depth=self._scheduler.backlog(),
                 inflight_classes=self.inflight_classes,
             ),
-            "health": self.health.to_record(),
             "scheduler": {
                 "jobs": self._scheduler.jobs,
                 "backlog": self._scheduler.backlog(),

@@ -1,7 +1,5 @@
 """The cross-call caching layer: NPN memo, topology families,
-factorization pool, persistence, and the global-cache plumbing."""
-
-import os
+factorization pool, and the global-cache plumbing."""
 
 import pytest
 
@@ -70,25 +68,6 @@ class TestTopologyCache:
         assert stats.cache_hits["topology"] == 2
         assert stats.cache_misses["topology"] == 1
 
-    def test_persistence_roundtrip(self, tmp_path):
-        path = str(tmp_path / "topo.cache")
-        cache = SynthesisCache()
-        built = cache.topology_families(3, 4)
-        cache.save(path)
-
-        restored = SynthesisCache()
-        assert restored.load(path) == 1
-        assert list(restored.topology_families(3, 4)) == list(built)
-        # The restored family counts as a hit, not a rebuild.
-        assert restored.topology.hits == 1
-
-    def test_load_missing_or_corrupt(self, tmp_path):
-        cache = SynthesisCache()
-        assert cache.load(str(tmp_path / "absent.cache")) == 0
-        garbage = tmp_path / "garbage.cache"
-        garbage.write_bytes(b"not a pickle at all")
-        assert cache.load(str(garbage)) == 0
-
     def test_family_over_the_dag_bound_is_not_stored(self, monkeypatch):
         import repro.cache.topology as topology_mod
 
@@ -101,18 +80,6 @@ class TestTopologyCache:
         assert list(cache.topology_families(3, 4)) == list(big)
         assert len(cache.topology) == 1  # only the (1, 2) family
         assert cache.topology.misses == 3 and cache.topology.hits == 0
-
-    def test_save_is_atomic(self, tmp_path):
-        path = str(tmp_path / "topo.cache")
-        cache = SynthesisCache()
-        cache.topology_families(2, 3)
-        cache.save(path)
-        assert os.path.exists(path)
-        assert not [
-            name
-            for name in os.listdir(tmp_path)
-            if name.endswith(".tmp")
-        ]
 
 
 class TestFactorizationPool:
@@ -192,76 +159,3 @@ class TestGlobalCache:
             cached.stats.fences_examined == uncached.stats.fences_examined
         )
         assert cached.stats.dags_examined == uncached.stats.dags_examined
-
-
-class TestConcurrentPersistence:
-    def test_save_merges_with_families_already_on_disk(self, tmp_path):
-        """Two writers sharing one path lose nothing: the second save
-        re-reads the file under the lock and merges before replacing."""
-        path = str(tmp_path / "topo.cache")
-        first = SynthesisCache()
-        first.topology_families(2, 3)
-        second = SynthesisCache()
-        second.topology_families(3, 3)
-        first.save(path)
-        second.save(path)
-
-        merged = SynthesisCache()
-        assert merged.load(path) == 2
-        merged.topology_families(2, 3)
-        merged.topology_families(3, 3)
-        assert merged.topology.hits == 2
-        assert merged.topology.misses == 0
-
-    def test_repeated_saves_do_not_duplicate(self, tmp_path):
-        path = str(tmp_path / "topo.cache")
-        cache = SynthesisCache()
-        cache.topology_families(3, 4)
-        cache.save(path)
-        cache.save(path)
-        assert SynthesisCache().load(path) == 1
-
-    def test_save_over_corrupt_file_still_succeeds(self, tmp_path):
-        path = tmp_path / "topo.cache"
-        path.write_bytes(b"\x00garbage that is not a pickle")
-        cache = SynthesisCache()
-        cache.topology_families(2, 3)
-        cache.save(str(path))
-        assert SynthesisCache().load(str(path)) == 1
-
-    def test_parallel_saves_from_threads(self, tmp_path):
-        import threading
-
-        path = str(tmp_path / "topo.cache")
-        pairs = [(1, 2), (2, 2), (2, 3), (3, 3), (3, 4)]
-        errors = []
-
-        def saver(r, s):
-            try:
-                cache = SynthesisCache()
-                cache.topology_families(r, s)
-                cache.save(path)
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=saver, args=pair) for pair in pairs
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert SynthesisCache().load(path) == len(pairs)
-
-    def test_sanitize_state_drops_malformed_entries(self):
-        from repro.cache.topology import TopologyCache
-
-        good = SynthesisCache()
-        good.topology_families(2, 3)
-        state = good.topology.export_state()
-        state["bogus-key"] = "bogus-family"
-        state[(1, 2)] = None  # wrong key arity
-        clean = TopologyCache.sanitize_state(state)
-        assert set(clean) == {(2, 3, True)}
-        assert TopologyCache.sanitize_state("not a dict") == {}

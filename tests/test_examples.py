@@ -2,8 +2,7 @@
 
 The heavier examples (cost-aware selection over the full MAJ3 solution
 set, solver comparison) are exercised with reduced scope elsewhere in
-the suite; here we run the two fast entry points exactly as a user
-would.
+the suite; here we run the fast entry points exactly as a user would.
 """
 
 import runpy
@@ -29,6 +28,20 @@ def test_liar_puzzle(capsys):
     out = run_example("liar_puzzle.py", capsys)
     assert "only b is honest" in out
     assert "True" in out
+
+
+def test_rewrite_demo(capsys):
+    out = run_example("rewrite_demo.py", capsys)
+    assert "loaded fulladder_naive.blif: 9 LUTs" in out
+    assert "cold pass: 9 -> 6 gates" in out
+    assert "warm pass: 9 -> 6 gates (0 synthesis call(s)" in out
+
+
+def test_network_rewriting(capsys):
+    out = run_example("network_rewriting.py", capsys)
+    assert "before: 6 LUTs, depth 3" in out
+    assert "after : 3 LUTs, depth 2" in out
+    assert "random network: 14 -> 0 LUTs" in out
 
 
 @pytest.mark.slow

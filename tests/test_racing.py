@@ -1,12 +1,12 @@
-"""The racing executor: cancellation, stragglers, degradation."""
+"""Racing (executor ``width >= 2``): cancellation, stragglers,
+degradation."""
 
 import pytest
 
 from repro.engine import run_engine
 from repro.runtime.executor import FaultTolerantExecutor, format_trail
 from repro.runtime.faults import FaultPlan, FaultSpec
-from repro.runtime.health import EngineHealth
-from repro.runtime.racing import RacingExecutor
+from repro.runtime.racing import RACE_WIDTH
 from repro.store import ChainStore
 from repro.truthtable import from_hex
 
@@ -15,7 +15,9 @@ from tests.helpers import assert_no_orphans
 
 class TestWinnerCancelsLosers:
     def test_winner_reaps_all_losers(self):
-        executor = RacingExecutor(("stp", "fen", "cegis"))
+        executor = FaultTolerantExecutor(
+            ("stp", "fen", "cegis"), width=RACE_WIDTH
+        )
         outcome = executor.run(from_hex("e8", 3), timeout=30.0)
         assert outcome.solved and outcome.exact
         assert outcome.result.num_gates == 4  # majority-3 optimum
@@ -36,8 +38,8 @@ class TestWinnerCancelsLosers:
                 ]
             }
         )
-        executor = RacingExecutor(
-            ("stp", "fen", "cegis"), fault_plan=plan
+        executor = FaultTolerantExecutor(
+            ("stp", "fen", "cegis"), width=RACE_WIDTH, fault_plan=plan
         )
         outcome = executor.run(from_hex("e8", 3), timeout=10.0)
         assert outcome.solved
@@ -55,8 +57,8 @@ class TestWinnerCancelsLosers:
                 ]
             }
         )
-        executor = RacingExecutor(
-            ("stp", "fen", "cegis"), fault_plan=plan
+        executor = FaultTolerantExecutor(
+            ("stp", "fen", "cegis"), width=RACE_WIDTH, fault_plan=plan
         )
         outcome = executor.run(from_hex("e8", 3), timeout=10.0)
         assert outcome.solved
@@ -72,7 +74,9 @@ class TestWinnerCancelsLosers:
                 )
             }
         )
-        executor = RacingExecutor(("stp", "fen"), fault_plan=plan)
+        executor = FaultTolerantExecutor(
+            ("stp", "fen"), width=RACE_WIDTH, fault_plan=plan
+        )
         outcome = executor.run(from_hex("e8", 3), timeout=30.0)
         assert outcome.solved and outcome.engine == "fen"
         corrupt = [r for r in outcome.trail if r.status == "corrupt"]
@@ -85,7 +89,9 @@ class TestStragglers:
     def test_npn4_stragglers_solve_exactly_under_race(self, hexval):
         # The two NPN4 classes the sequential stp pipeline cannot
         # finish in a tier-1 budget; racing recovers them exactly.
-        executor = RacingExecutor(("stp", "fen", "cegis"))
+        executor = FaultTolerantExecutor(
+            ("stp", "fen", "cegis"), width=RACE_WIDTH
+        )
         outcome = executor.run(from_hex(hexval, 4), timeout=60.0)
         assert outcome.solved and outcome.exact
         assert outcome.result.num_gates == 5
@@ -114,8 +120,9 @@ class TestGracefulDegradation:
             }
         )
         with store:
-            executor = RacingExecutor(
-                ("stp", "fen"), fault_plan=plan, store=store
+            executor = FaultTolerantExecutor(
+                ("stp", "fen"), width=RACE_WIDTH, fault_plan=plan,
+                store=store,
             )
             outcome = executor.run(function, timeout=5.0)
         assert outcome.status == "degraded"
@@ -137,8 +144,8 @@ class TestGracefulDegradation:
                 ]
             }
         )
-        executor = RacingExecutor(
-            ("stp", "fen", "hier"), fault_plan=plan
+        executor = FaultTolerantExecutor(
+            ("stp", "fen", "hier"), width=RACE_WIDTH, fault_plan=plan
         )
         outcome = executor.run(from_hex("e8", 3), timeout=10.0)
         assert outcome.status == "degraded"
@@ -155,14 +162,17 @@ class TestGracefulDegradation:
                 )
             }
         )
-        executor = RacingExecutor(("stp", "fen"), fault_plan=plan)
+        executor = FaultTolerantExecutor(
+            ("stp", "fen"), width=RACE_WIDTH, fault_plan=plan
+        )
         outcome = executor.run(from_hex("e8", 3), timeout=5.0)
         assert outcome.status == "timeout"
         assert outcome.result is None
 
     def test_infeasible_from_an_exact_lane_ends_the_race(self):
-        executor = RacingExecutor(
+        executor = FaultTolerantExecutor(
             ("fen", "cegis"),
+            width=RACE_WIDTH,
             engine_kwargs={
                 "fen": {"max_gates": 1},
                 "cegis": {"max_gates": 1},
@@ -176,7 +186,9 @@ class TestStoreIntegration:
     def test_exact_win_is_written_back_and_served(self, tmp_path):
         function = from_hex("e8", 3)
         with ChainStore(str(tmp_path / "chains.db")) as store:
-            executor = RacingExecutor(("fen", "cegis"), store=store)
+            executor = FaultTolerantExecutor(
+                ("fen", "cegis"), width=RACE_WIDTH, store=store
+            )
             cold = executor.run(function, timeout=30.0)
             assert cold.solved and store.writes == 1
             warm = executor.run(function, timeout=30.0)
@@ -194,7 +206,9 @@ class TestStoreIntegration:
             conn.execute("UPDATE chains SET solutions = '[{\"v\": 9}]'")
         conn.close()
         with ChainStore(path) as store:
-            executor = RacingExecutor(("fen",), store=store)
+            executor = FaultTolerantExecutor(
+                ("fen",), width=RACE_WIDTH, store=store
+            )
             outcome = executor.run(function, timeout=30.0)
             # Corrupt row quarantined mid-run, then solved fresh.
             assert outcome.solved
@@ -205,52 +219,6 @@ class TestStoreIntegration:
             again = executor.run(function, timeout=30.0)
             assert again.solved and again.engine == "store"
             assert again.store_quarantined == 0
-
-
-class TestHealthIntegration:
-    def test_open_breaker_drops_a_lane_from_the_race(self):
-        health = EngineHealth(min_samples=2, failure_threshold=0.5)
-        for _ in range(4):
-            health.record("stp", "crash")
-        executor = RacingExecutor(
-            ("stp", "fen"), health=health, width=2
-        )
-        outcome = executor.run(from_hex("e8", 3), timeout=30.0)
-        assert outcome.solved
-        assert all(r.engine != "stp" for r in outcome.trail)
-
-    def test_race_outcomes_feed_the_breaker(self):
-        plan = FaultPlan(
-            {
-                FaultPlan.WILDCARD: FaultSpec(
-                    kind="crash", engine="stp", times=None
-                )
-            }
-        )
-        health = EngineHealth(min_samples=2, failure_threshold=0.5)
-        executor = RacingExecutor(
-            ("stp", "fen"), health=health, fault_plan=plan
-        )
-        for _ in range(3):
-            outcome = executor.run(from_hex("e8", 3), timeout=30.0)
-            assert outcome.solved
-        assert health.state("stp") == "open"
-        assert health.state("fen") == "closed"
-
-    def test_adaptive_deadline_only_shrinks_budgets(self):
-        # A solved class seeds the history; the next race on the same
-        # class still wins within the shortened first round.
-        health = EngineHealth()
-        executor = RacingExecutor(("stp", "fen", "cegis"), health=health)
-        function = from_hex("e8", 3)
-        first = executor.run(function, timeout=30.0)
-        assert first.solved
-        assert health.suggest_timeout(function, 30.0) is not None
-        # Fresh executor, warm health: adaptive round must still solve.
-        second = RacingExecutor(
-            ("stp", "fen", "cegis"), health=health
-        ).run(function, timeout=30.0)
-        assert second.solved
 
 
 class TestTrailFormatting:

@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from repro.core import NPNDatabase
 from repro.network import (
     LogicNetwork,
     blif_to_network,
     network_to_blif,
-    rewrite_network,
+    rewrite_with_store,
 )
+from repro.store import ChainStore
 from repro.truthtable import TruthTable, binary_op_table, from_hex
 
 
@@ -28,20 +28,34 @@ def random_network(rnd, num_pis=5, num_nodes=10):
     return net
 
 
+#: Engine fallback chain for cut misses.
+ENGINES = ("stp", "fen")
+
+
+def rewrite(net, tmp_path, timeout_per_cut=120.0, **kwargs):
+    with ChainStore(str(tmp_path / "chains.db")) as store:
+        return rewrite_with_store(
+            net,
+            store,
+            engines=ENGINES,
+            timeout_per_cut=timeout_per_cut,
+            **kwargs,
+        )
+
+
 class TestRewriting:
-    def test_preserves_function(self):
+    def test_preserves_function(self, tmp_path):
         rnd = random.Random(42)
-        db = NPNDatabase(timeout=60)
         for _ in range(4):
             net = random_network(rnd)
             before = [t.bits for t in net.simulate()]
-            result = rewrite_network(net, database=db)
+            result = rewrite(net, tmp_path, timeout_per_cut=60.0)
             after = [t.bits for t in net.simulate()]
             assert before == after
             assert result.gates_after <= result.gates_before
             assert result.gates_after == net.num_gates()
 
-    def test_shrinks_redundant_logic(self):
+    def test_shrinks_redundant_logic(self, tmp_path):
         net = LogicNetwork()
         pis = [net.add_pi() for _ in range(3)]
         # and(a,b) rebuilt the long way: not(nand(a,b))
@@ -50,33 +64,23 @@ class TestRewriting:
         n_or = net.add_node(binary_op_table(0xE), (n_not, pis[2]))
         net.add_po(n_or)
         before = net.simulate()[0]
-        result = rewrite_network(net)
+        result = rewrite(net, tmp_path)
         assert net.simulate()[0] == before
         assert result.gates_after < result.gates_before
 
-    def test_optimal_network_untouched(self):
+    def test_optimal_network_untouched(self, tmp_path):
         net = LogicNetwork()
         pis = [net.add_pi() for _ in range(2)]
         n = net.add_node(binary_op_table(0x6), pis)
         net.add_po(n)
-        result = rewrite_network(net)
+        result = rewrite(net, tmp_path)
         assert result.gates_after == 1
         assert net.simulate()[0].bits == 0x6
 
-    def test_cut_size_validation(self):
+    def test_cut_size_validation(self, tmp_path):
         net = LogicNetwork()
         with pytest.raises(ValueError):
-            rewrite_network(net, cut_size=5)
-
-    def test_database_is_reused(self):
-        rnd = random.Random(1)
-        db = NPNDatabase(timeout=60)
-        net = random_network(rnd, num_pis=4, num_nodes=6)
-        rewrite_network(net, database=db)
-        cached = len(db)
-        net2 = random_network(rnd, num_pis=4, num_nodes=6)
-        rewrite_network(net2, database=db)
-        assert len(db) >= cached
+            rewrite(net, tmp_path, cut_size=5)
 
 
 class TestBlif:

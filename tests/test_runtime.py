@@ -34,7 +34,7 @@ from repro.runtime.executor import (
     FaultTolerantExecutor,
 )
 from repro.runtime.faults import FaultPlan, FaultSpec, execute_fault
-from repro.runtime.racing import RacingExecutor
+from repro.runtime.racing import RACE_WIDTH
 from repro.runtime.worker import WorkerPool, WorkerTask, run_isolated
 from repro.store import chain_from_record, chain_to_record
 from repro.truthtable import from_hex
@@ -405,7 +405,7 @@ class TestExecutorFallback:
 
     def test_lapsed_deadline_never_spawns_a_lane(self, monkeypatch):
         spawned = record_race_lanes(monkeypatch)
-        executor = RacingExecutor(("stp", "fen"))
+        executor = FaultTolerantExecutor(("stp", "fen"), width=RACE_WIDTH)
         outcome = executor.run(
             EASY, 30.0, expire_at=time.monotonic() - 1.0
         )
@@ -516,7 +516,9 @@ class TestResidentWorkers:
     ):
         attempts = record_attempts(monkeypatch)
         function = from_hex("e8", 3)
-        with RacingExecutor(("stp", "fen", "cegis")) as executor:
+        with FaultTolerantExecutor(
+            ("stp", "fen", "cegis"), width=RACE_WIDTH
+        ) as executor:
             first = executor.run(function, 30.0)
             assert first.solved
             assert len(executor.last_cancellations) == 2

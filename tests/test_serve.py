@@ -581,7 +581,6 @@ class TestHTTPServer:
         assert "synthesis" in snapshot  # aggregated engine-run stats
         assert "scheduler" in snapshot
         assert snapshot["scheduler"]["jobs"] == 2
-        assert "health" in snapshot
 
     def test_malformed_http_and_unknown_routes(self):
         scheduler, service = _service_stack()

@@ -187,13 +187,15 @@ class TestExecutorIntegration:
         assert_chain_realizes(function, outcome.result.chains[0])
 
     def test_race_uses_and_extends_the_floor(self, tmp_path, monkeypatch):
-        from repro.runtime.racing import RacingExecutor
+        from repro.runtime.racing import RACE_WIDTH
 
         tasks = record_race_lanes(monkeypatch)
         function = from_hex("e8", 3)  # majority-3: optimum 4 gates
         with ChainStore(tmp_path / "chains.db") as store:
             store.mark_infeasible(function, 2)
-            executor = RacingExecutor(("stp", "fen", "cegis"), store=store)
+            executor = FaultTolerantExecutor(
+                ("stp", "fen", "cegis"), width=RACE_WIDTH, store=store
+            )
             outcome = executor.run(function, 30.0)
             assert outcome.solved and outcome.exact
             assert outcome.result.num_gates == 4

@@ -1,4 +1,5 @@
-"""Chain rewrite tests: support shrinking/lifting and polarity flips."""
+"""Chain rewrite tests: support shrinking/lifting, polarity flips and
+the chain-level NPN transform."""
 
 import random
 
@@ -9,11 +10,20 @@ from repro.chain import BooleanChain
 from repro.chain.transform import (
     flip_signal,
     lift_chain,
+    npn_transform_chain,
     polarity_variants,
     shrink_to_support,
     trivial_chain,
 )
-from repro.truthtable import TruthTable, constant, from_function, projection
+from repro.core import synthesize
+from repro.truthtable import (
+    NPNTransform,
+    TruthTable,
+    constant,
+    from_function,
+    majority,
+    projection,
+)
 
 from tests.helpers import random_chain
 
@@ -134,3 +144,44 @@ class TestPolarityVariants:
         chain = random_chain(rnd)
         first = next(iter(polarity_variants(chain)))
         assert first.signature() == chain.signature()
+
+
+class TestChainTransform:
+    def test_identity_transform(self):
+        result = synthesize(majority(3), timeout=60, max_solutions=2)
+        chain = result.chains[0]
+        same = npn_transform_chain(
+            chain, NPNTransform.identity(3)
+        )
+        assert same.simulate_output() == chain.simulate_output()
+
+    def test_random_transforms_track_semantics(self):
+        rnd = random.Random(3)
+        for _ in range(20):
+            chain = random_chain(rnd, num_inputs=4, num_gates=4)
+            perm = list(range(4))
+            rnd.shuffle(perm)
+            transform = NPNTransform(
+                tuple(perm), rnd.getrandbits(4), bool(rnd.getrandbits(1))
+            )
+            moved = npn_transform_chain(chain, transform)
+            want = transform.apply(chain.simulate_output())
+            assert moved.simulate_output() == want
+            assert moved.num_gates == chain.num_gates
+
+    def test_pi_output_chain(self):
+        from repro.chain import BooleanChain
+
+        chain = BooleanChain(3)
+        chain.set_output(1)  # f = x1
+        transform = NPNTransform((2, 0, 1), 0b010, False)
+        moved = npn_transform_chain(chain, transform)
+        assert moved.simulate_output() == transform.apply(
+            chain.simulate_output()
+        )
+
+    def test_arity_mismatch(self):
+        rnd = random.Random(0)
+        chain = random_chain(rnd, num_inputs=4)
+        with pytest.raises(ValueError):
+            npn_transform_chain(chain, NPNTransform.identity(3))
