@@ -57,7 +57,6 @@ def _run_pass(path, store, args):
         network,
         store,
         cut_size=args.cut_size,
-        race=args.race,
         timeout_per_cut=args.timeout_per_cut,
     )
     seconds = time.perf_counter() - started
@@ -89,11 +88,6 @@ def main(argv=None):
     )
     parser.add_argument("--cut-size", type=int, default=4)
     parser.add_argument("--timeout-per-cut", type=float, default=30.0)
-    parser.add_argument(
-        "--race",
-        action="store_true",
-        help="race the engine portfolio on store misses",
-    )
     parser.add_argument("--json", default=None, help="report path")
     args = parser.parse_args(argv)
 

@@ -17,8 +17,9 @@ completed instances and executes only the unfinished ones — a
 mid-flight.
 
 ``jobs > 1`` shards the remaining instances across the parallel batch
-scheduler (:mod:`repro.parallel`): each instance runs in an isolated,
-rlimit-capped worker process with a hard wall-clock kill.  Workers are
+scheduler (:mod:`repro.parallel`): each instance runs in an isolated
+worker process with a hard wall-clock kill (and an ``RLIMIT_AS`` cap
+with ``memory_limit_mb``, which only a worker can apply).  Workers are
 resident: each algorithm's executor keeps a pool that grows to at most
 ``jobs`` workers, each serving one instance after another with warm
 engine memos, and a worker that times out or crashes is retired so the
@@ -47,7 +48,6 @@ from ..parallel.scheduler import BatchScheduler, BatchTask
 from ..runtime.checkpoint import CheckpointLog, instance_key
 from ..runtime.executor import ExecutionOutcome, FaultTolerantExecutor
 from ..runtime.faults import FaultPlan
-from ..runtime.racing import DEFAULT_RACE_ENGINES, RACE_WIDTH
 from ..truthtable.table import TruthTable
 
 __all__ = [
@@ -290,7 +290,6 @@ def run_suite(
     memory_limit_mb: int | None = None,
     jobs: int = 1,
     store_path: str | None = None,
-    race: bool = False,
 ) -> list[SuiteReport]:
     """Run every algorithm over every function; returns one report per
     algorithm.  Every returned chain is validated by simulation.
@@ -306,15 +305,13 @@ def run_suite(
     isolation (the parallelism lives in forked workers), so every
     algorithm needs a named engine chain.  ``store_path`` opens a
     persistent chain store consulted lookup-before-synthesize and
-    written back on miss.
-
-    ``race=True`` makes every executor race its lanes (``RACE_WIDTH``):
-    the algorithm's named engines run concurrently on each instance in
-    isolated workers (first verified exact answer wins, losers are
-    cancelled).  Algorithms with a single named engine race the
-    default lane set.  Either way, a store-backed instance with no
-    exact answer degrades to the stored upper bound (``status ==
+    written back on miss; a store-backed instance whose every engine
+    fails degrades to the stored upper bound (``status ==
     "degraded"``, ``exact=False``) instead of a plain failure.
+
+    ``memory_limit_mb`` caps each worker process, so it needs
+    ``isolate`` or ``jobs > 1``; without either the executor raises
+    :class:`ValueError`.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -341,7 +338,6 @@ def run_suite(
                 max_retries=max_retries,
                 memory_limit_mb=memory_limit_mb,
                 store=store,
-                race=race,
             )
         reports = []
         for algorithm in algorithms:
@@ -354,7 +350,6 @@ def run_suite(
                 max_retries=max_retries,
                 memory_limit_mb=memory_limit_mb,
                 store=store,
-                race=race,
             ) as executor:
                 for function in functions:
                     key = instance_key(
@@ -394,7 +389,6 @@ def _run_suite_parallel(
     max_retries: int,
     memory_limit_mb: int | None,
     store,
-    race: bool = False,
 ) -> list[SuiteReport]:
     """Scheduler-backed suite execution (see :func:`run_suite`)."""
     executors = {
@@ -405,7 +399,6 @@ def _run_suite_parallel(
             max_retries=max_retries,
             memory_limit_mb=memory_limit_mb,
             store=store,
-            race=race,
         )
         for algorithm in algorithms
     }
@@ -481,25 +474,18 @@ def _executor_for(
     max_retries: int,
     memory_limit_mb: int | None,
     store=None,
-    race: bool = False,
 ):
     if algorithm.engines is not None:
         engines: Sequence = algorithm.engines
     else:
-        if isolate or race:
+        if isolate:
             raise ValueError(
                 f"algorithm {algorithm.name!r} has no named engine "
-                "chain and cannot be process-isolated or raced"
+                "chain and cannot be process-isolated"
             )
         engines = [(algorithm.name.lower(), algorithm.run)]
-    if race:
-        if len(engines) < 2:
-            # A single lane is not a race; widen to the default set
-            # (keeping the algorithm's engine in front).
-            engines = tuple(dict.fromkeys(engines + DEFAULT_RACE_ENGINES))
     return FaultTolerantExecutor(
         engines,
-        width=RACE_WIDTH if race else 1,
         isolate=isolate,
         max_retries=max_retries,
         memory_limit_mb=memory_limit_mb,

@@ -201,13 +201,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "are served from the store and written back on miss",
     )
     parser.add_argument(
-        "--race",
-        action="store_true",
-        help="race each algorithm's engine lanes concurrently per "
-        "instance (first verified exact answer wins); exhausted "
-        "instances degrade to stored upper bounds",
-    )
-    parser.add_argument(
         "--retries",
         type=int,
         default=1,
@@ -217,9 +210,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--memory-limit-mb",
         type=int,
         default=None,
-        help="per-worker RLIMIT_AS cap (requires --isolate)",
+        help="per-worker RLIMIT_AS cap (requires --isolate or "
+        "--jobs > 1)",
     )
     args = parser.parse_args(argv)
+    if args.memory_limit_mb is not None and not (
+        args.isolate or args.jobs > 1
+    ):
+        parser.error("--memory-limit-mb requires --isolate or --jobs > 1")
 
     wanted = {name.upper() for name in args.algorithms}
     algorithms = [
@@ -259,7 +257,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 memory_limit_mb=args.memory_limit_mb,
                 jobs=args.jobs,
                 store_path=args.store,
-                race=args.race,
             )
         except KeyboardInterrupt:
             print(

@@ -11,16 +11,11 @@ Installed as ``repro-synth`` (also ``python -m repro.cli``)::
 
 Synthesis runs through the fault-tolerant runtime: by default the
 selected engine degrades to the CNF fence baseline on a crash, and the
-per-engine trail is printed on stderr.  Failures map to distinct exit
-codes so scripts can branch on them:
-
-With ``--race`` several engines run concurrently in isolated workers
-(first verified exact answer wins, losers are killed).  When no exact
-answer comes back — every engine of the chain failed, or every exact
-lane of the race — the run *degrades* to the best-known upper bound
-(from ``--store``, or a heuristic race lane's held answer), reported
-with its own exit code so scripts can tell "non-optimal answer
-served" from "no answer at all".
+per-engine trail is printed on stderr.  When every engine of the chain
+fails, a run with ``--store`` *degrades* to the store's best-known
+upper bound.  Failures map to distinct exit codes so scripts can
+branch on them, and tell "non-optimal answer served" from "no answer
+at all":
 
 ====  =============================================
 code  meaning
@@ -30,7 +25,8 @@ code  meaning
 3     worker crashed / engine unavailable
 4     infeasible within the gate cap
 5     degraded: non-exact upper bound served
-65    malformed input (bad hex / arity)
+65    malformed input (bad hex / arity), or
+      ``--memory-limit-mb`` without ``--isolate``
 ====  =============================================
 """
 
@@ -45,7 +41,6 @@ from .network import LogicNetwork, network_to_blif
 from .engine import engine_names
 from .runtime.executor import FaultTolerantExecutor, format_trail
 from .runtime.faults import FaultPlan, FaultSpec
-from .runtime.racing import DEFAULT_RACE_ENGINES, RACE_WIDTH
 from .truthtable import from_hex
 
 #: Exit codes for the structured failure modes.
@@ -137,13 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(hard wall-clock timeout)",
     )
     parser.add_argument(
-        "--race",
-        action="store_true",
-        help="race the engine against the default lanes in concurrent "
-        "workers; first verified exact answer wins, and exhausted "
-        "budgets degrade to a stored upper bound (exit 5)",
-    )
-    parser.add_argument(
         "--no-fallback",
         action="store_true",
         help="disable the CNF fence-engine fallback on crashes",
@@ -175,8 +163,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     engines: tuple[str, ...] = (args.engine,)
     if not args.no_fallback and args.engine != "fen":
         engines = (args.engine, "fen")
-    if args.race:
-        engines = tuple(dict.fromkeys(engines + DEFAULT_RACE_ENGINES))
     engine_kwargs = {
         name: {
             "max_solutions": args.max_solutions,
@@ -200,15 +186,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         from .store import ChainStore
 
         store = ChainStore(args.store)
-    executor = FaultTolerantExecutor(
-        engines,
-        width=RACE_WIDTH if args.race else 1,
-        isolate=args.isolate,
-        memory_limit_mb=args.memory_limit_mb,
-        fault_plan=fault_plan,
-        engine_kwargs=engine_kwargs,
-        store=store,
-    )
+    try:
+        executor = FaultTolerantExecutor(
+            engines,
+            isolate=args.isolate,
+            memory_limit_mb=args.memory_limit_mb,
+            fault_plan=fault_plan,
+            engine_kwargs=engine_kwargs,
+            store=store,
+        )
+    except ValueError as exc:  # a memory cap without a worker
+        if store is not None:
+            store.close()
+        print(
+            f"error: --memory-limit-mb requires --isolate ({exc})",
+            file=sys.stderr,
+        )
+        return EXIT_BAD_INPUT
     store_counters = None
     try:
         outcome = executor.run(target, timeout=args.timeout)
@@ -229,12 +223,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"fell back: {outcome.fallback_from} -> {outcome.engine}",
             file=sys.stderr,
         )
-    if executor.last_cancellations:
-        cancelled = ", ".join(
-            f"{c.engine} ({c.seconds * 1000:.1f}ms)"
-            for c in executor.last_cancellations
-        )
-        print(f"cancelled losers: {cancelled}", file=sys.stderr)
 
     if not outcome.solved and not outcome.degraded:
         print(
@@ -248,7 +236,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     result = outcome.result
     if outcome.degraded:
         print(
-            "degraded: every exact engine exhausted its budget; "
+            "degraded: the engine walk found no answer; "
             f"serving a verified upper bound g<={result.num_gates} "
             f"[{outcome.engine}]",
             file=sys.stderr,

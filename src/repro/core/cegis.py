@@ -1,7 +1,8 @@
 """Counterexample-guided exact synthesis (CEGIS).
 
-The hard-instance recovery engine behind the racing executor, and a
-genuinely independent cross-check for the differential oracle.  The
+A genuinely independent exact engine: a cross-check for the
+differential oracle and a second opinion on the benchmark's golden
+optima.  The
 loop follows the classic CEGIS shape (cf. Riener et al., *Exact
 Synthesis of ESOP Forms*): synthesize a candidate chain that is merely
 consistent with a small **sample** of input assignments, verify it

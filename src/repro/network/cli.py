@@ -3,7 +3,6 @@
 Installed as ``repro-rewrite`` (also ``python -m repro.network.cli``)::
 
     repro-rewrite circuit.blif --store db.sqlite        # rewrite + report
-    repro-rewrite circuit.blif --store db.sqlite --race # race engines per miss
     repro-rewrite circuit.blif --out smaller.blif       # write the result
     repro-rewrite circuit.blif --passes 3 --json r.json # converge + record
 
@@ -66,12 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=str,
         default="stp",
         help="synthesis engine for store misses (default: stp)",
-    )
-    parser.add_argument(
-        "--race",
-        action="store_true",
-        help="race the default engine portfolio on every store miss "
-        "instead of walking a fallback chain",
     )
     parser.add_argument(
         "--cut-size",
@@ -142,7 +135,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 cut_size=args.cut_size,
                 zero_gain=args.zero_gain,
                 engines=(args.engine,),
-                race=args.race,
                 timeout_per_cut=args.timeout_per_cut,
                 verify=not args.no_verify,
             )

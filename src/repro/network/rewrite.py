@@ -155,7 +155,6 @@ def rewrite_with_store(
     max_cuts_per_node: int = 8,
     zero_gain: bool = False,
     engines: Sequence[str] = ("stp",),
-    race: bool = False,
     timeout_per_cut: float | None = 5.0,
     verify: bool = True,
     executor=None,
@@ -205,16 +204,12 @@ def rewrite_with_store(
         depth); by default only strictly size-reducing rewrites apply.
     engines:
         Engine fallback chain for cache misses (registry names).
-    race:
-        Race the default engine portfolio per miss in isolated workers
-        (the executor's ``width``) instead of walking a fallback
-        chain.
     timeout_per_cut:
         Synthesis budget per cut miss, seconds (None = unbounded).
     executor:
         Pre-built executor override (must expose
-        ``run(function, timeout, pick=...)``); ``engines``/``race`` are
-        ignored when given.  The executor should share ``store`` so
+        ``run(function, timeout, pick=...)``); ``engines`` is ignored
+        when given.  The executor should share ``store`` so
         write-backs land in the same store.
     """
     if cut_size > 4:
@@ -228,13 +223,8 @@ def rewrite_with_store(
         cost, pick = tie_break, None
     if executor is None:
         from ..runtime.executor import FaultTolerantExecutor
-        from ..runtime.racing import DEFAULT_RACE_ENGINES, RACE_WIDTH
 
-        executor = FaultTolerantExecutor(
-            DEFAULT_RACE_ENGINES if race else tuple(engines),
-            width=RACE_WIDTH if race else 1,
-            store=store,
-        )
+        executor = FaultTolerantExecutor(tuple(engines), store=store)
 
     result = RewriteResult(
         gates_before=network.num_gates(),

@@ -168,12 +168,10 @@ class BatchScheduler:
     executors:
         One executor per algorithm name — anything with the
         ``run(function, timeout) -> ExecutionOutcome`` contract, i.e.
-        :class:`~repro.runtime.executor.FaultTolerantExecutor` with
-        either lane scheduler (a sequential walk or a race).
+        :class:`~repro.runtime.executor.FaultTolerantExecutor`.
         Executors are shared across dispatcher threads;
-        `FaultTolerantExecutor` keeps all per-run state on the stack,
-        so this is safe (``last_cancellations`` is the only
-        cross-thread race, and it is advisory accounting only).
+        `FaultTolerantExecutor` keeps all per-run state on the stack
+        and none on the instance, so this is safe.
     jobs:
         Number of dispatcher threads = maximum concurrent executor
         runs (and so the most workers a walking executor's pool grows

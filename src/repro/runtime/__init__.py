@@ -8,15 +8,11 @@ The execution layer every entry point routes synthesis through:
   wall-clock timeouts and optional memory caps, leased one attempt at a
   time from a :class:`WorkerPool` and retired on any failure;
 * :mod:`.executor` — :class:`FaultTolerantExecutor`, the one resolve
-  path: store lookup, infeasible floor, lanes, verify, write-back and
-  degradation to stored upper bounds, around two lane schedulers — a
-  sequential fallback chain with retry and backoff (``width=1``) or a
-  race of isolated lanes where the first exact answer wins and losers
-  are cancelled (``width>=2``); every isolated attempt leases a worker
-  from the executor's own pool, which
+  path: store lookup, infeasible floor, a walk of the engine lanes as
+  a fallback chain with retry and backoff, verify, write-back and
+  degradation to stored upper bounds; every isolated attempt leases a
+  worker from the executor's own pool, which
   :meth:`FaultTolerantExecutor.close` stops;
-* :mod:`.racing` — the default race lanes and width, and the
-  :class:`CancellationRecord` of each reaped loser;
 * :mod:`.checkpoint` — streaming JSONL checkpoints for resumable
   benchmark runs;
 * :mod:`.faults` — deterministic fault injection for testing every
@@ -55,8 +51,6 @@ __all__ = [
     "ExecutionOutcome",
     "AttemptRecord",
     "format_trail",
-    "CancellationRecord",
-    "DEFAULT_RACE_ENGINES",
     "WorkerTask",
     "WorkerHandle",
     "WorkerPool",
@@ -74,8 +68,6 @@ _LAZY = {
     "ExecutionOutcome": ("executor", "ExecutionOutcome"),
     "AttemptRecord": ("executor", "AttemptRecord"),
     "format_trail": ("executor", "format_trail"),
-    "CancellationRecord": ("racing", "CancellationRecord"),
-    "DEFAULT_RACE_ENGINES": ("racing", "DEFAULT_RACE_ENGINES"),
     "WorkerTask": ("worker", "WorkerTask"),
     "WorkerHandle": ("worker", "WorkerHandle"),
     "WorkerPool": ("worker", "WorkerPool"),

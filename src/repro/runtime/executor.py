@@ -14,40 +14,29 @@ steps always run in this order:
    cost chooses (:meth:`~repro.store.ChainStore.lookup`);
 2. **floor** — the store's proven-infeasible gate floor reaches every
    lane as ``min_gates``;
-3. **lanes** — the engine list, most preferred first;
-4. **schedule** — the only fork, on ``width``:
-
-   * ``width == 1`` walks the lanes as a fallback chain, in-process
-     (cooperative deadline) or process-isolated (hard kill).  Crashes
-     are retried with exponential backoff, a timeout ends the walk
-     unless ``fallback_on_timeout`` is set, and the first verified
-     answer wins.
-   * ``width >= 2`` races the first ``width`` lanes in isolated
-     workers, in one round on the remaining budget.  The first
-     verified *exact* answer wins, inexact answers are held, an exact
-     lane's ``infeasible`` ends the race, and losers are killed and
-     reaped (``last_cancellations``);
-
-5. **verify** — every chain of an answer must have one output and
+3. **walk** — the engine lanes, most preferred first, as a fallback
+   chain, in-process (cooperative deadline) or process-isolated (hard
+   kill).  Crashes are retried with exponential backoff
+   (:data:`BACKOFF`, :data:`BACKOFF_FACTOR`), a timeout or an
+   ``infeasible`` ends the walk, and the first verified answer wins;
+4. **verify** — every chain of an answer must have one output and
    simulate to the requested table (one packed simulation of the
    whole solution set), else the attempt counts as
    ``crash``/``corrupt``;
-6. **write-back** — answers are stored graded by the answering engine's
+5. **write-back** — answers are stored graded by the answering engine's
    exactness; exact ones also mark the gate counts below theirs
    infeasible;
-7. **degrade** — when the schedule accepted no answer (every lane of a
-   walk failed, or a race had no exact winner), the store's best upper
-   bound is served (``status == "degraded"``, ``exact=False``), and
-   failing that a held inexact answer.  An exact engine's
-   ``infeasible`` is an answer and is never degraded.
+6. **degrade** — when every lane of the walk failed, the store's best
+   verified upper bound is served (``status == "degraded"``,
+   ``exact=False``).  An exact engine's ``infeasible`` is an answer
+   and is never degraded.
 
 Timeouts are budgeted across the whole run: a fallback engine only gets
 the budget its predecessors left behind.  Store failures never fail a
 run; each one is counted in :attr:`ExecutionOutcome.store_errors`.
 
-Every isolated attempt — a walk's :func:`~repro.runtime.worker.run_isolated`
-call and each race lane's :class:`~repro.runtime.worker.WorkerHandle` —
-leases a resident worker from the executor's one
+Every isolated attempt — one :func:`~repro.runtime.worker.run_isolated`
+call — leases a resident worker from the executor's one
 :class:`~repro.runtime.worker.WorkerPool`, which forks lazily, on the
 first isolated attempt.  :meth:`FaultTolerantExecutor.close` (or leaving
 a ``with`` block) stops the idle workers; an executor nobody closes
@@ -72,11 +61,12 @@ from .errors import (
     classify_failure,
 )
 from .faults import FaultPlan, execute_fault
-from .racing import CancellationRecord
-from .worker import WorkerHandle, WorkerPool, WorkerTask, run_isolated
+from .worker import WorkerPool, WorkerTask, run_isolated
 
 __all__ = [
     "AttemptRecord",
+    "BACKOFF",
+    "BACKOFF_FACTOR",
     "DEFAULT_FALLBACK_CHAIN",
     "ExecutionOutcome",
     "FaultTolerantExecutor",
@@ -87,8 +77,11 @@ __all__ = [
 #: first, the CNF fence-solver baseline as the fallback of last resort.
 DEFAULT_FALLBACK_CHAIN: tuple[str, ...] = ("stp", "fen")
 
-#: Parent-side polling cadence while race lanes run, in seconds.
-POLL_INTERVAL = 0.01
+#: The first pause before a crashed engine is retried, in seconds.
+BACKOFF = 0.05
+
+#: Each further retry of the same engine waits this much longer.
+BACKOFF_FACTOR = 2.0
 
 
 @dataclass
@@ -204,32 +197,23 @@ class FaultTolerantExecutor:
     engines:
         Lanes, most preferred first.  Entries are registry names
         (``"stp"``, ``"fen"``, …) or ``(name, callable)`` pairs;
-        callables run in-process only, so they can be neither isolated
-        nor raced.
-    width:
-        The lane scheduler: ``1`` walks the lanes as a fallback chain,
-        ``>= 2`` races the first ``width`` lanes in isolated workers.
+        callables run in-process only, so they cannot be isolated.
     isolate:
         Walk named engines in killable worker processes (hard timeout).
-        Race lanes are always isolated.  Isolated attempts lease
-        resident workers from the executor's pool.
+        Isolated attempts lease resident workers from the executor's
+        pool.
     max_retries:
-        Extra walk attempts per engine after a crash (transient-failure
+        Extra attempts per engine after a crash (transient-failure
         retry); timeouts and infeasibility are never retried.
-    backoff / backoff_factor:
-        Exponential backoff between retries, in seconds.
     memory_limit_mb:
         Optional ``RLIMIT_AS`` cap applied inside each worker, for the
-        worker's whole life.
+        worker's whole life.  Only a worker can apply it, so it needs
+        ``isolate``.
     fault_plan:
         Deterministic fault injection (tests only).
     verify:
         Re-verify every returned chain and treat mismatches as
         :class:`VerificationFailed`.
-    fallback_on_timeout:
-        Also walk on when an engine times out.  Off by default:
-        Table-I semantics charge the timeout to the engine, and a later
-        engine would inherit an empty budget anyway.
     engine_kwargs:
         Per-engine tuning knobs, e.g. ``{"stp": {"max_solutions": 64}}``.
     store:
@@ -244,22 +228,22 @@ class FaultTolerantExecutor:
         self,
         engines: Sequence = DEFAULT_FALLBACK_CHAIN,
         *,
-        width: int = 1,
         isolate: bool = False,
         max_retries: int = 1,
-        backoff: float = 0.05,
-        backoff_factor: float = 2.0,
         memory_limit_mb: int | None = None,
         fault_plan: FaultPlan | None = None,
         verify: bool = True,
-        fallback_on_timeout: bool = False,
         engine_kwargs: dict[str, dict] | None = None,
         store=None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if not engines:
             raise ValueError("need at least one engine")
-        self._width = max(1, width)
+        if memory_limit_mb is not None and not isolate:
+            raise ValueError(
+                "memory_limit_mb needs isolate=True: only a worker "
+                "process can apply the cap"
+            )
         names = []
         #: Ad-hoc in-process engines, by name.
         self._callables: dict[str, Callable] = {}
@@ -268,7 +252,7 @@ class FaultTolerantExecutor:
                 names.append(entry)
                 continue
             name, fn = entry
-            if isolate or self._width > 1:
+            if isolate:
                 raise ValueError(
                     f"engine {name!r} is a bare callable and cannot "
                     "be process-isolated; register it by name instead"
@@ -278,17 +262,12 @@ class FaultTolerantExecutor:
         self._names = tuple(names)
         self._isolate = isolate
         self._max_retries = max(0, max_retries)
-        self._backoff = backoff
-        self._backoff_factor = backoff_factor
         self._memory_limit_mb = memory_limit_mb
         self._fault_plan = fault_plan
         self._verify = verify
-        self._fallback_on_timeout = fallback_on_timeout
         self._engine_kwargs = engine_kwargs or {}
         self._store = store
         self._sleep = sleep
-        #: Race losers cancelled by the most recent ``run()`` call.
-        self.last_cancellations: list = []
         self._pool = WorkerPool()
         weakref.finalize(self, self._pool.close)
 
@@ -322,7 +301,7 @@ class FaultTolerantExecutor:
 
         Never raises for per-instance failures — the outcome records
         what happened.  ``KeyboardInterrupt`` is deliberately *not*
-        swallowed (in-flight race lanes are reaped first) so suite
+        swallowed (an in-flight worker is killed first) so suite
         runners can checkpoint and stop.
 
         ``expire_at`` is an absolute ``time.monotonic()`` deadline (the
@@ -342,7 +321,6 @@ class FaultTolerantExecutor:
             num_vars=function.num_vars,
             status="crash",
         )
-        self.last_cancellations = cancelled = []
         if expire_at is not None:
             remaining = expire_at - time.monotonic()
             if remaining <= 0:
@@ -365,45 +343,35 @@ class FaultTolerantExecutor:
                 outcome, self._store.min_feasible_gates, function
             ) or 0
 
-        raced = self._width > 1
-        if raced:
-            answer, status, error = self._race(
-                function, floor, deadline, outcome, cancelled
-            )
-        else:
-            answer, status, error = self._walk(
-                function, floor, deadline, outcome
-            )
+        answer, status, error = self._walk(function, floor, deadline, outcome)
 
         if answer is not None:
             engine, result = answer
             exact = self._is_exact(engine)
             self._write_back(outcome, function, engine, result, exact)
-            if exact or not raced:
-                outcome.exact = exact
-                return self._settle(outcome, deadline, "ok", engine, result)
+            outcome.exact = exact
+            return self._settle(outcome, deadline, "ok", engine, result)
 
-        # No exact answer came back.  An exact engine's "infeasible" is
-        # itself the answer; anything else degrades to the best verified
-        # upper bound, the store's first.
+        # No answer came back.  An exact engine's "infeasible" is itself
+        # the answer; anything else degrades to the store's best
+        # verified upper bound.
         outcome.error = error
-        if status != "infeasible":
-            if self._store is not None:
-                bound = self._store_read(
-                    outcome, self._store.lookup_upper_bound, function
-                )
-                if bound is not None:
-                    answer = ("store", bound[0])
-            if answer is not None:
+        if status != "infeasible" and self._store is not None:
+            bound = self._store_read(
+                outcome, self._store.lookup_upper_bound, function
+            )
+            if bound is not None:
                 outcome.exact = False
-                return self._settle(outcome, deadline, "degraded", *answer)
+                return self._settle(
+                    outcome, deadline, "degraded", "store", bound[0]
+                )
         return self._settle(outcome, deadline, status, "", None)
 
     # ------------------------------------------------------------------
-    # lane schedulers
+    # the walk
     # ------------------------------------------------------------------
     def _walk(self, function, floor, deadline, outcome):
-        """Width 1: the lanes as a fallback chain; first verified wins."""
+        """The lanes as a fallback chain; first verified answer wins."""
         lanes = self._names
         status, error = "crash", ""
         for name in lanes:
@@ -414,10 +382,10 @@ class FaultTolerantExecutor:
                 if name != lanes[0]:
                     outcome.fallback_from = lanes[0]
                 return (name, result), status, error
-            if status == "timeout" and not self._fallback_on_timeout:
-                break
-            if status == "infeasible":
-                # Exact engines agree on feasibility; don't burn the
+            if status in ("timeout", "infeasible"):
+                # Table-I semantics charge a timeout to its engine, and
+                # a later engine would inherit an empty budget anyway;
+                # exact engines agree on feasibility, so don't burn the
                 # remaining budget rediscovering it.
                 break
             if deadline.expired():
@@ -427,8 +395,8 @@ class FaultTolerantExecutor:
         return None, status, error
 
     def _run_engine(self, name, function, floor, deadline, outcome):
-        """All walk attempts (first try + retries) on one engine."""
-        pause = self._backoff
+        """All attempts (first try + retries) on one engine."""
+        pause = BACKOFF
         for attempt in range(self._max_retries + 1):
             budget = deadline.remaining()
             if budget is not None and budget <= 0:
@@ -450,18 +418,26 @@ class FaultTolerantExecutor:
                 nap = pause if remaining is None else min(pause, remaining)
                 if nap > 0:
                     self._sleep(nap)
-                pause *= self._backoff_factor
+                pause *= BACKOFF_FACTOR
         return None, record.status, record.error
 
     def _attempt(self, name, function, budget, fault, floor):
-        """One walk attempt: isolated worker, injected fault, or
-        in-process engine."""
-        kwargs = self._kwargs(name, floor)
+        """One attempt: isolated worker, injected fault, or in-process
+        engine."""
+        kwargs = self._engine_kwargs.get(name, {})
+        if floor > 0:
+            kwargs = {**kwargs, "min_gates": floor}
         if self._isolate:
-            return run_isolated(
-                self._task(name, function, budget, kwargs, fault),
-                self._pool,
+            task = WorkerTask(
+                engine=name,
+                bits=function.bits,
+                num_vars=function.num_vars,
+                timeout=budget,
+                engine_kwargs=kwargs,
+                fault=fault,
+                memory_limit_mb=self._memory_limit_mb,
             )
+            return run_isolated(task, self._pool)
         if fault is not None:
             return execute_fault(fault, function, budget, isolated=False)
         fn = self._callables.get(name)
@@ -469,82 +445,9 @@ class FaultTolerantExecutor:
             return fn(function, budget, **kwargs)
         return run_engine(name, function, budget, **kwargs)
 
-    def _race(self, function, floor, deadline, outcome, cancelled):
-        """Width >= 2: launch the first ``width`` lanes at once on the
-        remaining budget; the first verified exact answer wins.
-
-        Returns ``(answer, status, error)``: the exact winner's
-        ``(engine, result)``, else the first verified inexact answer
-        (or None), with the last failure.  ``infeasible`` from an exact
-        lane also ends the race.  On return every lane's worker is
-        back in the pool or dead and reaped, however the race ends.
-        """
-        pending: list[WorkerHandle] = []
-        held = None
-        status, error = "timeout", ""
-        budget = deadline.remaining()
-        if budget is not None and budget <= 0:
-            return None, status, error
-        try:
-            for name in self._names[: self._width]:
-                fault = self._draw(outcome, name)
-                task = self._task(
-                    name, function, budget, self._kwargs(name, floor), fault
-                )
-                pending.append(WorkerHandle(task, self._pool))
-            while pending:
-                done = [h for h in pending if h.ready() or h.overdue()]
-                if not done:
-                    time.sleep(POLL_INTERVAL)
-                for handle in done:
-                    pending.remove(handle)
-                    result, exc = self._verified(
-                        lambda: handle.result(block=False), function
-                    )
-                    record = self._record(
-                        outcome, handle.engine, 0, handle.elapsed,
-                        handle.task.fault, exc,
-                    )
-                    exact = self._is_exact(handle.engine)
-                    if record.status == "ok" and exact:
-                        return (handle.engine, result), "ok", ""
-                    if record.status == "ok":
-                        held = held or (handle.engine, result)
-                        continue
-                    status, error = record.status, record.error
-                    if status == "infeasible" and exact:
-                        return None, status, error
-        finally:
-            # Reap every lane not yet collected: the winner's early
-            # return and a KeyboardInterrupt both land here.
-            for handle in pending:
-                pid = handle.pid
-                seconds = handle.cancel()
-                cancelled.append(
-                    CancellationRecord(handle.engine, pid, seconds)
-                )
-        return held, status, error
-
     # ------------------------------------------------------------------
     # shared steps
     # ------------------------------------------------------------------
-    def _kwargs(self, name, floor):
-        kwargs = self._engine_kwargs.get(name, {})
-        if floor > 0:
-            kwargs = {**kwargs, "min_gates": floor}
-        return kwargs
-
-    def _task(self, name, function, budget, kwargs, fault):
-        return WorkerTask(
-            engine=name,
-            bits=function.bits,
-            num_vars=function.num_vars,
-            timeout=budget,
-            engine_kwargs=kwargs,
-            fault=fault,
-            memory_limit_mb=self._memory_limit_mb,
-        )
-
     def _draw(self, outcome, name):
         """The injected fault for this attempt, keyed by the run's hex."""
         if self._fault_plan is None:

@@ -16,7 +16,7 @@ to the next.  A :class:`WorkerPool` leases them out one attempt at a
 time and forks a new one only when none is idle.  A worker goes back
 to the pool only after an ``ok``, ``infeasible`` or ``unavailable``
 report; any other ending — a cooperative or hard timeout, a crash
-report, a death without a report, a race loser's cancel — retires it
+report, a death without a report, an interrupt — retires it
 (kill, then reap), so a timed-out search never leaves half-built memos
 behind and the next attempt starts in a fresh fork.  A worker sees the
 parent's state as it was at its fork.
@@ -262,10 +262,8 @@ class WorkerHandle:
     """One in-flight isolated synthesis attempt on a leased worker.
 
     The constructor leases a worker from ``pool`` (forking one when
-    none is idle) and sends it ``task``; the parent then either blocks
-    in :meth:`result` (the ``run_isolated`` behaviour) or drives
-    several handles concurrently via the non-blocking :meth:`ready` /
-    :meth:`overdue` pair — the race's polling loop.  However the
+    none is idle) and sends it ``task``; the parent then blocks in
+    :meth:`result` (the ``run_isolated`` behaviour).  However the
     attempt ends, the worker is either back in the pool (after an
     ``ok``, ``infeasible`` or ``unavailable`` report) or killed and
     reaped: a handle never leaks a zombie.
@@ -293,11 +291,6 @@ class WorkerHandle:
             )
         self._closed = False
 
-    # -- introspection -------------------------------------------------
-    @property
-    def engine(self) -> str:
-        return self.task.engine
-
     @property
     def pid(self) -> int | None:
         return self._worker.process.pid
@@ -307,45 +300,15 @@ class WorkerHandle:
         """Seconds since the attempt was leased its worker."""
         return time.perf_counter() - self._start
 
-    def alive(self) -> bool:
-        """True while the attempt's worker process is running."""
-        return not self._closed and self._worker.process.is_alive()
-
-    # -- non-blocking polling (racing) ---------------------------------
-    def ready(self) -> bool:
-        """True when a report can be collected without blocking.
-
-        Covers both a delivered message and a worker that died without
-        reporting (EOF on the pipe).
-        """
-        if self._closed:
-            return False
-        try:
-            if self._worker.conn.poll(0):
-                return True
-        except (OSError, ValueError):  # pragma: no cover - closed pipe
-            return True
-        return not self._worker.process.is_alive()
-
-    def overdue(self) -> bool:
-        """True once the hard wall-clock deadline has passed."""
-        return (
-            not self._closed
-            and self._hard_deadline is not None
-            and time.perf_counter() > self._hard_deadline
-        )
-
-    # -- collection ----------------------------------------------------
-    def result(self, block: bool = True) -> SynthesisResult:
+    def result(self) -> SynthesisResult:
         """Collect the worker's report (the ``run_isolated`` contract).
 
         Blocks until the worker reports, crashes, or exceeds the hard
-        timeout; with ``block=False`` the report must already be
-        :meth:`ready`.  On return the worker is back in the pool or
-        retired, per the module's lease rules.
+        timeout.  On return the worker is back in the pool or retired,
+        per the module's lease rules.
         """
-        timeout_arg: float | None = 0 if not block else None
-        if block and self._hard_deadline is not None:
+        timeout_arg: float | None = None
+        if self._hard_deadline is not None:
             timeout_arg = max(
                 0.0, self._hard_deadline - time.perf_counter()
             )
@@ -398,19 +361,14 @@ class WorkerHandle:
             return "killed", None
         return "died", None
 
-    def cancel(self) -> float:
-        """Retire the worker: kill and reap it; returns the kill-to-reap
-        latency.
+    def cancel(self) -> None:
+        """Retire the worker: kill and reap it.
 
         Idempotent, and a no-op once the worker went back to the pool.
-        This is the race's loser path, so the returned latency is the
-        per-loser cancellation accounting.
         """
-        started = time.perf_counter()
         if not self._closed:
             self._closed = True
             self._worker.retire()
-        return time.perf_counter() - started
 
 
 def run_isolated(

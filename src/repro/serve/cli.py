@@ -6,7 +6,7 @@ or SIGINT, then drains gracefully (in-flight requests finish, the
 pool empties, the listener closes) before exiting 0::
 
     repro-serve --port 8945 --store chains.db --jobs 4
-    repro-serve --port 0 --race --rate 200 --burst 400
+    repro-serve --port 0 --rate 200 --burst 400
     repro-serve --port 0 --procs 4 --store chains.db
 
 ``--port 0`` binds an ephemeral port; the actual address is printed as
@@ -82,11 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=engine_names(),
         default=None,
         help="primary engine (prepended to the default fallback chain)",
-    )
-    parser.add_argument(
-        "--race",
-        action="store_true",
-        help="race the engine lanes in isolated workers per miss",
     )
     parser.add_argument(
         "--timeout",
@@ -167,7 +162,6 @@ async def _amain(
         scheduler,
         store=store,
         engines=engines,
-        race=args.race,
         default_timeout=args.timeout,
         max_timeout=args.max_timeout,
         max_backlog=args.max_backlog,
@@ -209,7 +203,6 @@ async def _amain(
         if registry is not None:
             registry.unregister(proc_index)
         scheduler.shutdown(cancel_queued=True)
-        service.close()
         if store is not None:
             store.close()
     print("stopped", file=sys.stderr, flush=True)

@@ -20,10 +20,9 @@ truth table — goes through the same funnel:
    runtime's one resolve path.  The pool's queue is FIFO; a job whose
    caller's deadline lapses while it waits is answered ``expired``
    (HTTP 504) without running.  The executor walks the engine lanes
-   as a fallback chain, or races them (``race=True``).  Solved results
-   are written back to the store, so the whole orbit is warm
-   afterwards.
-4. **Degradation.**  When no exact answer comes back, the executor
+   as an in-process fallback chain.  Solved results are written back
+   to the store, so the whole orbit is warm afterwards.
+4. **Degradation.**  When every engine lane fails, the executor
    serves the store's best-known upper bound for the class, which
    leaves here with ``exact: false`` and a ``degraded`` status the
    HTTP layer maps to its own (non-failure) status code.
@@ -60,7 +59,6 @@ from ..runtime.executor import (
     ExecutionOutcome,
     FaultTolerantExecutor,
 )
-from ..runtime.racing import RACE_WIDTH
 from ..truthtable import from_hex
 from ..truthtable.npn import canonicalize
 from ..truthtable.table import TruthTable
@@ -226,11 +224,8 @@ class SynthesisService:
         Optional :class:`~repro.store.ChainStore` for the warm path,
         write-back, and degraded upper bounds.
     engines:
-        Exact-lane preference order.
-    race:
-        Race the first ``RACE_WIDTH`` lanes in isolated workers per
-        miss instead of walking them as an in-process fallback chain
-        (the executor's ``width``).
+        Exact-lane preference order, walked as an in-process fallback
+        chain per miss.
     default_timeout / max_timeout:
         Per-request synthesis budget when the caller names none, and
         the hard cap a caller may request.
@@ -250,7 +245,6 @@ class SynthesisService:
         *,
         store=None,
         engines: Sequence[str] = DEFAULT_FALLBACK_CHAIN,
-        race: bool = False,
         metrics: ServingMetrics | None = None,
         default_timeout: float = 20.0,
         max_timeout: float = 120.0,
@@ -265,10 +259,9 @@ class SynthesisService:
         self._max_timeout = max_timeout
         self._max_backlog = max(1, max_backlog)
         #: Shared by every dispatcher thread; it keeps per-run state on
-        #: the stack.
+        #: the stack.  It never isolates, so its pool never forks.
         self._executor = FaultTolerantExecutor(
             engines,
-            width=RACE_WIDTH if race else 1,
             store=store,
             fault_plan=fault_plan,
             engine_kwargs=engine_kwargs,
@@ -288,11 +281,6 @@ class SynthesisService:
     def scheduler(self):
         """The resident pool this service dispatches onto."""
         return self._scheduler
-
-    def close(self) -> None:
-        """Stop the executor's idle race workers (idempotent).  Call it
-        after the scheduler has shut down."""
-        self._executor.close()
 
     @property
     def inflight_classes(self) -> int:

@@ -72,25 +72,25 @@ def stacked_chain(chains) -> BooleanChain:
     return stacked
 
 
-def record_race_lanes(monkeypatch) -> list:
+def record_tasks(monkeypatch) -> list:
     """Record the :class:`~repro.runtime.worker.WorkerTask` of every
-    race lane the executor spawns (the returned list fills in place)."""
-    import repro.runtime.executor as executor_mod
+    isolated attempt (the returned list fills in place)."""
+    from repro.runtime.worker import WorkerHandle
 
     tasks: list = []
+    original = WorkerHandle.__init__
 
-    class RecordingHandle(executor_mod.WorkerHandle):
-        def __init__(self, task, pool):
-            tasks.append(task)
-            super().__init__(task, pool)
+    def init(self, task, pool):
+        tasks.append(task)
+        original(self, task, pool)
 
-    monkeypatch.setattr(executor_mod, "WorkerHandle", RecordingHandle)
+    monkeypatch.setattr(WorkerHandle, "__init__", init)
     return tasks
 
 
 def record_attempts(monkeypatch) -> list:
-    """Record ``(engine, worker pid)`` for every isolated attempt, walk
-    or race lane (the returned list fills in place)."""
+    """Record ``(engine, worker pid)`` for every isolated attempt (the
+    returned list fills in place)."""
     from repro.runtime.worker import WorkerHandle
 
     attempts: list = []
@@ -129,11 +129,3 @@ def assert_reaped(pid: int) -> None:
         os.kill(pid, 0)
         os.waitpid(pid, os.WNOHANG)
 
-
-def assert_no_orphans(records) -> None:
-    """Every cancelled race loser must be dead and reaped (bounded
-    join)."""
-    for record in records:
-        assert record.pid is not None
-        assert record.seconds < 5.0  # the bounded-join guarantee
-        assert_reaped(record.pid)

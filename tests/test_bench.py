@@ -151,3 +151,18 @@ class TestTable1Harness:
         assert data["suites"]["fdsd6"]["STP"]["ok"] == 2
         out = capsys.readouterr().out
         assert "fdsd6" in out
+
+    def test_memory_cap_without_a_worker_is_a_usage_error(self, capsys):
+        """A jobs=1 run without --isolate is in-process, where no
+        RLIMIT_AS cap applies: refuse it instead of dropping it."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "--suite", "fdsd6",
+                    "--count", "1",
+                    "--algorithms", "STP",
+                    "--memory-limit-mb", "256",
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert "--isolate" in capsys.readouterr().err

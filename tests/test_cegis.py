@@ -45,9 +45,10 @@ class TestExactness:
 
     @pytest.mark.slow
     def test_agrees_with_fen_on_random_4var_functions(self):
-        # Hard 4-var functions take minutes (CEGIS exists to race, not
-        # to win every class; the third seed-7 draw stalls even fen),
-        # so the 4-var sweep is slow-tier and stops at two draws.
+        # Hard 4-var functions take minutes (CEGIS is a cross-check,
+        # not a contender on every class; the third seed-7 draw stalls
+        # even fen), so the 4-var sweep is slow-tier and stops at two
+        # draws.
         import random
 
         rng = random.Random(7)

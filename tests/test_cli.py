@@ -68,6 +68,17 @@ class TestExitCodes:
         assert proc.returncode == 65
         assert "error:" in proc.stderr
 
+    def test_memory_cap_needs_isolate(self):
+        # In-process the cap cannot apply, so the run is refused (65);
+        # in a worker, 1 MB fails every attempt of 0x0016's search (3).
+        argv = ("0016", "--vars", "4", "--no-fallback",
+                "--memory-limit-mb", "1")
+        proc = run_cli(*argv)
+        assert proc.returncode == 65
+        assert "--isolate" in proc.stderr
+        assert proc.stdout == ""
+        assert run_cli(*argv, "--isolate").returncode == 3
+
 
 class TestFallbackTrail:
     def test_crash_falls_back_to_fen_and_reports_on_stderr(self):

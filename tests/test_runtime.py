@@ -30,20 +30,21 @@ from repro.runtime.errors import (
     classify_failure,
 )
 from repro.runtime.executor import (
+    BACKOFF,
+    BACKOFF_FACTOR,
     DEFAULT_FALLBACK_CHAIN,
     FaultTolerantExecutor,
+    format_trail,
 )
 from repro.runtime.faults import FaultPlan, FaultSpec, execute_fault
-from repro.runtime.racing import RACE_WIDTH
 from repro.runtime.worker import WorkerPool, WorkerTask, run_isolated
 from repro.store import chain_from_record, chain_to_record
 from repro.truthtable import from_hex
 
 from tests.helpers import (
-    assert_no_orphans,
     assert_reaped,
     record_attempts,
-    record_race_lanes,
+    record_tasks,
     record_worker_forks,
 )
 
@@ -229,9 +230,7 @@ class TestExecutorFallback:
         plan = FaultPlan(
             {EASY.to_hex(): FaultSpec("crash", engine="stp", times=None)}
         )
-        executor = FaultTolerantExecutor(
-            ("stp", "fen"), fault_plan=plan, backoff=0.01
-        )
+        executor = FaultTolerantExecutor(("stp", "fen"), fault_plan=plan)
         outcome = executor.run(EASY, timeout=30)
         assert outcome.solved
         assert outcome.engine == "fen"
@@ -251,8 +250,6 @@ class TestExecutorFallback:
             ("stp",),
             fault_plan=plan,
             max_retries=2,
-            backoff=0.01,
-            backoff_factor=3.0,
             engine_kwargs={"stp": {"max_solutions": 2}},
             sleep=naps.append,
         )
@@ -260,7 +257,7 @@ class TestExecutorFallback:
         assert outcome.solved
         assert outcome.engine == "stp"
         assert outcome.attempts == 2
-        assert naps == [pytest.approx(0.01)]
+        assert naps == [pytest.approx(BACKOFF)]
 
     def test_backoff_grows_exponentially(self):
         naps = []
@@ -271,14 +268,15 @@ class TestExecutorFallback:
             ("stp",),
             fault_plan=plan,
             max_retries=2,
-            backoff=0.01,
-            backoff_factor=3.0,
             sleep=naps.append,
         )
         outcome = executor.run(EASY, timeout=30)
         assert outcome.status == "crash"
         assert outcome.attempts == 3
-        assert naps == [pytest.approx(0.01), pytest.approx(0.03)]
+        assert naps == [
+            pytest.approx(BACKOFF),
+            pytest.approx(BACKOFF * BACKOFF_FACTOR),
+        ]
 
     def test_corrupt_result_is_caught_and_degraded(self):
         plan = FaultPlan(
@@ -328,6 +326,31 @@ class TestExecutorFallback:
         # fen never ran
         assert {r.engine for r in outcome.trail} == {"stp"}
 
+    def test_nothing_to_serve_stays_a_plain_failure(self):
+        plan = FaultPlan(
+            {
+                FaultPlan.WILDCARD: FaultSpec(
+                    kind="timeout", times=None
+                )
+            }
+        )
+        executor = FaultTolerantExecutor(("stp", "fen"), fault_plan=plan)
+        outcome = executor.run(from_hex("e8", 3), timeout=5.0)
+        assert outcome.status == "timeout"
+        assert outcome.result is None
+
+    def test_infeasible_from_an_exact_lane_ends_the_walk(self):
+        executor = FaultTolerantExecutor(
+            ("fen", "cegis"),
+            engine_kwargs={
+                "fen": {"max_gates": 1},
+                "cegis": {"max_gates": 1},
+            },
+        )
+        outcome = executor.run(from_hex("8ff8", 4), timeout=30.0)
+        assert outcome.status == "infeasible"
+        assert [record.engine for record in outcome.trail] == ["fen"]
+
     def test_unavailable_engine_falls_through(self):
         executor = FaultTolerantExecutor(("nonesuch", "fen"))
         outcome = executor.run(EASY, timeout=30)
@@ -342,7 +365,6 @@ class TestExecutorFallback:
             ("stp", "fen"),
             fault_plan=plan,
             max_retries=0,
-            backoff=0.0,
         )
         outcome = executor.run(EASY, timeout=30)
         assert not outcome.solved
@@ -390,6 +412,15 @@ class TestExecutorFallback:
                 [("x", lambda f, t: None)], isolate=True
             )
 
+    def test_memory_cap_needs_isolation(self):
+        # Only a worker process can apply RLIMIT_AS; an in-process walk
+        # would drop the cap silently.
+        with pytest.raises(ValueError, match="isolate"):
+            FaultTolerantExecutor(("stp",), memory_limit_mb=256)
+        FaultTolerantExecutor(
+            ("stp",), isolate=True, memory_limit_mb=256
+        ).close()
+
     def test_needs_at_least_one_engine(self):
         with pytest.raises(ValueError):
             FaultTolerantExecutor(())
@@ -404,14 +435,67 @@ class TestExecutorFallback:
         assert outcome.exact is False
 
     def test_lapsed_deadline_never_spawns_a_lane(self, monkeypatch):
-        spawned = record_race_lanes(monkeypatch)
-        executor = FaultTolerantExecutor(("stp", "fen"), width=RACE_WIDTH)
-        outcome = executor.run(
-            EASY, 30.0, expire_at=time.monotonic() - 1.0
-        )
+        tasks = record_tasks(monkeypatch)
+        forked = record_worker_forks(monkeypatch)
+        with FaultTolerantExecutor(("stp", "fen"), isolate=True) as executor:
+            outcome = executor.run(
+                EASY, 30.0, expire_at=time.monotonic() - 1.0
+            )
         assert outcome.status == "timeout"
         assert outcome.trail == []
-        assert spawned == []
+        assert tasks == [] and forked == []
+
+
+class TestStragglers:
+    @pytest.mark.slow
+    @pytest.mark.parametrize("hexval", ["0016", "0017"])
+    def test_npn4_stragglers_solve_exactly(self, hexval):
+        # The two NPN4 classes that dominate the kernel bench's search
+        # time; the walk's first lane, stp, solves each exactly in well
+        # under a second.
+        executor = FaultTolerantExecutor(("stp", "fen", "cegis"))
+        outcome = executor.run(from_hex(hexval, 4), timeout=60.0)
+        assert outcome.solved and outcome.exact
+        assert outcome.engine == "stp"
+        assert outcome.result.num_gates == 5
+        for chain in outcome.result.chains:
+            assert chain.simulate_output() == from_hex(hexval, 4)
+
+
+class TestTrailFormatting:
+    def test_trail_names_engine_error_class_and_seconds(self):
+        plan = FaultPlan(
+            {"e8": FaultSpec(kind="crash", engine="stp", times=None)}
+        )
+        executor = FaultTolerantExecutor(
+            ("stp", "fen"), fault_plan=plan, max_retries=0
+        )
+        outcome = executor.run(from_hex("e8", 3), timeout=30.0)
+        assert outcome.solved and outcome.engine == "fen"
+        lines = format_trail(outcome.trail)
+        assert len(lines) == len(outcome.trail)
+        failed = [
+            line
+            for line, record in zip(lines, outcome.trail)
+            if record.status != "ok"
+        ]
+        assert failed
+        for line in failed:
+            assert "engine stp" in line
+            assert "[RuntimeError]" in line  # the error class
+            assert "s (" in line and "after" in line  # the seconds
+
+    def test_attempt_records_carry_the_error_class(self):
+        plan = FaultPlan(
+            {"e8": FaultSpec(kind="timeout", engine="stp", times=None)}
+        )
+        executor = FaultTolerantExecutor(
+            ("stp", "fen"), fault_plan=plan, max_retries=0
+        )
+        outcome = executor.run(from_hex("e8", 3), timeout=30.0)
+        record = outcome.trail[0]
+        assert record.error_class == "BudgetExceeded"
+        assert record.to_record()["error_class"] == "BudgetExceeded"
 
 
 def _stp_executor(**kwargs):
@@ -510,26 +594,6 @@ class TestResidentWorkers:
         del executor
         gc.collect()
         assert not forked[0].is_alive()
-
-    def test_race_losers_are_reaped_and_the_winner_serves_on(
-        self, monkeypatch
-    ):
-        attempts = record_attempts(monkeypatch)
-        function = from_hex("e8", 3)
-        with FaultTolerantExecutor(
-            ("stp", "fen", "cegis"), width=RACE_WIDTH
-        ) as executor:
-            first = executor.run(function, 30.0)
-            assert first.solved
-            assert len(executor.last_cancellations) == 2
-            assert_no_orphans(executor.last_cancellations)
-            lanes = len(attempts)
-            winner = [
-                pid for engine, pid in attempts if engine == first.engine
-            ]
-            assert executor.run(function, 30.0).solved
-            assert_no_orphans(executor.last_cancellations)
-        assert winner[0] in [pid for _, pid in attempts[lanes:]]
 
 
 class TestForkPipeRace:

@@ -27,7 +27,7 @@ from repro.truthtable.npn import canonicalize as npn_canonical
 
 from tests.helpers import (
     assert_chain_realizes,
-    record_race_lanes,
+    record_tasks,
     stacked_chain,
 )
 
@@ -186,22 +186,73 @@ class TestExecutorIntegration:
         assert outcome.result.num_gates == bound.num_gates
         assert_chain_realizes(function, outcome.result.chains[0])
 
-    def test_race_uses_and_extends_the_floor(self, tmp_path, monkeypatch):
-        from repro.runtime.racing import RACE_WIDTH
+    def test_timed_out_walk_serves_store_upper_bound(self, tmp_path):
+        function = from_hex("e8", 3)
+        plan = FaultPlan(
+            {FaultPlan.WILDCARD: FaultSpec(kind="timeout", times=None)}
+        )
+        with ChainStore(tmp_path / "chains.db") as store:
+            bound = run_engine("fen", function, 60.0)
+            assert store.put(function, bound, "hier", exact=False)
+            executor = FaultTolerantExecutor(
+                ("stp", "fen"), fault_plan=plan, store=store
+            )
+            outcome = executor.run(function, timeout=5.0)
+        assert outcome.status == "degraded"
+        assert outcome.degraded and not outcome.solved
+        assert outcome.exact is False
+        assert outcome.engine == "store"
+        assert outcome.result.num_gates == bound.num_gates
+        for chain in outcome.result.chains:
+            assert chain.simulate_output() == function
 
-        tasks = record_race_lanes(monkeypatch)
+    def test_isolated_walk_uses_and_extends_the_floor(
+        self, tmp_path, monkeypatch
+    ):
+        tasks = record_tasks(monkeypatch)
         function = from_hex("e8", 3)  # majority-3: optimum 4 gates
         with ChainStore(tmp_path / "chains.db") as store:
             store.mark_infeasible(function, 2)
-            executor = FaultTolerantExecutor(
-                ("stp", "fen", "cegis"), width=RACE_WIDTH, store=store
-            )
-            outcome = executor.run(function, 30.0)
+            with FaultTolerantExecutor(
+                ("stp", "fen", "cegis"), isolate=True, store=store
+            ) as executor:
+                outcome = executor.run(function, 30.0)
             assert outcome.solved and outcome.exact
             assert outcome.result.num_gates == 4
             assert store.min_feasible_gates(function) == 4
-        assert len(tasks) == 3
-        assert all(task.engine_kwargs["min_gates"] == 3 for task in tasks)
+        assert len(tasks) == 1
+        assert tasks[0].engine_kwargs["min_gates"] == 3
+
+    def test_exact_answer_is_written_back_and_served(self, tmp_path):
+        function = from_hex("e8", 3)
+        with ChainStore(str(tmp_path / "chains.db")) as store:
+            executor = FaultTolerantExecutor(("fen", "cegis"), store=store)
+            cold = executor.run(function, timeout=30.0)
+            assert cold.solved and store.writes == 1
+            warm = executor.run(function, timeout=30.0)
+            assert warm.solved and warm.engine == "store"
+
+    def test_quarantined_rows_are_counted_per_run(self, tmp_path):
+        path = str(tmp_path / "chains.db")
+        function = from_hex("e8", 3)
+        with ChainStore(path) as store:
+            store.put(function, run_engine("fen", function, 30.0), "fen")
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute("UPDATE chains SET solutions = '[{\"v\": 9}]'")
+        conn.close()
+        with ChainStore(path) as store:
+            executor = FaultTolerantExecutor(("fen",), store=store)
+            outcome = executor.run(function, timeout=30.0)
+            # Corrupt row quarantined mid-run, then solved fresh.
+            assert outcome.solved
+            assert outcome.store_quarantined == 1
+            assert store.quarantined == 1
+            # The fresh write-back replaced the quarantined row, so a
+            # second run is served from the store again.
+            again = executor.run(function, timeout=30.0)
+            assert again.solved and again.engine == "store"
+            assert again.store_quarantined == 0
 
     def test_inexact_engines_only_write_upper_bounds(self, tmp_path):
         # A heuristic engine's result lands as an upper-bound row:
