@@ -1,28 +1,25 @@
 """Async load benchmark for the ``repro-serve`` synthesis server.
 
-Boots the serving stack (store → persistent scheduler pool →
-NPN-coalescing service → HTTP front-end), pre-warms the chain store by
-requesting every NPN class representative once, then fires
-``--requests`` concurrent requests whose *classes* follow a Zipf
-distribution — a few hot classes dominate, exactly the skew that makes
-coalescing and the warm store earn their keep.  Each request is a
-random orbit member of its class (random input permutation/negations +
-output negation), so warm hits still exercise the store's inverse-NPN
-rewrite::
+Spawns a real ``repro-serve --procs N`` process group (store →
+persistent scheduler pool → NPN-coalescing service → HTTP front-end,
+SO_REUSEPORT workers when ``N > 1``) and loads it over TCP.  It
+pre-warms the chain store by requesting every NPN class representative
+once, then fires ``--requests`` concurrent requests whose *classes*
+follow a Zipf distribution — a few hot classes dominate, exactly the
+skew that makes coalescing and the warm store earn their keep.  Each
+request is a random orbit member of its class (random input
+permutation/negations + output negation), so warm hits still exercise
+the store's inverse-NPN rewrite::
 
     python benchmarks/bench_serving.py --requests 1000 \
         --json BENCH_serving.json
     python benchmarks/bench_serving.py --requests 1000 --procs 2 \
         --max-p99-ms 2000 --json BENCH_serving_procs2.json
 
-Two serving modes:
-
-* in-process (default) — the stack runs inside the bench's event
-  loop, zero subprocess noise; and
-* ``--procs N`` — a real ``repro-serve --procs N`` process group
-  (SO_REUSEPORT workers) is spawned and loaded over TCP; the group's
-  merged counters come from ``/metrics/all``, and the bench requires
-  a clean exit-0 SIGTERM drain at the end.
+The server runs in its own processes, so the load generator and its
+re-verification never queue behind it on one event loop.  The group's
+merged counters come from ``/metrics/all``, and the bench requires a
+clean exit-0 SIGTERM drain at the end.
 
 The load can carry per-request deadlines (``--deadline-ms`` on a
 ``--deadline-fraction`` slice) — a 504 on a deadline'd request counts
@@ -47,11 +44,6 @@ import sys
 import time
 
 from repro.core.circuit_sat import verify_chain
-from repro.parallel.scheduler import BatchScheduler
-from repro.serve.ratelimit import RateLimiter
-from repro.serve.server import SynthesisServer
-from repro.serve.service import SynthesisService
-from repro.store import ChainStore
 from repro.store.serialize import chain_from_record
 from repro.truthtable.npn import NPNTransform, npn_classes
 
@@ -224,12 +216,9 @@ async def _load(args, host, port):
     await asyncio.gather(*(one(*entry) for entry in population))
     load_seconds = time.perf_counter() - load_started
 
-    if args.procs > 0:
-        aggregate = await _get_json(host, port, "/metrics/all")
-        metrics = aggregate["merged"]
-        metrics["per_proc_count"] = aggregate["procs"]
-    else:
-        metrics = await _get_json(host, port, "/metrics")
+    aggregate = await _get_json(host, port, "/metrics/all")
+    metrics = aggregate["merged"]
+    metrics["per_proc_count"] = aggregate["procs"]
 
     serving = metrics.get("serving", {})
     return {
@@ -261,32 +250,6 @@ async def _load(args, host, port):
         "hit_ratio": serving.get("hit_ratio", 0.0),
         "server_metrics": metrics,
     }
-
-
-async def _drive_inprocess(args):
-    store = ChainStore(args.store)
-    scheduler = BatchScheduler({}, args.jobs, queue_depth=0).start()
-    service = SynthesisService(
-        scheduler,
-        store=store,
-        default_timeout=args.timeout,
-        max_backlog=max(args.requests, 256),
-    )
-    server = SynthesisServer(
-        service,
-        port=0,
-        rate_limiter=RateLimiter(None),
-        max_connections=max(args.concurrency * 2, 512),
-    )
-    await server.start()
-    host, port = server.address
-    print(f"serving on {host}:{port} (in-process)")
-    try:
-        return await _load(args, host, port)
-    finally:
-        await server.shutdown(drain_timeout=30.0)
-        scheduler.shutdown(cancel_queued=True)
-        store.close()
 
 
 async def _drive_subprocess(args):
@@ -372,9 +335,9 @@ def main(argv=None):
     parser.add_argument(
         "--procs",
         type=int,
-        default=0,
-        help="0 = in-process stack; N >= 1 spawns a real "
-        "'repro-serve --procs N' group and loads it over TCP",
+        default=1,
+        help="size of the 'repro-serve --procs N' group loaded over "
+        "TCP (N >= 1)",
     )
     parser.add_argument("--timeout", type=float, default=30.0)
     parser.add_argument(
@@ -397,9 +360,7 @@ def main(argv=None):
     parser.add_argument(
         "--store",
         default=None,
-        help="chain-store path (default: a fresh temp file per run; "
-        "an in-memory store cannot be shared across the pool's "
-        "threads)",
+        help="chain-store path (default: a fresh temp file per run)",
     )
     parser.add_argument("--json", default="BENCH_serving.json")
     parser.add_argument(
@@ -415,6 +376,8 @@ def main(argv=None):
         help="gate: maximum client-side p99 latency (0 = no gate)",
     )
     args = parser.parse_args(argv)
+    if args.procs < 1:
+        parser.error("--procs must be >= 1")
 
     cleanup = None
     if args.store is None:
@@ -425,10 +388,7 @@ def main(argv=None):
         args.store = f"{tempdir}/chains.db"
         cleanup = lambda: shutil.rmtree(tempdir, ignore_errors=True)  # noqa: E731
     try:
-        if args.procs > 0:
-            report = asyncio.run(_drive_subprocess(args))
-        else:
-            report = asyncio.run(_drive_inprocess(args))
+        report = asyncio.run(_drive_subprocess(args))
     finally:
         if cleanup is not None:
             cleanup()

@@ -203,7 +203,7 @@ def search_stage(state: PipelineState, ctx: SynthesisContext) -> None:
         stats=ctx.stats,
     )
     split_profile = feasible_top_splits(target, tuple(spec.operators))
-    lo = max(1, s - 1, spec.min_gates)
+    lo = max(1, s - 1)
     for r in range(lo, spec.effective_max_gates() + 1):
         normal = _search_at_size(
             target, r, engine, spec, ctx, split_profile
@@ -222,7 +222,6 @@ def search_stage(state: PipelineState, ctx: SynthesisContext) -> None:
                         for variant in polarity_closure(
                             base,
                             seen,
-                            canonicalize=spec.canonicalize_dont_cares,
                             target=target,
                             deadline=ctx.deadline,
                         )
@@ -840,7 +839,7 @@ def finalize_stage(
         if state.npn_transform is not None:
             inverse = state.npn_transform.inverse()
             chains = [npn_transform_chain(c, inverse) for c in chains]
-            if spec.canonicalize_dont_cares and spec.all_solutions:
+            if spec.all_solutions:
                 chains = [canonicalize_dont_cares(c) for c in chains]
         lifted = [
             lift_chain(c, spec.function.num_vars, state.support)

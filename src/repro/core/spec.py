@@ -120,31 +120,20 @@ class SynthesisSpec:
         candidate before accepting it.
     max_solutions:
         Safety cap on the size of the returned solution set.
-    canonicalize_dont_cares:
-        Zero unobservable LUT rows so behaviourally identical chains
-        have one representative (the pipeline's dedup contract).
     npn_canonicalize:
         Run the search on the NPN class representative and map the
         solutions back through the inverse transform.  Off by default;
         when several targets share an NPN class this makes the
         cross-call factorization memo hit across all of them.
-    min_gates:
-        Smallest gate count worth searching (default 0 = no floor).
-        Gate counts below it are *skipped*, so only pass sizes already
-        proven infeasible for this exact function — e.g. the
-        :meth:`~repro.store.ChainStore.min_feasible_gates` negative
-        cache; a wrong floor silently yields non-minimal chains.
     """
 
     function: TruthTable
     operators: tuple[int, ...] = NONTRIVIAL_BINARY_OPS
     max_gates: int | None = None
-    min_gates: int = 0
     timeout: float | None = None
     all_solutions: bool = True
     verify: bool = True
     max_solutions: int = 10_000
-    canonicalize_dont_cares: bool = True
     npn_canonicalize: bool = False
 
     def __post_init__(self) -> None:

@@ -48,7 +48,6 @@ class STPSynthesizer:
         all_solutions: bool = True,
         max_solutions: int = 10_000,
         max_gates: int | None = None,
-        canonicalize_dont_cares: bool = True,
         npn_canonicalize: bool = False,
     ) -> None:
         self._operators = tuple(operators)
@@ -56,7 +55,6 @@ class STPSynthesizer:
         self._all_solutions = all_solutions
         self._max_solutions = max_solutions
         self._max_gates = max_gates
-        self._canonicalize = canonicalize_dont_cares
         self._npn_canonicalize = npn_canonicalize
 
     # ------------------------------------------------------------------
@@ -83,7 +81,6 @@ class STPSynthesizer:
             all_solutions=self._all_solutions,
             verify=self._verify,
             max_solutions=self._max_solutions,
-            canonicalize_dont_cares=self._canonicalize,
             npn_canonicalize=self._npn_canonicalize,
         )
         return self.run(spec, ctx=ctx)

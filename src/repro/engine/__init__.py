@@ -63,13 +63,8 @@ def run_engine(
     Unknown names raise
     :class:`~repro.runtime.errors.EngineUnavailable`.  ``kwargs``
     become spec overrides for knobs the engine supports; the rest are
-    ignored (the fallback-chain contract).  ``min_gates`` is a spec
-    knob shared by every engine: the store's negative cache passes the
-    proven-infeasible gate floor through it.
+    ignored (the fallback-chain contract).
     """
-    min_gates = int(kwargs.pop("min_gates", 0) or 0)
     engine = create_engine(name, **kwargs)
-    spec = SynthesisSpec(
-        function=function, timeout=timeout, min_gates=min_gates
-    )
+    spec = SynthesisSpec(function=function, timeout=timeout)
     return engine.synthesize(spec, ctx)

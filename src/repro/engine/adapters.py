@@ -60,19 +60,13 @@ class _SpecAdapter:
 class STPEngine(_SpecAdapter):
     """The paper's STP factorization pipeline (Section III)."""
 
-    capabilities = EngineCapabilities(
-        all_solutions=True,
-        verification=True,
-        custom_operators=True,
-        exact=True,
-    )
+    capabilities = EngineCapabilities(exact=True)
     _SPEC_KEYS = (
         "operators",
         "max_gates",
         "all_solutions",
         "verify",
         "max_solutions",
-        "canonicalize_dont_cares",
         "npn_canonicalize",
     )
 
@@ -88,12 +82,7 @@ class STPEngine(_SpecAdapter):
 class HierEngine(_SpecAdapter):
     """DSD-hierarchical synthesis with exact prime blocks."""
 
-    capabilities = EngineCapabilities(
-        all_solutions=True,
-        verification=True,
-        custom_operators=True,
-        exact=False,
-    )
+    capabilities = EngineCapabilities(exact=False)
     _SPEC_KEYS = ("operators", "all_solutions", "max_solutions")
 
     def synthesize(
@@ -133,12 +122,7 @@ class _BaselineAdapter(_SpecAdapter):
 class FENEngine(_BaselineAdapter):
     """Fence-enumerating CNF baseline (FEN)."""
 
-    capabilities = EngineCapabilities(
-        all_solutions=False,
-        verification=True,
-        custom_operators=False,
-        exact=True,
-    )
+    capabilities = EngineCapabilities(exact=True)
 
     def _backend(self, spec: SynthesisSpec):
         from ..baselines.fence_synth import FenceSynthesizer
@@ -150,12 +134,7 @@ class FENEngine(_BaselineAdapter):
 class BMSEngine(_BaselineAdapter):
     """Topology-free CNF baseline (BMS)."""
 
-    capabilities = EngineCapabilities(
-        all_solutions=False,
-        verification=True,
-        custom_operators=False,
-        exact=True,
-    )
+    capabilities = EngineCapabilities(exact=True)
 
     def _backend(self, spec: SynthesisSpec):
         from ..baselines.bms import BMSSynthesizer
@@ -167,12 +146,7 @@ class BMSEngine(_BaselineAdapter):
 class LutExactEngine(_BaselineAdapter):
     """CEGAR-refined SSV baseline (ABC lutexact-style)."""
 
-    capabilities = EngineCapabilities(
-        all_solutions=False,
-        verification=True,
-        custom_operators=False,
-        exact=True,
-    )
+    capabilities = EngineCapabilities(exact=True)
 
     def _backend(self, spec: SynthesisSpec):
         from ..baselines.lutexact import LutExactSynthesizer
@@ -184,12 +158,7 @@ class LutExactEngine(_BaselineAdapter):
 class CegisEngine(_BaselineAdapter):
     """Counterexample-guided sample-based exact synthesis (CEGIS)."""
 
-    capabilities = EngineCapabilities(
-        all_solutions=False,
-        verification=True,
-        custom_operators=False,
-        exact=True,
-    )
+    capabilities = EngineCapabilities(exact=True)
 
     def _backend(self, spec: SynthesisSpec):
         from ..core.cegis import CegisSynthesizer

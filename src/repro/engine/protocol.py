@@ -24,26 +24,16 @@ __all__ = ["EngineCapabilities", "Engine"]
 
 @dataclass(frozen=True)
 class EngineCapabilities:
-    """What an engine can honour from a :class:`SynthesisSpec`.
+    """What the runtime trusts about an engine's answers.
 
     Attributes
     ----------
-    all_solutions:
-        The engine can enumerate the *full* optimal-solution set (the
-        paper's headline mode); engines without it return one chain.
-    verification:
-        Candidates are verified (AllSAT or simulation) before being
-        returned.
-    custom_operators:
-        ``spec.operators`` restricts the gate library; engines without
-        it always use the full nontrivial binary set.
     exact:
-        Returned chains are guaranteed gate-count optimal.
+        Returned chains are guaranteed gate-count optimal.  The
+        executor grades store rows by it, and the differential oracle
+        compares gate counts only between exact engines.
     """
 
-    all_solutions: bool = False
-    verification: bool = True
-    custom_operators: bool = False
     exact: bool = True
 
 

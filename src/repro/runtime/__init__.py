@@ -8,9 +8,9 @@ The execution layer every entry point routes synthesis through:
   wall-clock timeouts and optional memory caps, leased one attempt at a
   time from a :class:`WorkerPool` and retired on any failure;
 * :mod:`.executor` — :class:`FaultTolerantExecutor`, the one resolve
-  path: store lookup, infeasible floor, a walk of the engine lanes as
-  a fallback chain with retry and backoff, verify, write-back and
-  degradation to stored upper bounds; every isolated attempt leases a
+  path: store lookup, a walk of the engine lanes as a fallback chain
+  with retry and backoff, verify, write-back and degradation to
+  stored upper bounds; every isolated attempt leases a
   worker from the executor's own pool, which
   :meth:`FaultTolerantExecutor.close` stops;
 * :mod:`.checkpoint` — streaming JSONL checkpoints for resumable

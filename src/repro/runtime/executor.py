@@ -12,21 +12,19 @@ steps always run in this order:
    transform (``engine == "store"``); quarantined rows are counted.
    With ``pick`` the store serves only the chain that NPN-invariant
    cost chooses (:meth:`~repro.store.ChainStore.lookup`);
-2. **floor** — the store's proven-infeasible gate floor reaches every
-   lane as ``min_gates``;
-3. **walk** — the engine lanes, most preferred first, as a fallback
+2. **walk** — the engine lanes, most preferred first, as a fallback
    chain, in-process (cooperative deadline) or process-isolated (hard
-   kill).  Crashes are retried with exponential backoff
-   (:data:`BACKOFF`, :data:`BACKOFF_FACTOR`), a timeout or an
-   ``infeasible`` ends the walk, and the first verified answer wins;
-4. **verify** — every chain of an answer must have one output and
+   kill).  Every search starts at the support bound.  Crashes are
+   retried with exponential backoff (:data:`BACKOFF`,
+   :data:`BACKOFF_FACTOR`), a timeout or an ``infeasible`` ends the
+   walk, and the first verified answer wins;
+3. **verify** — every chain of an answer must have one output and
    simulate to the requested table (one packed simulation of the
    whole solution set), else the attempt counts as
    ``crash``/``corrupt``;
-5. **write-back** — answers are stored graded by the answering engine's
-   exactness; exact ones also mark the gate counts below theirs
-   infeasible;
-6. **degrade** — when every lane of the walk failed, the store's best
+4. **write-back** — answers are stored graded by the answering engine's
+   exactness; an exact row is the store's only record of optimality;
+5. **degrade** — when every lane of the walk failed, the store's best
    verified upper bound is served (``status == "degraded"``,
    ``exact=False``).  An exact engine's ``infeasible`` is an answer
    and is never degraded.
@@ -218,7 +216,7 @@ class FaultTolerantExecutor:
         Per-engine tuning knobs, e.g. ``{"stp": {"max_solutions": 64}}``.
     store:
         Optional persistent chain store
-        (:class:`~repro.store.ChainStore`) behind the lookup, floor,
+        (:class:`~repro.store.ChainStore`) behind the lookup,
         write-back and degrade steps.
     sleep:
         The backoff sleep (tests inject a recorder).
@@ -332,23 +330,23 @@ class FaultTolerantExecutor:
             )
         deadline = Deadline(timeout)
 
-        floor = 0
         if self._store is not None:
             stored = self._store_read(
                 outcome, self._store.lookup, function, pick=pick
             )
             if stored is not None:
                 return self._settle(outcome, deadline, "ok", "store", stored)
-            floor = self._store_call(
-                outcome, self._store.min_feasible_gates, function
-            ) or 0
 
-        answer, status, error = self._walk(function, floor, deadline, outcome)
+        answer, status, error = self._walk(function, deadline, outcome)
 
         if answer is not None:
             engine, result = answer
             exact = self._is_exact(engine)
-            self._write_back(outcome, function, engine, result, exact)
+            if self._store is not None:
+                self._store_call(
+                    outcome, self._store.put, function, result,
+                    engine=engine, exact=exact,
+                )
             outcome.exact = exact
             return self._settle(outcome, deadline, "ok", engine, result)
 
@@ -363,20 +361,20 @@ class FaultTolerantExecutor:
             if bound is not None:
                 outcome.exact = False
                 return self._settle(
-                    outcome, deadline, "degraded", "store", bound[0]
+                    outcome, deadline, "degraded", "store", bound
                 )
         return self._settle(outcome, deadline, status, "", None)
 
     # ------------------------------------------------------------------
     # the walk
     # ------------------------------------------------------------------
-    def _walk(self, function, floor, deadline, outcome):
+    def _walk(self, function, deadline, outcome):
         """The lanes as a fallback chain; first verified answer wins."""
         lanes = self._names
         status, error = "crash", ""
         for name in lanes:
             result, status, error = self._run_engine(
-                name, function, floor, deadline, outcome
+                name, function, deadline, outcome
             )
             if result is not None:
                 if name != lanes[0]:
@@ -394,7 +392,7 @@ class FaultTolerantExecutor:
                 break
         return None, status, error
 
-    def _run_engine(self, name, function, floor, deadline, outcome):
+    def _run_engine(self, name, function, deadline, outcome):
         """All attempts (first try + retries) on one engine."""
         pause = BACKOFF
         for attempt in range(self._max_retries + 1):
@@ -404,7 +402,7 @@ class FaultTolerantExecutor:
             started = time.perf_counter()
             fault = self._draw(outcome, name)
             result, exc = self._verified(
-                lambda: self._attempt(name, function, budget, fault, floor),
+                lambda: self._attempt(name, function, budget, fault),
                 function,
             )
             record = self._record(
@@ -421,12 +419,10 @@ class FaultTolerantExecutor:
                 pause *= BACKOFF_FACTOR
         return None, record.status, record.error
 
-    def _attempt(self, name, function, budget, fault, floor):
+    def _attempt(self, name, function, budget, fault):
         """One attempt: isolated worker, injected fault, or in-process
         engine."""
         kwargs = self._engine_kwargs.get(name, {})
-        if floor > 0:
-            kwargs = {**kwargs, "min_gates": floor}
         if self._isolate:
             task = WorkerTask(
                 engine=name,
@@ -507,22 +503,6 @@ class FaultTolerantExecutor:
             return bool(engine_capabilities(engine).exact)
         except EngineUnavailable:  # ad-hoc callables declare nothing
             return False
-
-    def _write_back(self, outcome, function, engine, result, exact) -> None:
-        """Store an answer graded by its engine's exactness."""
-        if self._store is None:
-            return
-        self._store_call(
-            outcome, self._store.put, function, result,
-            engine=engine, exact=exact,
-        )
-        if exact and result.num_gates > 0:
-            # An optimal r-gate result proves sizes below r empty;
-            # persist the mark so warm runs start at r directly.
-            self._store_call(
-                outcome, self._store.mark_infeasible, function,
-                result.num_gates - 1,
-            )
 
     @staticmethod
     def _store_call(outcome, method, *args, **kwargs):

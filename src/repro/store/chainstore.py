@@ -65,6 +65,11 @@ rows; :meth:`ChainStore.lookup_upper_bound` serves the best row of
 either grade and is the graceful-degradation path — when every exact
 engine exhausts its budget, the runtime answers with the best-known
 bound (clearly flagged non-exact) instead of a bare failure.
+
+An exact row is the store's only claim of optimality; it keeps no
+negative results.  Files written by older code may still hold an
+``infeasible`` table of gate-count floors: it is never read, written or
+dropped, so every search starts at the support bound.
 """
 
 from __future__ import annotations
@@ -105,21 +110,6 @@ CREATE TABLE IF NOT EXISTS chains (
     quarantined INTEGER NOT NULL DEFAULT 0,
     num_outputs INTEGER NOT NULL DEFAULT 1,
     PRIMARY KEY (num_vars, canon_hex, num_gates)
-)
-"""
-
-#: Negative cache: the largest gate count proven to admit *no* chain
-#: for an NPN class.  Gate counts are NPN-invariant and the exact
-#: search is bottom-up, so one monotone mark per class is enough —
-#: warm runs and ``repro-serve`` resume at ``max_gates + 1`` instead
-#: of re-proving the exhausted sizes.
-_INFEASIBLE_SCHEMA = """
-CREATE TABLE IF NOT EXISTS infeasible (
-    num_vars  INTEGER NOT NULL,
-    canon_hex TEXT    NOT NULL,
-    max_gates INTEGER NOT NULL,
-    created   REAL    NOT NULL,
-    PRIMARY KEY (num_vars, canon_hex)
 )
 """
 
@@ -217,7 +207,6 @@ class ChainStore:
         with self._lock:
             with conn:
                 conn.execute(_SCHEMA)
-                conn.execute(_INFEASIBLE_SCHEMA)
                 self._migrate(conn)
         #: Served lookups / fell-through lookups / completed write-backs,
         #: plus the number of corrupt rows quarantined by a failed
@@ -352,73 +341,26 @@ class ChainStore:
         function: TruthTable,
         *,
         events: list | None = None,
-    ) -> tuple[SynthesisResult, bool] | None:
+    ) -> SynthesisResult | None:
         """Serve the best-known chain of *either* grade, or miss.
 
         The graceful-degradation read path: exact and upper-bound rows
         compete on gate count, corrupt rows are quarantined and the
         *next* row is tried (any verified bound beats a bare failure).
-        Returns ``(result, exact_flag)``.
         """
-        result = self._lookup(function, exact_only=False, events=events)
-        if result is None:
-            return None
-        return result, bool(getattr(result, "_store_exact", True))
+        return self._lookup(function, exact_only=False, events=events)
 
-    # ------------------------------------------------------------------
-    # negative cache: proven-infeasible gate counts
-    # ------------------------------------------------------------------
+    # perfbench/tracing.py wraps these two names, so they stay as no-ops
+    # until the benchmark reads spans from the program (ROADMAP item 1).
+    # Nothing in the program calls them.
     def min_feasible_gates(self, function: TruthTable) -> int:
-        """Smallest gate count not yet proven infeasible for the class.
-
-        Returns 0 when nothing is known.  The result is safe to pass
-        as :attr:`~repro.core.spec.SynthesisSpec.min_gates`: gate
-        counts are NPN-invariant, so a size exhausted for the class
-        representative is exhausted for every orbit member.
-        """
-        canon, _ = self._canonical(function)
-        row = (
-            self._connection()
-            .execute(
-                "SELECT max_gates FROM infeasible "
-                "WHERE num_vars = ? AND canon_hex = ?",
-                (canon.num_vars, canon.to_hex()),
-            )
-            .fetchone()
-        )
-        return 0 if row is None else int(row[0]) + 1
+        """No-op: always 0, the store keeps no gate-count floors."""
+        return 0
 
     def mark_infeasible(
         self, function: TruthTable, num_gates: int
     ) -> None:
-        """Record that no chain of up to ``num_gates`` gates realizes
-        the class (monotone: only ever raises the stored mark).
-
-        Call sites derive the mark from *exact* evidence only — an
-        exhaustive search that came up empty, or an optimal result of
-        ``r`` gates proving sizes below ``r`` empty.
-        """
-        if num_gates < 1:
-            return
-        canon, _ = self._canonical(function)
-        conn = self._connection()
-        with self._lock:
-            with conn:
-                conn.execute(
-                    "INSERT INTO infeasible "
-                    "(num_vars, canon_hex, max_gates, created) "
-                    "VALUES (?, ?, ?, ?) "
-                    "ON CONFLICT(num_vars, canon_hex) DO UPDATE SET "
-                    "max_gates = excluded.max_gates, "
-                    "created = excluded.created "
-                    "WHERE excluded.max_gates > infeasible.max_gates",
-                    (
-                        canon.num_vars,
-                        canon.to_hex(),
-                        int(num_gates),
-                        time.time(),
-                    ),
-                )
+        """No-op: the store keeps no negative results."""
 
     def _lookup(
         self,
@@ -439,7 +381,7 @@ class ChainStore:
         num_vars = function.num_vars
         rows = self._fetch_rows(num_vars, canon_hex, exact_only=exact_only)
         inverse = transform.inverse()
-        for num_gates, _engine, payload, exact in rows:
+        for num_gates, payload in rows:
             if pick is None:
                 chains = self._served_chains(payload, inverse, function)
             else:
@@ -459,14 +401,12 @@ class ChainStore:
             runtime = time.perf_counter() - started
             with self._lock:
                 self.hits += 1
-            result = SynthesisResult(
+            return SynthesisResult(
                 spec=SynthesisSpec(function=function),
                 chains=chains,
                 num_gates=num_gates,
                 runtime=runtime,
             )
-            result._store_exact = bool(exact)
-            return result
         self._miss()
         return None
 
@@ -524,9 +464,9 @@ class ChainStore:
 
     def _fetch_rows(
         self, num_vars: int, canon_hex: str, *, exact_only: bool
-    ) -> list[tuple[int, str, str, int]]:
+    ) -> list[tuple[int, str]]:
         query = (
-            "SELECT num_gates, engine, solutions, exact FROM chains "
+            "SELECT num_gates, solutions FROM chains "
             "WHERE num_vars = ? AND canon_hex = ? AND quarantined = 0 "
         )
         if exact_only:

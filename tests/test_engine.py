@@ -42,13 +42,9 @@ class TestRegistry:
             assert isinstance(engine.capabilities, EngineCapabilities)
 
     def test_capabilities(self):
-        assert engine_capabilities("stp").all_solutions
-        assert engine_capabilities("hier").all_solutions
-        assert not engine_capabilities("fen").all_solutions
-        assert not engine_capabilities("bms").all_solutions
-        assert engine_capabilities("stp").custom_operators
-        assert engine_capabilities("cegis").exact
-        assert not engine_capabilities("cegis").all_solutions
+        for name in ("stp", "fen", "bms", "lutexact", "cegis"):
+            assert engine_capabilities(name).exact, name
+        assert not engine_capabilities("hier").exact
 
 
 class TestSynthesizeDispatch:

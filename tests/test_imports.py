@@ -2,12 +2,15 @@
 
 A module or script that still imports a deleted name fails here even
 when no other test imports it.  CI's ruff step catches the same
-mistake; this test catches it wherever ruff is not installed.
+mistake; this test catches it wherever ruff is not installed.  The
+same holds for the program names the traced benchmark wraps.
 """
 
 import importlib
 import importlib.util
+import json
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -60,3 +63,29 @@ def test_every_script_imports(monkeypatch):
         except Exception as exc:
             failures.append(f"{path.name}: {type(exc).__name__}: {exc}")
     assert not failures
+
+
+def test_traced_benchmark_finds_every_name_it_wraps():
+    """``perfbench/run.py --trace 1`` wraps program functions and
+    methods by name with ``getattr``, whatever the workload, so a
+    renamed or deleted one fails the traced run.  The run writes only
+    under the git-ignored ``.perfbench/``."""
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "perfbench/run.py",
+            "--workload",
+            "rewrite-blif",
+            "--seed",
+            "0",
+            "--trace",
+            "1",
+        ],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0

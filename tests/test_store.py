@@ -48,6 +48,19 @@ CREATE TABLE chains (
 )
 """
 
+#: The negative cache older code kept beside ``chains``: per NPN class,
+#: the largest gate count claimed to admit no chain.  Kept verbatim to
+#: plant old files; the store neither creates nor reads it.
+INFEASIBLE_SCHEMA = """
+CREATE TABLE IF NOT EXISTS infeasible (
+    num_vars  INTEGER NOT NULL,
+    canon_hex TEXT    NOT NULL,
+    max_gates INTEGER NOT NULL,
+    created   REAL    NOT NULL,
+    PRIMARY KEY (num_vars, canon_hex)
+)
+"""
+
 
 def synth(function, **kwargs):
     return create_engine("stp").synthesize(
@@ -159,14 +172,14 @@ class TestExecutorIntegration:
         assert outcome.to_record()["store_errors"] == outcome.store_errors
 
     def test_every_failing_store_call_is_counted(self, tmp_path):
-        """On a closed store the lookup, the floor read, the write-back
-        and the infeasible mark all fail, and each one counts."""
+        """On a closed store the lookup and the write-back both fail,
+        and each one counts."""
         store = ChainStore(str(tmp_path / "chains.db"))
         store.close()
         executor = FaultTolerantExecutor(("fen",), store=store)
         outcome = executor.run(from_hex("e8", 3), 30.0)
         assert outcome.solved and outcome.engine == "fen"
-        assert outcome.store_errors == 4
+        assert outcome.store_errors == 2
 
     def test_failed_walk_serves_stored_upper_bound(self, tmp_path):
         function = from_hex("e8", 3)
@@ -206,22 +219,43 @@ class TestExecutorIntegration:
         for chain in outcome.result.chains:
             assert chain.simulate_output() == function
 
-    def test_isolated_walk_uses_and_extends_the_floor(
+    def test_a_wrong_floor_in_an_old_file_cannot_make_an_answer_suboptimal(
         self, tmp_path, monkeypatch
     ):
+        """Older files may hold an ``infeasible`` table of gate-count
+        floors that nothing ever re-checked.  A wrong one, majority-3
+        marked empty up to its own 4-gate optimum, must not move the
+        search off the support bound, in-process or isolated."""
         tasks = record_tasks(monkeypatch)
-        function = from_hex("e8", 3)  # majority-3: optimum 4 gates
-        with ChainStore(tmp_path / "chains.db") as store:
-            store.mark_infeasible(function, 2)
-            with FaultTolerantExecutor(
-                ("stp", "fen", "cegis"), isolate=True, store=store
+        canon_hex = npn_canonical(MAJ)[0].to_hex()
+        for name, engines, isolate in (
+            ("in-process", ("stp",), False),
+            ("isolated", ("stp", "fen", "cegis"), True),
+        ):
+            path = tmp_path / f"{name}.db"
+            ChainStore(path).close()
+            conn = sqlite3.connect(path)
+            with conn:
+                conn.execute(INFEASIBLE_SCHEMA)
+                conn.execute(
+                    "INSERT INTO infeasible VALUES (3, ?, 4, 0.0)",
+                    (canon_hex,),
+                )
+            conn.close()
+            with ChainStore(path) as store, FaultTolerantExecutor(
+                engines, isolate=isolate, store=store
             ) as executor:
-                outcome = executor.run(function, 30.0)
-            assert outcome.solved and outcome.exact
-            assert outcome.result.num_gates == 4
-            assert store.min_feasible_gates(function) == 4
+                outcome = executor.run(MAJ, 30.0)
+            assert outcome.solved and outcome.exact, name
+            assert outcome.result.num_gates == 4, name
+            conn = sqlite3.connect(path)
+            planted = conn.execute(
+                "SELECT num_vars, canon_hex, max_gates FROM infeasible"
+            ).fetchall()
+            conn.close()
+            assert planted == [(3, canon_hex, 4)], name
         assert len(tasks) == 1
-        assert tasks[0].engine_kwargs["min_gates"] == 3
+        assert "min_gates" not in tasks[0].engine_kwargs
 
     def test_exact_answer_is_written_back_and_served(self, tmp_path):
         function = from_hex("e8", 3)
@@ -270,9 +304,7 @@ class TestExecutorIntegration:
             assert store.lookup(function) is None
             served = store.lookup_upper_bound(function)
             assert served is not None
-            result, exact = served
-            assert exact is False
-            for chain in result.chains:
+            for chain in served.chains:
                 assert_chain_realizes(function, chain)
 
 
@@ -590,9 +622,8 @@ class TestEveryChainChecked:
             assert store.quarantined == 1
         # The quarantined row stays skipped; the bound row is served.
         with ChainStore(path) as store:
-            served, exact = store.lookup_upper_bound(self.FUNCTION)
+            served = store.lookup_upper_bound(self.FUNCTION)
             assert served.num_gates == result.num_gates + 1
-            assert exact is False
             for chain in served.chains:
                 assert_chain_realizes(self.FUNCTION, chain)
 
@@ -800,64 +831,3 @@ class TestSynthCli:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "[store]" in out
-
-
-class TestNegativeCache:
-    """The ``infeasible`` table: proven-empty gate counts per NPN class."""
-
-    def test_round_trip_and_monotone_upsert(self, tmp_path):
-        with ChainStore(tmp_path / "chains.db") as store:
-            t = from_hex("0016", 4)
-            assert store.min_feasible_gates(t) == 0
-            store.mark_infeasible(t, 3)
-            assert store.min_feasible_gates(t) == 4
-            store.mark_infeasible(t, 2)  # never downgrades
-            assert store.min_feasible_gates(t) == 4
-            store.mark_infeasible(t, 4)
-            assert store.min_feasible_gates(t) == 5
-            store.mark_infeasible(t, 0)  # no-op below 1
-            assert store.min_feasible_gates(t) == 5
-
-    def test_marks_are_npn_invariant(self, tmp_path):
-        """Gate counts are NPN-invariant, so a mark on one orbit member
-        must be visible from every other member of the class."""
-        probe = NPNTransform(
-            perm=(2, 0, 1, 3), input_flips=0b0101, output_flip=True
-        )
-        t = from_hex("0016", 4)
-        with ChainStore(tmp_path / "chains.db") as store:
-            store.mark_infeasible(t, 4)
-            assert store.min_feasible_gates(probe.apply(t)) == 5
-
-    def test_executor_marks_after_exact_solve(self, tmp_path):
-        t = from_hex("0007", 4)
-        with ChainStore(tmp_path / "chains.db") as store:
-            ex = FaultTolerantExecutor(engines=["stp"], store=store)
-            out = ex.run(t, timeout=60)
-            assert out.status == "ok"
-            n = out.result.num_gates
-            assert n > 0
-            # exact search at n proves sizes < n empty
-            assert store.min_feasible_gates(t) == n
-
-    def test_floored_run_returns_same_optimum(self, tmp_path):
-        """A pre-seeded floor skips the empty sizes without changing
-        the answer — and the chains still verify."""
-        t = from_hex("0007", 4)
-        baseline = run_engine("stp", t, 60.0)
-        with ChainStore(tmp_path / "chains.db") as store:
-            store.mark_infeasible(t, baseline.num_gates - 1)
-            ex = FaultTolerantExecutor(engines=["stp"], store=store)
-            out = ex.run(t, timeout=60)
-            assert out.status == "ok"
-            assert out.result.num_gates == baseline.num_gates
-            assert_chain_realizes(t, out.result.best)
-
-    def test_run_engine_min_gates_is_a_spec_override(self):
-        t = from_hex("0007", 4)
-        baseline = run_engine("stp", t, 60.0)
-        floored = run_engine(
-            "stp", t, 60.0, min_gates=baseline.num_gates
-        )
-        assert floored.num_gates == baseline.num_gates
-        assert len(floored.chains) == len(baseline.chains)
