@@ -102,18 +102,20 @@ def test_ablation_topology_cache(benchmark, cached):
     """A warm topology/factorization cache vs per-call re-enumeration.
 
     Runs the same NPN4 subset either against one shared warm
-    ``SynthesisCache`` (steady-state ``run_suite`` behaviour) or with
-    caching disabled (every call re-enumerates fences and DAGs, the
-    pre-cache behaviour).  Results must be identical either way; the
-    cache-on timing should be measurably below cache-off.
+    ``SynthesisCache`` (steady-state ``run_suite`` behaviour) or with a
+    fresh bundle per call (every call re-enumerates fences and DAGs,
+    the pre-cache behaviour: a run asks for each family once).
+    Results must be identical either way; the cache-on timing should
+    be measurably below cache-off.
     """
     functions = [from_hex(bits, 4) for bits in NPN4_SUBSET]
-    shared = SynthesisCache(enabled=cached)
+    shared = SynthesisCache()
 
     def run_subset():
         sizes = []
         for f in functions:
-            ctx = SynthesisContext.create(timeout=60, cache=shared)
+            cache = shared if cached else SynthesisCache()
+            ctx = SynthesisContext.create(timeout=60, cache=cache)
             result = run_pipeline(
                 SynthesisSpec(function=f, timeout=60, max_solutions=8),
                 ctx,

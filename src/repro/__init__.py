@@ -29,13 +29,11 @@ from .runtime.errors import (
 )
 from .core import (
     HierarchicalSynthesizer,
-    STPSynthesizer,
     SynthesisContext,
     SynthesisResult,
     SynthesisSpec,
     hierarchical_synthesize,
     synthesize,
-    synthesize_all,
     verify_chain,
 )
 from .cache import SynthesisCache, get_cache, reset_cache, set_cache
@@ -63,7 +61,6 @@ __all__ = [
     "VerificationFailed",
     "EngineUnavailable",
     "HierarchicalSynthesizer",
-    "STPSynthesizer",
     "SynthesisContext",
     "SynthesisResult",
     "SynthesisSpec",
@@ -78,7 +75,6 @@ __all__ = [
     "run_engine",
     "hierarchical_synthesize",
     "synthesize",
-    "synthesize_all",
     "verify_chain",
     "__version__",
 ]

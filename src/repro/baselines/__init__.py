@@ -1,15 +1,10 @@
 """Comparison algorithms for Table I: BMS (plain SSV SAT), FEN
-(fence-constrained SAT), and an ABC lutexact-style CEGAR engine."""
+(fence-constrained SAT), and an ABC lutexact-style CEGAR engine.
 
-from .bms import BMSSynthesizer, bms_synthesize
-from .fence_synth import FenceSynthesizer, fence_synthesize
-from .lutexact import LutExactSynthesizer, lutexact_synthesize
+Each module supplies only its search at one gate count (``searcher``);
+the registered engines ``bms``, ``fen`` and ``lutexact`` share one size
+loop (:mod:`repro.engine.adapters`) with the CEGIS engine."""
 
-__all__ = [
-    "BMSSynthesizer",
-    "bms_synthesize",
-    "FenceSynthesizer",
-    "fence_synthesize",
-    "LutExactSynthesizer",
-    "lutexact_synthesize",
-]
+from . import bms, fence_synth, lutexact
+
+__all__ = ["bms", "fence_synth", "lutexact"]

@@ -2,77 +2,45 @@
 
 The "busy man's synthesis" column of the paper's Table I: the standard
 SSV CNF encoding with no topology constraints, solved by the CDCL
-solver, iterating the number of steps from the support lower bound
-upwards.  Yields one chain (conventional SAT-based exact synthesis
-produces a single solution per run).
+solver.  Its search at one gate count is a single instance over every
+row; the ``bms`` engine's size loop (:mod:`repro.engine.adapters`)
+tries the counts from the support lower bound upwards and returns one
+chain (conventional SAT-based exact synthesis produces a single
+solution per run).
+
+:func:`solve_ssv` is that one instance.  The other SAT engines build on
+it: FEN adds a fence, ``lutexact`` and CEGIS a subset of rows.
 """
 
 from __future__ import annotations
 
-import time
-
-from ..chain.transform import lift_chain, shrink_to_support, trivial_chain
-from ..core.spec import Deadline, SynthesisResult, SynthesisSpec, SynthesisStats
-from ..runtime.errors import SynthesisInfeasible
-from ..sat.encodings import SSVEncoder, normalize_function
+from ..chain.chain import BooleanChain
+from ..sat.encodings import SSVEncoder
 from ..sat.solver import CDCLSolver
 from ..truthtable.table import TruthTable
 
-__all__ = ["BMSSynthesizer", "bms_synthesize"]
+__all__ = ["solve_ssv", "searcher"]
 
 
-class BMSSynthesizer:
-    """Topology-free SSV exact synthesis."""
+def solve_ssv(
+    normal: TruthTable, r: int, complemented: bool, ctx, **constraints
+) -> BooleanChain | None:
+    """One SSV instance at ``r`` gates: a chain, or None when UNSAT.
 
-    def __init__(self, max_gates: int | None = None) -> None:
-        self._max_gates = max_gates
-
-    def synthesize(
-        self, function: TruthTable, timeout: float | None = None
-    ) -> SynthesisResult:
-        """Find one size-optimal chain for ``function``."""
-        start = time.perf_counter()
-        deadline = Deadline(timeout)
-        stats = SynthesisStats()
-        spec = SynthesisSpec(
-            function=function,
-            max_gates=self._max_gates,
-            timeout=timeout,
-            all_solutions=False,
-        )
-
-        chain = trivial_chain(function)
-        if chain is not None:
-            return SynthesisResult(
-                spec, [chain], 0, time.perf_counter() - start, stats
-            )
-
-        local, support = shrink_to_support(function)
-        normal, complemented = normalize_function(local)
-        for r in range(max(1, len(support) - 1), spec.effective_max_gates() + 1):
-            deadline.check()
-            encoder = SSVEncoder(normal, r, deadline=deadline)
-            solver = CDCLSolver()
-            if not solver.add_cnf(encoder.cnf):
-                continue
-            stats.candidates_generated += 1
-            if solver.solve(deadline=deadline):
-                found = encoder.decode(solver.model(), complemented)
-                lifted = lift_chain(found, function.num_vars, support)
-                if lifted.simulate_output() != function:
-                    raise AssertionError(
-                        "decoded BMS chain does not realise the target"
-                    )
-                return SynthesisResult(
-                    spec, [lifted], r, time.perf_counter() - start, stats
-                )
-        raise SynthesisInfeasible(
-            f"BMS found no chain within {spec.effective_max_gates()} gates"
-        )
+    ``constraints`` go to :class:`~repro.sat.encodings.SSVEncoder`
+    (``fence=`` or ``rows=``).  Each instance the solver runs counts
+    as one generated candidate in ``ctx.stats``.
+    """
+    encoder = SSVEncoder(normal, r, deadline=ctx.deadline, **constraints)
+    solver = CDCLSolver()
+    if not solver.add_cnf(encoder.cnf):
+        return None
+    ctx.stats.candidates_generated += 1
+    if not solver.solve(deadline=ctx.deadline):
+        return None
+    return encoder.decode(solver.model(), complemented)
 
 
-def bms_synthesize(
-    function: TruthTable, timeout: float | None = None
-) -> SynthesisResult:
-    """One-call BMS baseline synthesis."""
-    return BMSSynthesizer().synthesize(function, timeout=timeout)
+def searcher(normal: TruthTable, complemented: bool, ctx):
+    """BMS at one gate count: one instance constraining every row."""
+    return lambda r: solve_ssv(normal, r, complemented, ctx)

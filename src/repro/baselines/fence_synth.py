@@ -10,73 +10,23 @@ at the cost of solving several of them.
 
 from __future__ import annotations
 
-import time
-
-from ..chain.transform import lift_chain, shrink_to_support, trivial_chain
-from ..core.spec import Deadline, SynthesisResult, SynthesisSpec, SynthesisStats
-from ..runtime.errors import SynthesisInfeasible
-from ..sat.encodings import SSVEncoder, normalize_function
-from ..sat.solver import CDCLSolver
 from ..topology.fence import valid_fences
 from ..truthtable.table import TruthTable
+from .bms import solve_ssv
 
-__all__ = ["FenceSynthesizer", "fence_synthesize"]
-
-
-class FenceSynthesizer:
-    """Fence-enumerating SSV exact synthesis."""
-
-    def __init__(self, max_gates: int | None = None) -> None:
-        self._max_gates = max_gates
-
-    def synthesize(
-        self, function: TruthTable, timeout: float | None = None
-    ) -> SynthesisResult:
-        """Find one size-optimal chain for ``function``."""
-        start = time.perf_counter()
-        deadline = Deadline(timeout)
-        stats = SynthesisStats()
-        spec = SynthesisSpec(
-            function=function,
-            max_gates=self._max_gates,
-            timeout=timeout,
-            all_solutions=False,
-        )
-
-        chain = trivial_chain(function)
-        if chain is not None:
-            return SynthesisResult(
-                spec, [chain], 0, time.perf_counter() - start, stats
-            )
-
-        local, support = shrink_to_support(function)
-        normal, complemented = normalize_function(local)
-        for r in range(max(1, len(support) - 1), spec.effective_max_gates() + 1):
-            for fence in valid_fences(r):
-                deadline.check()
-                stats.fences_examined += 1
-                encoder = SSVEncoder(normal, r, fence=fence, deadline=deadline)
-                solver = CDCLSolver()
-                if not solver.add_cnf(encoder.cnf):
-                    continue
-                stats.candidates_generated += 1
-                if solver.solve(deadline=deadline):
-                    found = encoder.decode(solver.model(), complemented)
-                    lifted = lift_chain(found, function.num_vars, support)
-                    if lifted.simulate_output() != function:
-                        raise AssertionError(
-                            "decoded FEN chain does not realise the target"
-                        )
-                    return SynthesisResult(
-                        spec, [lifted], r, time.perf_counter() - start, stats
-                    )
-        raise SynthesisInfeasible(
-            f"FEN found no chain within {spec.effective_max_gates()} gates"
-        )
+__all__ = ["searcher"]
 
 
-def fence_synthesize(
-    function: TruthTable, timeout: float | None = None
-) -> SynthesisResult:
-    """One-call FEN baseline synthesis."""
-    return FenceSynthesizer().synthesize(function, timeout=timeout)
+def searcher(normal: TruthTable, complemented: bool, ctx):
+    """FEN at one gate count: one instance per fence of ``F_r``."""
+
+    def search(r: int):
+        for fence in valid_fences(r):
+            ctx.deadline.check()
+            ctx.stats.fences_examined += 1
+            found = solve_ssv(normal, r, complemented, ctx, fence=fence)
+            if found is not None:
+                return found
+        return None
+
+    return search

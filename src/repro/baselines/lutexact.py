@@ -15,112 +15,42 @@ pull in many rows, which is exactly the regime where the paper observes
 
 from __future__ import annotations
 
-import time
-
 from ..chain.chain import BooleanChain
-from ..chain.transform import lift_chain, shrink_to_support, trivial_chain
-from ..core.spec import Deadline, SynthesisResult, SynthesisSpec, SynthesisStats
-from ..runtime.errors import SynthesisInfeasible
-from ..sat.encodings import SSVEncoder, normalize_function
-from ..sat.solver import CDCLSolver
 from ..truthtable.table import TruthTable
+from .bms import solve_ssv
 
-__all__ = ["LutExactSynthesizer", "lutexact_synthesize"]
+__all__ = ["SEED_ROWS", "searcher"]
+
+#: Rows constrained before the first solve at each gate count.
+SEED_ROWS = 2
 
 
-class LutExactSynthesizer:
-    """CEGAR-refined SSV exact synthesis (ABC-style)."""
+def searcher(normal: TruthTable, complemented: bool, ctx):
+    """``lutexact`` at one gate count: its CEGAR loop."""
+    target = ~normal if complemented else normal
 
-    def __init__(
-        self, max_gates: int | None = None, seed_rows: int = 2
-    ) -> None:
-        self._max_gates = max_gates
-        self._seed_rows = seed_rows
-
-    def synthesize(
-        self, function: TruthTable, timeout: float | None = None
-    ) -> SynthesisResult:
-        """Find one size-optimal chain for ``function``."""
-        start = time.perf_counter()
-        deadline = Deadline(timeout)
-        stats = SynthesisStats()
-        spec = SynthesisSpec(
-            function=function,
-            max_gates=self._max_gates,
-            timeout=timeout,
-            all_solutions=False,
-        )
-
-        chain = trivial_chain(function)
-        if chain is not None:
-            return SynthesisResult(
-                spec, [chain], 0, time.perf_counter() - start, stats
-            )
-
-        local, support = shrink_to_support(function)
-        normal, complemented = normalize_function(local)
-        for r in range(max(1, len(support) - 1), spec.effective_max_gates() + 1):
-            found = self._solve_cegar(
-                normal, r, complemented, deadline, stats
-            )
-            if found is not None:
-                lifted = lift_chain(found, function.num_vars, support)
-                if lifted.simulate_output() != function:
-                    raise AssertionError(
-                        "decoded lutexact chain does not realise the target"
-                    )
-                return SynthesisResult(
-                    spec, [lifted], r, time.perf_counter() - start, stats
-                )
-        raise SynthesisInfeasible(
-            f"lutexact found no chain within {spec.effective_max_gates()} gates"
-        )
-
-    def _solve_cegar(
-        self,
-        normal: TruthTable,
-        r: int,
-        complemented: bool,
-        deadline: Deadline,
-        stats: SynthesisStats,
-    ) -> BooleanChain | None:
-        """CEGAR loop at a fixed gate count; None when UNSAT."""
-        # Seed with the lowest non-zero onset/offset rows.
-        rows: set[int] = set()
-        for t in range(1, normal.num_rows):
-            rows.add(t)
-            if len(rows) >= self._seed_rows:
-                break
+    def search(r: int) -> BooleanChain | None:
+        # Seed with the lowest non-zero rows.
+        rows = set(range(1, min(normal.num_rows, SEED_ROWS + 1)))
         while True:
-            deadline.check()
-            encoder = SSVEncoder(normal, r, rows=rows, deadline=deadline)
-            solver = CDCLSolver()
-            if not solver.add_cnf(encoder.cnf):
-                return None
-            stats.candidates_generated += 1
-            if not solver.solve(deadline=deadline):
+            ctx.deadline.check()
+            candidate = solve_ssv(normal, r, complemented, ctx, rows=rows)
+            if candidate is None:
                 return None  # UNSAT on a subset ⇒ UNSAT on all rows
-            candidate = encoder.decode(solver.model(), complemented)
-            simulated = candidate.simulate_output()
-            target = ~normal if complemented else normal
-            if simulated == target:
+            diff = candidate.simulate_output().bits ^ target.bits
+            if not diff:
                 return candidate
-            # Add every mis-predicted row as a refinement constraint.
-            diff = simulated.bits ^ target.bits
-            added = False
-            for t in range(1, normal.num_rows):
-                if (diff >> t) & 1 and t not in rows:
-                    rows.add(t)
-                    added = True
-                    break  # one counterexample per iteration (ABC-style)
-            if not added:
+            # Add the lowest mis-predicted row as a refinement
+            # constraint: one counterexample per iteration (ABC-style).
+            fresh = [
+                t
+                for t in range(1, normal.num_rows)
+                if (diff >> t) & 1 and t not in rows
+            ]
+            if not fresh:
                 # All differing rows already constrained — cannot
                 # happen with a sound encoding; guard against loops.
                 raise AssertionError("CEGAR refinement made no progress")
+            rows.add(fresh[0])
 
-
-def lutexact_synthesize(
-    function: TruthTable, timeout: float | None = None
-) -> SynthesisResult:
-    """One-call lutexact-style baseline synthesis."""
-    return LutExactSynthesizer().synthesize(function, timeout=timeout)
+    return search

@@ -15,9 +15,10 @@ Three caches back the pipeline stages:
 One :class:`SynthesisCache` bundles all three and is shared through
 the :class:`~repro.core.context.SynthesisContext`; a process-global
 instance (:func:`get_cache`) serves entry points that do not manage
-their own.  Setting ``enabled = False`` bypasses lookups *and* stores
-without touching the recorded counters — the cache on/off ablation in
-``benchmarks/bench_ablation_engine.py`` flips exactly this switch.
+their own.  A fresh bundle per call is the cache-off measurement (the
+ablation in ``benchmarks/bench_ablation_engine.py``): the pipeline
+asks for each topology family, and for its factorization engine, once
+per run.
 """
 
 from __future__ import annotations
@@ -40,23 +41,16 @@ __all__ = [
 class SynthesisCache:
     """The pipeline's cache bundle (NPN + topology + factorization)."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.npn = NPNCache()
         self.topology = TopologyCache()
         self.factorization = FactorizationPool()
 
     # ------------------------------------------------------------------
-    # stage-facing API (honours the enabled switch)
+    # stage-facing API
     # ------------------------------------------------------------------
     def npn_canonical(self, table, stats=None):
-        """Memoized NPN canonicalization (or direct when disabled)."""
-        if not self.enabled:
-            from ..truthtable.npn import canonicalize
-
-            if stats is not None:
-                stats.record_cache("npn", False)
-            return canonicalize(table)
+        """Memoized NPN canonicalization."""
         return self.npn.canonical(table, stats=stats)
 
     def topology_families(
@@ -67,13 +61,7 @@ class SynthesisCache:
         deadline=None,
         stats=None,
     ):
-        """Cached (fence, pDAGs) families (freshly built when disabled)."""
-        if not self.enabled:
-            if stats is not None:
-                stats.record_cache("topology", False)
-            return self.topology._build(
-                num_gates, num_pis, require_all_pis, deadline
-            )
+        """Cached (fence, pDAGs) families."""
         return self.topology.families(
             num_gates,
             num_pis,
@@ -90,19 +78,7 @@ class SynthesisCache:
         deadline=None,
         stats=None,
     ):
-        """Pooled factorization engine (fresh instance when disabled)."""
-        if not self.enabled:
-            from ..core.factorization import FactorizationEngine
-
-            if stats is not None:
-                stats.record_cache("factorization_pool", False)
-            engine = FactorizationEngine(
-                num_vars,
-                tuple(operators),
-                max_solutions_per_query=max_solutions_per_query,
-            )
-            engine.bind(deadline=deadline, stats=stats)
-            return engine
+        """Pooled factorization engine."""
         return self.factorization.engine_for(
             num_vars,
             operators,

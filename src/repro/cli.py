@@ -254,8 +254,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_DEGRADED
     ranked = rank_solutions(result.chains, args.cost)
     shown = ranked[:1] if args.best_only else ranked
+    # Claim no more than the answering engine's exact flag proves.
+    size = (
+        f"optimum {result.num_gates} gates"
+        if outcome.exact
+        else f"{result.num_gates} gates (NOT proven optimal)"
+    )
     print(
-        f"0x{target.to_hex()}: optimum {result.num_gates} gates, "
+        f"0x{target.to_hex()}: {size}, "
         f"{result.num_solutions} solution(s) in {result.runtime:.3f}s "
         f"[{outcome.engine}]"
     )

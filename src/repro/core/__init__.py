@@ -19,7 +19,7 @@ from .circuit_sat import (
     verify_chain,
 )
 from .pipeline import PipelineState, run_pipeline
-from .synthesizer import STPSynthesizer, synthesize, synthesize_all
+from .synthesizer import synthesize
 from .hierarchical import HierarchicalSynthesizer, hierarchical_synthesize
 from .sizebound import exact_min_gates_upto3, min_gates_lower_bound
 
@@ -41,9 +41,7 @@ __all__ = [
     "merge_cubes",
     "simulate_solutions",
     "verify_chain",
-    "STPSynthesizer",
     "synthesize",
-    "synthesize_all",
     "HierarchicalSynthesizer",
     "hierarchical_synthesize",
     "exact_min_gates_upto3",

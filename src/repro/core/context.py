@@ -4,7 +4,8 @@ Every stage of the synthesis pipeline — normalize, NPN-canonicalize,
 topology enumeration, STP factorization, AllSAT verification, and the
 final lift/expand/dedup — receives one :class:`SynthesisContext`
 carrying the cooperative deadline, the per-stage stats counters and
-timers, the cross-call cache bundle, and any per-engine tuning knobs.
+timers, and the cross-call cache bundle.  Synthesis settings live in
+the :class:`~repro.core.spec.SynthesisSpec`, not here.
 Engines create a fresh context per top-level call (sharing the
 process-global cache); composite engines hand sub-runs a :meth:`child`
 context so sub-deadlines nest and stats aggregate cleanly.
@@ -12,7 +13,7 @@ context so sub-deadlines nest and stats aggregate cleanly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..cache import SynthesisCache, get_cache
 from .spec import Deadline, SynthStats
@@ -33,14 +34,11 @@ class SynthesisContext:
         :class:`~repro.core.spec.SynthesisResult`.
     cache:
         The cross-call cache bundle (NPN / topology / factorization).
-    engine_kwargs:
-        Per-engine tuning knobs, as in the runtime fallback chain.
     """
 
     deadline: Deadline
     stats: SynthStats
     cache: SynthesisCache
-    engine_kwargs: dict = field(default_factory=dict)
 
     @classmethod
     def create(
@@ -48,14 +46,12 @@ class SynthesisContext:
         timeout: float | None = None,
         cache: SynthesisCache | None = None,
         stats: SynthStats | None = None,
-        engine_kwargs: dict | None = None,
     ) -> "SynthesisContext":
         """A fresh context (global cache, new deadline and stats)."""
         return cls(
             deadline=Deadline(timeout),
             stats=stats if stats is not None else SynthStats(),
             cache=cache if cache is not None else get_cache(),
-            engine_kwargs=engine_kwargs or {},
         )
 
     def child(
@@ -65,8 +61,8 @@ class SynthesisContext:
     ) -> "SynthesisContext":
         """A nested context for a sub-run.
 
-        The child's deadline never outlives this one; the cache and
-        engine kwargs are shared.  ``fresh_stats`` gives the child its
+        The child's deadline never outlives this one; the cache is
+        shared.  ``fresh_stats`` gives the child its
         own counters (callers then :meth:`~SynthStats.merge` them back)
         — composite engines use this to avoid double counting.
         """
@@ -74,7 +70,6 @@ class SynthesisContext:
             deadline=self.deadline.subdeadline(timeout),
             stats=SynthStats() if fresh_stats else self.stats,
             cache=self.cache,
-            engine_kwargs=self.engine_kwargs,
         )
 
     def stage(self, name: str):

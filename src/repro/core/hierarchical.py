@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import time
 from itertools import product as iter_product
-from typing import Sequence
 
 from ..chain.chain import BooleanChain
 from ..chain.transform import (
@@ -36,8 +35,8 @@ from ..chain.transform import (
     shrink_to_support,
     trivial_chain,
 )
+from ..runtime.errors import SynthesisInfeasible
 from ..truthtable.dsd import DSDNode, dsd_decompose
-from ..truthtable.operations import NONTRIVIAL_BINARY_OPS
 from ..truthtable.table import TruthTable
 from .context import SynthesisContext
 from .pipeline import canonicalize_dont_cares
@@ -49,51 +48,15 @@ __all__ = ["HierarchicalSynthesizer", "hierarchical_synthesize"]
 class HierarchicalSynthesizer:
     """DSD-first exact synthesis (the STP fast path).
 
-    Parameters
-    ----------
-    operators:
-        Allowed 2-input codes, handed to the prime-block engine.
-    max_solutions:
-        Cap on the returned solution set.
-    all_solutions:
-        When False only the base chain is returned.
-    prime_synthesizer:
-        Optional explicit engine object for non-decomposable blocks
-        (anything with the ``synthesize(function, timeout=...)``
-        signature); overrides ``prime_engine``.
-    prime_engine:
-        Registry name of the prime-block engine (default ``"stp"``).
+    Every setting comes from the :class:`SynthesisSpec` handed to
+    :meth:`run`: ``operators`` go to the prime-block engine,
+    ``max_solutions`` caps the solution set, ``all_solutions=False``
+    keeps only the base chain, and a chain over ``max_gates`` raises
+    :class:`~repro.runtime.errors.SynthesisInfeasible`.  Prime blocks
+    always go to the ``stp`` engine.  (A class with one method, kept
+    because the traced benchmark wraps ``HierarchicalSynthesizer.run``
+    by name.)
     """
-
-    def __init__(
-        self,
-        operators: Sequence[int] = NONTRIVIAL_BINARY_OPS,
-        max_solutions: int = 10_000,
-        all_solutions: bool = True,
-        prime_synthesizer=None,
-        prime_engine: str = "stp",
-    ) -> None:
-        self._operators = tuple(operators)
-        self._max_solutions = max_solutions
-        self._all_solutions = all_solutions
-        self._prime = prime_synthesizer
-        self._prime_engine = prime_engine
-
-    def synthesize(
-        self,
-        function: TruthTable,
-        timeout: float | None = None,
-        ctx: SynthesisContext | None = None,
-    ) -> SynthesisResult:
-        """Synthesize via DSD factorization + exact prime synthesis."""
-        spec = SynthesisSpec(
-            function=function,
-            operators=self._operators,
-            timeout=timeout,
-            all_solutions=self._all_solutions,
-            max_solutions=self._max_solutions,
-        )
-        return self.run(spec, ctx=ctx)
 
     def run(
         self, spec: SynthesisSpec, ctx: SynthesisContext | None = None
@@ -110,6 +73,7 @@ class HierarchicalSynthesizer:
             return SynthesisResult(
                 spec, [chain], 0, time.perf_counter() - start, stats
             )
+        cap = spec.max_solutions if spec.all_solutions else 1
 
         with ctx.stage("normalize"):
             local, support = shrink_to_support(spec.function)
@@ -121,7 +85,7 @@ class HierarchicalSynthesizer:
         prime_solutions: list[list[BooleanChain]] = []
         for node in prime_nodes:
             assert node.prime_table is not None
-            result = self._synthesize_prime(node.prime_table, ctx)
+            result = _synthesize_prime(node.prime_table, spec, ctx)
             stats.merge(result.stats)
             prime_solutions.append(result.chains)
 
@@ -139,52 +103,49 @@ class HierarchicalSynthesizer:
             if base.simulate_output() != local:
                 raise AssertionError("hierarchical chain is incorrect")
             for variant in polarity_closure(
-                base,
-                seen,
-                max_combos=self._max_solutions if self._all_solutions else 1,
-                deadline=deadline,
+                base, seen, max_combos=cap, deadline=deadline
             ):
                 chains.append(variant)
-                if len(chains) >= self._max_solutions:
+                if len(chains) >= cap:
                     break
-            if len(chains) >= self._max_solutions or not self._all_solutions:
+            if len(chains) >= cap:
                 break
 
-        if not self._all_solutions:
-            chains = chains[:1]
         lifted = [
             lift_chain(c, spec.function.num_vars, support) for c in chains
         ]
         num_gates = lifted[0].num_gates if lifted else 0
+        if spec.max_gates is not None and num_gates > spec.max_gates:
+            # The DSD skeleton fixes the chain's size; a cap below it
+            # leaves hier nothing to offer, though another engine may.
+            raise SynthesisInfeasible(
+                f"hier found no chain within {spec.max_gates} gates "
+                f"(its chain has {num_gates})"
+            )
         return SynthesisResult(
             spec, lifted, num_gates, time.perf_counter() - start, stats
         )
 
-    def _synthesize_prime(
-        self, prime_table: TruthTable, ctx: SynthesisContext
-    ) -> SynthesisResult:
-        """One prime block, in a child context of the run.
 
-        A caller-supplied ``prime_synthesizer`` object is honoured
-        as-is; otherwise the block dispatches through the engine
-        registry, sharing the run's caches and nesting its deadline.
-        """
-        if self._prime is not None:
-            return self._prime.synthesize(
-                prime_table, timeout=ctx.deadline.remaining()
-            )
-        # Imported lazily: repro.engine imports this module's package.
-        from ..engine import create_engine
+def _synthesize_prime(
+    prime_table: TruthTable, spec: SynthesisSpec, ctx: SynthesisContext
+) -> SynthesisResult:
+    """One prime block through the ``stp`` engine, in a child context
+    of the run: the block shares the run's caches and nests its
+    deadline, and its stats come back separately."""
+    # Imported lazily: repro.engine imports this module's package.
+    from ..engine import create_engine
 
-        prime_spec = SynthesisSpec(
-            function=prime_table,
-            operators=self._operators,
-            timeout=ctx.deadline.remaining(),
-            all_solutions=self._all_solutions,
-            max_solutions=max(64, self._max_solutions // 8),
-        )
-        engine = create_engine(self._prime_engine)
-        return engine.synthesize(prime_spec, ctx.child(fresh_stats=True))
+    prime_spec = SynthesisSpec(
+        function=prime_table,
+        operators=spec.operators,
+        timeout=ctx.deadline.remaining(),
+        all_solutions=spec.all_solutions,
+        max_solutions=max(64, spec.max_solutions // 8),
+    )
+    return create_engine("stp").synthesize(
+        prime_spec, ctx.child(fresh_stats=True)
+    )
 
 
 def _collect_primes(tree: DSDNode) -> list[DSDNode]:
@@ -242,9 +203,9 @@ def _build(
 
 
 def hierarchical_synthesize(
-    function: TruthTable, timeout: float | None = None, **kwargs
+    function: TruthTable, timeout: float | None = None, **fields
 ) -> SynthesisResult:
-    """One-call hierarchical (DSD-first) STP synthesis."""
-    return HierarchicalSynthesizer(**kwargs).synthesize(
-        function, timeout=timeout
-    )
+    """One-call hierarchical (DSD-first) STP synthesis; ``fields`` are
+    :class:`SynthesisSpec` fields."""
+    spec = SynthesisSpec(function=function, timeout=timeout, **fields)
+    return HierarchicalSynthesizer().run(spec)

@@ -16,8 +16,9 @@ steps always run in this order:
    chain, in-process (cooperative deadline) or process-isolated (hard
    kill).  Every search starts at the support bound.  Crashes are
    retried with exponential backoff (:data:`BACKOFF`,
-   :data:`BACKOFF_FACTOR`), a timeout or an ``infeasible`` ends the
-   walk, and the first verified answer wins;
+   :data:`BACKOFF_FACTOR`), a timeout or an exact engine's
+   ``infeasible`` ends the walk (an inexact engine's passes to the
+   next lane), and the first verified answer wins;
 3. **verify** — every chain of an answer must have one output and
    simulate to the requested table (one packed simulation of the
    whole solution set), else the attempt counts as
@@ -380,11 +381,14 @@ class FaultTolerantExecutor:
                 if name != lanes[0]:
                     outcome.fallback_from = lanes[0]
                 return (name, result), status, error
-            if status in ("timeout", "infeasible"):
+            if status == "timeout" or (
+                status == "infeasible" and self._is_exact(name)
+            ):
                 # Table-I semantics charge a timeout to its engine, and
                 # a later engine would inherit an empty budget anyway;
                 # exact engines agree on feasibility, so don't burn the
-                # remaining budget rediscovering it.
+                # remaining budget rediscovering it.  An inexact engine
+                # that found no chain within the cap proves nothing.
                 break
             if deadline.expired():
                 status = "timeout"

@@ -39,13 +39,6 @@ class TestNPNCache:
         assert stats.cache_hits["npn"] == 1
         assert stats.cache_misses["npn"] == 1
 
-    def test_disabled_bypasses_store(self):
-        cache = SynthesisCache(enabled=False)
-        table = from_hex("cafe", 4)
-        cache.npn_canonical(table)
-        cache.npn_canonical(table)
-        assert cache.npn.hits == 0 and cache.npn.misses == 0
-
 
 class TestTopologyCache:
     def test_families_match_streaming_enumeration(self):
@@ -113,12 +106,6 @@ class TestFactorizationPool:
             engine.decompositions_pairs(d, pair) for d in demands
         ] == answers
 
-    def test_disabled_returns_fresh(self):
-        cache = SynthesisCache(enabled=False)
-        a = cache.factorization_engine(4, (6, 8), 64)
-        b = cache.factorization_engine(4, (6, 8), 64)
-        assert a is not b
-
 
 class TestGlobalCache:
     def test_get_set_reset(self):
@@ -146,7 +133,7 @@ class TestGlobalCache:
         cached = run_pipeline(spec, warm_ctx)
 
         cold_ctx = SynthesisContext.create(
-            timeout=120, cache=SynthesisCache(enabled=False)
+            timeout=120, cache=SynthesisCache()
         )
         uncached = run_pipeline(spec, cold_ctx)
 

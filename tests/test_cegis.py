@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.cegis import CegisSynthesizer, cegis_synthesize
 from repro.engine import run_engine
 from repro.runtime.errors import BudgetExceeded, SynthesisInfeasible
 from repro.truthtable import from_hex, majority, parity
@@ -28,7 +27,7 @@ class TestExactness:
     )
     def test_matches_known_optima(self, hexval, num_vars, optimum):
         function = from_hex(hexval, num_vars)
-        result = cegis_synthesize(function, timeout=120)
+        result = run_engine("cegis", function, timeout=120)
         assert result.num_gates == optimum
         assert_realizes(result, function)
 
@@ -38,7 +37,7 @@ class TestExactness:
         rng = random.Random(7)
         for _ in range(8):
             function = from_hex(f"{rng.randrange(1 << 8):02x}", 3)
-            ours = cegis_synthesize(function, timeout=120)
+            ours = run_engine("cegis", function, timeout=120)
             fen = run_engine("fen", function, timeout=120)
             assert ours.num_gates == fen.num_gates, function.to_hex()
             assert_realizes(ours, function)
@@ -54,7 +53,7 @@ class TestExactness:
         rng = random.Random(7)
         for _ in range(2):
             function = from_hex(f"{rng.randrange(1 << 16):04x}", 4)
-            ours = cegis_synthesize(function, timeout=300)
+            ours = run_engine("cegis", function, timeout=300)
             fen = run_engine("fen", function, timeout=300)
             assert ours.num_gates == fen.num_gates, function.to_hex()
             assert_realizes(ours, function)
@@ -70,8 +69,7 @@ class TestRefinement:
         # On a structured function the whole point of CEGIS is that the
         # final sample is far smaller than the full row set.
         function = parity(4)
-        synth = CegisSynthesizer(initial_samples=4, refine_batch=4)
-        result = synth.synthesize(function, timeout=120)
+        result = run_engine("cegis", function, timeout=120)
         assert result.num_gates == 3
         # candidates_generated counts solver calls: bounded rounds,
         # not one per row.
@@ -79,8 +77,8 @@ class TestRefinement:
 
     def test_deterministic_across_runs(self):
         function = from_hex("8ff8", 4)
-        first = cegis_synthesize(function, timeout=120)
-        second = cegis_synthesize(function, timeout=120)
+        first = run_engine("cegis", function, timeout=120)
+        second = run_engine("cegis", function, timeout=120)
         assert first.num_gates == second.num_gates
         assert [c.signature() for c in first.chains] == [
             c.signature() for c in second.chains
@@ -89,10 +87,9 @@ class TestRefinement:
 
 class TestLimits:
     def test_gate_cap_raises_infeasible(self):
-        synth = CegisSynthesizer(max_gates=1)
         with pytest.raises(SynthesisInfeasible):
-            synth.synthesize(from_hex("8ff8", 4), timeout=120)
+            run_engine("cegis", from_hex("8ff8", 4), timeout=120, max_gates=1)
 
     def test_timeout_raises_budget_exceeded(self):
         with pytest.raises(BudgetExceeded):
-            cegis_synthesize(from_hex("0016", 4), timeout=0.02)
+            run_engine("cegis", from_hex("0016", 4), timeout=0.02)

@@ -11,7 +11,7 @@ import pytest
 
 from repro.bench.runner import Algorithm, run_suite
 from repro.bench.suites import get_suite
-from repro.core.hierarchical import HierarchicalSynthesizer
+from repro.core.hierarchical import hierarchical_synthesize
 from repro.runtime.checkpoint import CheckpointLog, instance_key
 from repro.runtime.faults import FaultPlan, FaultSpec
 
@@ -57,11 +57,9 @@ class TestCheckpointLog:
 
 def _counting_algorithm(calls):
     """An in-process STP algorithm that counts engine invocations."""
-    synthesizer = HierarchicalSynthesizer(max_solutions=4)
-
     def run(function, timeout):
         calls.append(function.to_hex())
-        return synthesizer.synthesize(function, timeout=timeout)
+        return hierarchical_synthesize(function, timeout, max_solutions=4)
 
     return Algorithm("STP", run, True)
 

@@ -63,6 +63,30 @@ class TestExitCodes:
         assert proc.returncode == 4
         assert "infeasible" in proc.stderr
 
+    @pytest.mark.parametrize("cap", ["1", "2"])
+    def test_hier_honours_the_gate_cap(self, cap):
+        # hier's 3-gate chain is over the cap; as an inexact lane its
+        # "infeasible" proves nothing, so fen searches and proves it.
+        proc = run_cli(
+            "8ff8", "--vars", "4", "--engine", "hier", "--max-gates", cap
+        )
+        assert proc.returncode == 4
+        assert "engine hier attempt 0: infeasible" in proc.stderr
+        assert "engine fen attempt 0: infeasible" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_hier_answer_is_not_called_optimum(self):
+        proc = run_cli("8ff8", "--vars", "4", "--engine", "hier")
+        assert proc.returncode == 0
+        assert "3 gates (NOT proven optimal)" in proc.stdout
+        assert "optimum" not in proc.stdout
+        assert "[hier]" in proc.stdout
+        capped = run_cli(
+            "8ff8", "--vars", "4", "--engine", "hier", "--max-gates", "3"
+        )
+        assert capped.returncode == 0
+        assert "3 gates (NOT proven optimal)" in capped.stdout
+
     def test_bad_hex_is_65(self):
         proc = run_cli("zzzz", "--vars", "4")
         assert proc.returncode == 65

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.core import (
-    HierarchicalSynthesizer,
-    hierarchical_synthesize,
-    synthesize,
-)
+from repro.core import hierarchical_synthesize, synthesize
 from repro.truthtable import (
     constant,
     fdsd_suite,
@@ -84,13 +80,15 @@ class TestModes:
         assert result.chains[0].simulate_output() == f
 
     def test_first_solution_mode(self):
-        syn = HierarchicalSynthesizer(all_solutions=False)
-        result = syn.synthesize(parity(4), timeout=60)
+        result = hierarchical_synthesize(
+            parity(4), timeout=60, all_solutions=False
+        )
         assert result.num_solutions == 1
 
     def test_max_solutions_cap(self):
-        syn = HierarchicalSynthesizer(max_solutions=6)
-        result = syn.synthesize(parity(4), timeout=60)
+        result = hierarchical_synthesize(
+            parity(4), timeout=60, max_solutions=6
+        )
         assert result.num_solutions <= 6
 
     def test_solution_set_distinct_and_valid(self):

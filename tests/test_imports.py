@@ -1,9 +1,12 @@
 """Every ``repro.*`` module, benchmark script and example imports.
 
 A module or script that still imports a deleted name fails here even
-when no other test imports it.  CI's ruff step catches the same
-mistake; this test catches it wherever ruff is not installed.  The
-same holds for the program names the traced benchmark wraps.
+when no other test imports it, and so does a module whose ``__all__``
+still lists one.  CI's ruff step catches the same mistakes (F822 for
+``__all__``, though not in ``repro.runtime``, whose ``__all__``
+resolves lazily); this test catches them wherever ruff is not
+installed.  The same holds for the program names the traced benchmark
+wraps.
 """
 
 import importlib
@@ -21,7 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_every_module_imports():
     failures = []
-    names = [
+    names = ["repro"] + [
         info.name
         for info in pkgutil.walk_packages(
             repro.__path__, "repro.", onerror=failures.append
@@ -29,9 +32,16 @@ def test_every_module_imports():
     ]
     for name in names:
         try:
-            importlib.import_module(name)
+            module = importlib.import_module(name)
         except Exception as exc:
             failures.append(f"{name}: {type(exc).__name__}: {exc}")
+            continue
+        # A name left in __all__ after its definition went away.
+        for export in getattr(module, "__all__", ()):
+            try:
+                getattr(module, export)
+            except AttributeError:
+                failures.append(f"{name}.__all__: {export!r} is not defined")
     assert not failures
     assert "repro.serve.service" in names
 

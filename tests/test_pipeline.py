@@ -9,7 +9,7 @@ from repro.chain import BooleanChain
 from repro.chain.transform import npn_transform_chain
 from repro.core import SynthesisContext, SynthesisSpec, run_pipeline
 from repro.core.pipeline import canonicalize_dont_cares, dedup_chains
-from repro.core.synthesizer import STPSynthesizer
+from repro.core.synthesizer import synthesize
 from repro.runtime.errors import BudgetExceeded
 from repro.truthtable import from_hex, majority, parity
 from repro.truthtable.npn import NPNTransform, canonicalize
@@ -84,9 +84,9 @@ class TestNPNCanonicalizeMode:
         }
 
     def test_synthesizer_exposes_flag(self):
-        result = STPSynthesizer(
-            npn_canonicalize=True, max_solutions=64
-        ).synthesize(majority(3), timeout=120)
+        result = synthesize(
+            majority(3), timeout=120, npn_canonicalize=True, max_solutions=64
+        )
         assert result.num_gates == 4
         for chain in result.chains:
             assert chain.simulate_output() == majority(3)

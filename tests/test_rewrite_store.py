@@ -5,7 +5,7 @@ from pathlib import Path
 
 from repro.chain import BooleanChain
 from repro.chain.transform import trivial_chain
-from repro.core import synthesize_all
+from repro.core import synthesize
 from repro.network import (
     LogicNetwork,
     blif_to_network,
@@ -98,7 +98,7 @@ class TestRewriteWithStore:
                 )
 
                 wrong = ~function
-                chains = synthesize_all(wrong)
+                chains = synthesize(wrong).chains
                 outcome = LyingOutcome()
                 outcome.result = SynthesisResult(
                     spec=SynthesisSpec(function=wrong),
@@ -287,7 +287,7 @@ class TestMultiOutputNetworkRoundTrip:
         maj = from_hex("e8", 3)
         fa_sum = from_hex("96", 3)
         merged = stacked_chain(
-            [synthesize_all(maj)[0], synthesize_all(fa_sum)[0]]
+            [synthesize(maj).chains[0], synthesize(fa_sum).chains[0]]
         )
         net = LogicNetwork.from_chain(merged, name="fa")
         assert len(net.pos) == 2
@@ -300,7 +300,7 @@ class TestMultiOutputNetworkRoundTrip:
         maj = from_hex("e8", 3)
         fa_sum = from_hex("96", 3)
         merged = stacked_chain(
-            [synthesize_all(maj)[0], synthesize_all(fa_sum)[0]]
+            [synthesize(maj).chains[0], synthesize(fa_sum).chains[0]]
         )
         net = LogicNetwork.from_chain(merged, name="fa")
         round_trip = blif_to_network(network_to_blif(net))
@@ -326,7 +326,7 @@ class TestMultiOutputNetworkRoundTrip:
 
     def test_splice_chain_multi_shares_gates(self):
         maj = from_hex("e8", 3)
-        single = synthesize_all(maj)[0]
+        single = synthesize(maj).chains[0]
         merged = BooleanChain(3)
         for gate in single.gates:
             merged.add_gate(gate.op, gate.fanins)

@@ -351,6 +351,19 @@ class TestExecutorFallback:
         assert outcome.status == "infeasible"
         assert [record.engine for record in outcome.trail] == ["fen"]
 
+    def test_infeasible_from_an_inexact_lane_walks_on(self):
+        def capped(table, budget, **kwargs):
+            raise SynthesisInfeasible("no chain within the cap")
+
+        executor = FaultTolerantExecutor([("inexact", capped), "fen"])
+        outcome = executor.run(EASY, timeout=30.0)
+        assert outcome.solved
+        assert outcome.engine == "fen" and outcome.exact
+        assert [record.status for record in outcome.trail] == [
+            "infeasible",
+            "ok",
+        ]
+
     def test_unavailable_engine_falls_through(self):
         executor = FaultTolerantExecutor(("nonesuch", "fen"))
         outcome = executor.run(EASY, timeout=30)

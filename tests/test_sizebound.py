@@ -42,9 +42,9 @@ class TestTable:
     @pytest.mark.slow
     @pytest.mark.parametrize("bits", [0x6A, 0xE8, 0x29, 0x96, 0x1B])
     def test_spot_check_against_bms(self, bits):
-        from repro.baselines import bms_synthesize
+        from repro.engine import run_engine
 
-        result = bms_synthesize(TruthTable(bits, 3), timeout=120)
+        result = run_engine("bms", TruthTable(bits, 3), timeout=120)
         assert result.num_gates == EXACT3_SIZES[bits]
 
 

@@ -4,7 +4,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import STPSynthesizer, synthesize, verify_chain
+from repro.core import synthesize, verify_chain
 from repro.truthtable import (
     TruthTable,
     constant,
@@ -77,23 +77,23 @@ class TestAgainstBaselines:
     @given(st.integers(0, 0xFF))
     @settings(max_examples=15, deadline=None)
     def test_optimum_matches_bms_3var(self, bits):
-        from repro.baselines import bms_synthesize
+        from repro.engine import run_engine
 
         f = TruthTable(bits, 3)
         stp = synthesize(f, timeout=120)
-        bms = bms_synthesize(f, timeout=120)
+        bms = run_engine("bms", f, timeout=120)
         assert stp.num_gates == bms.num_gates
 
     @pytest.mark.parametrize(
         "hex_bits", ["8ff8", "1ee1", "6996", "177e"]
     )
     def test_optimum_matches_fen_4var(self, hex_bits):
-        from repro.baselines import fence_synthesize
+        from repro.engine import run_engine
         from repro.runtime.errors import BudgetExceeded
 
         f = from_hex(hex_bits, 4)
         try:
-            fen = fence_synthesize(f, timeout=60)
+            fen = run_engine("fen", f, timeout=60)
         except BudgetExceeded:
             # The pure-Python CNF baseline cannot finish the hardest
             # classes (e.g. 0x177e) in any sane budget; a recorded
@@ -105,14 +105,12 @@ class TestAgainstBaselines:
 
 class TestModesAndLimits:
     def test_first_solution_mode(self):
-        syn = STPSynthesizer(all_solutions=False)
-        result = syn.synthesize(majority(3), timeout=120)
+        result = synthesize(majority(3), timeout=120, all_solutions=False)
         assert result.num_solutions == 1
         assert result.chains[0].simulate_output() == majority(3)
 
     def test_max_solutions_cap(self):
-        syn = STPSynthesizer(max_solutions=5)
-        result = syn.synthesize(majority(3), timeout=120)
+        result = synthesize(majority(3), timeout=120, max_solutions=5)
         assert result.num_solutions <= 5
 
     def test_timeout_raises(self):
@@ -120,9 +118,10 @@ class TestModesAndLimits:
             synthesize(from_hex("cafe", 4), timeout=0.05)
 
     def test_gate_cap_raises(self):
-        syn = STPSynthesizer(max_gates=2, all_solutions=False)
         with pytest.raises(RuntimeError):
-            syn.synthesize(majority(3), timeout=120)
+            synthesize(
+                majority(3), timeout=120, max_gates=2, all_solutions=False
+            )
 
     def test_stats_populated(self):
         result = synthesize(parity(3), timeout=60)
@@ -134,8 +133,7 @@ class TestModesAndLimits:
         assert result.stats.verification_failures == 0
 
     def test_no_verify_mode(self):
-        syn = STPSynthesizer(verify=False)
-        result = syn.synthesize(parity(3), timeout=60)
+        result = synthesize(parity(3), timeout=60, verify=False)
         assert all(
             c.simulate_output() == parity(3) for c in result.chains
         )
