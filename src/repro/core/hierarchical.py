@@ -51,7 +51,8 @@ class HierarchicalSynthesizer:
     Every setting comes from the :class:`SynthesisSpec` handed to
     :meth:`run`: ``operators`` go to the prime-block engine,
     ``max_solutions`` caps the solution set, ``all_solutions=False``
-    keeps only the base chain, and a chain over ``max_gates`` raises
+    keeps only the base chain, and a ``max_gates`` below the support
+    bound (before any synthesis) or the chain's size raises
     :class:`~repro.runtime.errors.SynthesisInfeasible`.  Prime blocks
     always go to the ``stp`` engine.  (A class with one method, kept
     because the traced benchmark wraps ``HierarchicalSynthesizer.run``
@@ -77,6 +78,11 @@ class HierarchicalSynthesizer:
 
         with ctx.stage("normalize"):
             local, support = shrink_to_support(spec.function)
+        bound = len(support) - 1
+        if spec.max_gates is not None and spec.max_gates < bound:
+            raise SynthesisInfeasible(
+                f"hier: max_gates {spec.max_gates} is below the support bound {bound}"
+            )
         with ctx.stage("dsd"):
             tree = dsd_decompose(local)
 

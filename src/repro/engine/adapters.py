@@ -12,6 +12,11 @@ chain.
 The four single-solution SAT engines (``fen``, ``bms``, ``lutexact``
 and ``cegis``) share one size loop, :meth:`_SatEngine.synthesize`;
 each supplies only its search at one gate count.
+
+Only ``stp`` searches within ``SynthesisSpec.operators``; any other
+engine raises :class:`~repro.runtime.errors.EngineUnavailable` when the
+set leaves out an operator it may emit, so a walk moves to a lane that
+keeps to the set.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from dataclasses import replace
 from ..chain.transform import lift_chain, shrink_to_support, trivial_chain
 from ..core.context import SynthesisContext
 from ..core.spec import SynthesisResult, SynthesisSpec
-from ..runtime.errors import SynthesisInfeasible
+from ..runtime.errors import EngineUnavailable, SynthesisInfeasible
+from ..truthtable.operations import NONTRIVIAL_BINARY_OPS, NORMAL_BINARY_OPS
 from .protocol import EngineCapabilities
 from .registry import register_engine
 
@@ -38,10 +44,12 @@ __all__ = [
 
 
 class _SpecAdapter:
-    """Shared plumbing: spec overrides."""
+    """Shared plumbing: spec overrides and unkept operator sets."""
 
     #: Spec fields this engine's backend honours as ctor overrides.
     _SPEC_KEYS: tuple[str, ...] = ()
+    #: Operator codes the engine may emit whatever the spec allows.
+    _EMITS: tuple[int, ...] = ()
 
     def __init__(self, **kwargs) -> None:
         self._overrides = {
@@ -51,9 +59,15 @@ class _SpecAdapter:
         }
 
     def _effective_spec(self, spec: SynthesisSpec) -> SynthesisSpec:
-        if not self._overrides:
-            return spec
-        return replace(spec, **self._overrides)
+        if self._overrides:
+            spec = replace(spec, **self._overrides)
+        missing = sorted(set(self._EMITS) - set(spec.operators))
+        if missing:
+            raise EngineUnavailable(
+                f"{self.name} may emit operators the spec leaves out: "
+                + ", ".join(f"0x{code:X}" for code in missing)
+            )
+        return spec
 
 
 @register_engine("stp")
@@ -84,6 +98,8 @@ class HierEngine(_SpecAdapter):
 
     capabilities = EngineCapabilities(exact=False)
     _SPEC_KEYS = ("operators", "max_gates", "all_solutions", "max_solutions")
+    #: A DSD gate absorbs its inputs' complements into its code.
+    _EMITS = NONTRIVIAL_BINARY_OPS
 
     def synthesize(
         self, spec: SynthesisSpec, ctx: SynthesisContext | None = None
@@ -105,7 +121,9 @@ class _SatEngine(_SpecAdapter):
     """
 
     capabilities = EngineCapabilities(exact=True)
-    _SPEC_KEYS = ("max_gates",)
+    _SPEC_KEYS = ("operators", "max_gates")
+    #: Every step of an SSV chain is a normal operator.
+    _EMITS = NORMAL_BINARY_OPS
     #: The module with the engine's ``searcher``, imported on first use.
     _searcher_module = ""
 

@@ -22,7 +22,10 @@ steps always run in this order:
 3. **verify** — every chain of an answer must have one output and
    simulate to the requested table (one packed simulation of the
    whole solution set), else the attempt counts as
-   ``crash``/``corrupt``;
+   ``crash``/``corrupt``.  A store answer (lookup or degrade) gets
+   AllSAT on its first chain too
+   (:func:`~repro.store.chainstore.answer_realizes`); one that fails
+   counts in ``store_errors`` and reads as a miss;
 4. **write-back** — answers are stored graded by the answering engine's
    exactness; an exact row is the store's only record of optimality;
 5. **degrade** — when every lane of the walk failed, the store's best
@@ -150,8 +153,8 @@ class ExecutionOutcome:
     exact: bool = True
     #: Corrupt store rows quarantined while serving this run.
     store_quarantined: int = 0
-    #: Store calls that raised (each one degraded to a miss or a
-    #: skipped write-back).
+    #: Store calls that raised or answered a failing chain (each one
+    #: degraded to a miss or a skipped write-back).
     store_errors: int = 0
 
     @property
@@ -518,7 +521,13 @@ class FaultTolerantExecutor:
             return None
 
     def _store_read(self, outcome, method, function, **kwargs):
-        """A store read that also counts the rows it quarantined."""
+        """A store read that counts the rows it quarantined; an answer
+        failing :func:`~repro.store.chainstore.answer_realizes` counts
+        in ``store_errors`` and reads as a miss."""
+        # Imported on first use: an executor without a store loads no
+        # SQLite.
+        from ..store.chainstore import answer_realizes
+
         events: list = []
         found = self._store_call(
             outcome, method, function, events=events, **kwargs
@@ -526,6 +535,9 @@ class FaultTolerantExecutor:
         outcome.store_quarantined += sum(
             1 for kind, _ in events if kind == "quarantined"
         )
+        if found is not None and not answer_realizes(found.chains, function):
+            outcome.store_errors += 1
+            return None
         return found
 
     @staticmethod

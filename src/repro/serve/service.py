@@ -4,9 +4,10 @@ This is the heart of synthesis-as-a-service.  Every request — one
 truth table — goes through the same funnel:
 
 1. **Warm path.**  The persistent :class:`~repro.store.ChainStore` is
-   consulted first (in a worker thread — SQLite I/O must not block
-   the event loop).  A hit is served immediately through the store's
-   own inverse-NPN rewrite, graded exact.  A lookup that raises is
+   consulted first, on the event loop: a hit is a WAL point read that
+   never waits on a writer plus the inverse-NPN rewrite of records the
+   store checked once, cheaper than a hop to a thread under the GIL.
+   A hit is served immediately, graded exact.  A lookup that raises is
    counted in ``store_errors`` and the request goes on as a miss.
 2. **Coalescing.**  A miss is canonicalized to its NPN class.
    If that class already has a synthesis in flight, the request simply
@@ -30,8 +31,9 @@ truth table — goes through the same funnel:
 Every chain of a response is checked against the *caller's* table
 before it leaves the service — one packed simulation of the whole set,
 plus the paper's AllSAT verifier on the first chain as a second
-opinion — so a transform bug or corrupt store row becomes a counted
-``corrupt`` failure, never a silently wrong circuit.
+opinion (the store checks a row only in canonical space) — so a
+transform bug or corrupt store row becomes a counted ``corrupt``
+failure, never a silently wrong circuit.
 
 Single-threaded discipline: all coalescing state (``_inflight``) is
 touched from the event-loop thread only.  Scheduler futures resolve on
@@ -332,9 +334,7 @@ class SynthesisService:
         # input space, so no transform is needed here.
         if self._store is not None:
             try:
-                result = await asyncio.to_thread(
-                    self._store.lookup, request.function
-                )
+                result = self._store.lookup(request.function)
             except Exception:
                 # A failing store must not fail the request: count it
                 # and fall through to the engine path.

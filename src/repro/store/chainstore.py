@@ -21,9 +21,9 @@ a single file, safe under concurrent readers and writers (WAL journal
 plus a busy timeout), queryable with ordinary tooling, and append-
 cheap.  Within one process each thread gets its **own** connection
 (created lazily, used only by its owning thread), so concurrent
-lookups from the serving layer's worker pool read in parallel instead
-of serializing on a shared handle; writes still serialize on one
-process-wide lock because a merge is a read-modify-write.
+lookups read in parallel instead of serializing on a shared handle;
+writes serialize on one process-wide lock because a merge is a
+read-modify-write, and a lookup takes it only to quarantine a row.
 
 Chains move through the store as records — the
 :meth:`~repro.chain.BooleanChain.signature` tuple — never as chain
@@ -31,31 +31,25 @@ objects until a lookup hands them out.  The NPN transform rewrites the
 records (:func:`~repro.chain.transform.npn_transform_record`), and one
 packed simulation of the whole set
 (:func:`~repro.kernels.check_solution_set`) checks every chain on all
-``2**n`` rows: a write-back checks the fresh records and the row's
-stored ones in canonical space, a lookup checks every chain it serves
-in the queried function's space.  The paper's circuit AllSAT
-(:func:`~repro.core.circuit_sat.verify_chain`) re-checks the first
-chain of each set as an independent second opinion.  A row that fails
-a lookup is **quarantined** — marked in place, skipped by every later
-lookup, and counted — so one bad record degrades to a miss exactly once
-instead of re-checking (or worse, raising) on every suite instance
-that touches the class; a write-back drops (and counts) the failing
-stored records instead of reviving them.
+``2**n`` rows, with the paper's circuit AllSAT
+(:func:`~repro.core.circuit_sat.verify_chain`) re-checking the first
+chain as a second opinion.  The store checks in canonical space: a
+write-back its fresh records and the row's stored ones, a lookup each
+row once per payload string it reads.  The transform is a bijection on
+functions and leaves a malformed record malformed, so a row passes
+there exactly when its image would pass against the queried function;
+the callers that hand chains out check them in their own space
+(:func:`answer_realizes`).  A row that fails is **quarantined** —
+marked in place, skipped by every later lookup, and counted — so one
+bad record degrades to a miss once; a write-back drops (and counts)
+the failing stored records instead of reviving them.
 
 A lookup with a ``pick`` serves one chain instead of the whole set:
 the cheapest under a cost no NPN transform can change
 (:data:`~repro.chain.costs.NPN_INVARIANT_COSTS`).  Such a cost is
-equal on a record and on its image, so the cheapest record can be
-chosen in canonical space — the first minimum in list order, the one
-``min`` over the served set would choose.  The row's records are
-set-checked there once per store instance; the transform is a
-bijection on functions and leaves a malformed record malformed, so
-that check fails exactly when the caller-space one would.  The picked
-record alone is transformed, set-checked and AllSAT-checked against
-the caller's table on every lookup.  The memo of checked rows holds
-the payload string each check read, so a payload changed by a merge
-or behind the store's back is checked again; a row that fails is
-quarantined and never memoized.
+equal on a record and on its image, so the cheapest checked record is
+chosen in canonical space, once per row and cost — the first minimum
+in list order, the one ``min`` over the served set would choose.
 
 Two row grades share the table: ``exact = 1`` rows are optimal chains
 from engines whose capabilities claim exactness (the store's original
@@ -89,7 +83,7 @@ from ..kernels import check_solution_set
 from ..truthtable.table import TruthTable
 from .serialize import decode_record, encode_record
 
-__all__ = ["ChainStore", "DEFAULT_MAX_CHAINS_PER_CLASS"]
+__all__ = ["ChainStore", "DEFAULT_MAX_CHAINS_PER_CLASS", "answer_realizes"]
 
 #: Cap on the stored solution set per class — the paper's all-solutions
 #: sets are capped at 256 in the harness as well.
@@ -142,18 +136,15 @@ def _decode_payload(payload) -> tuple[list[tuple], int] | None:
     return records, len(objects) - len(records)
 
 
-def _checked_row(payload, table) -> list[tuple] | None:
-    """Every record of a row's payload when all of them compute
-    ``table``, else None: an unreadable payload, an object that is not
-    a record, an empty list or one failing record makes the row
-    corrupt."""
-    decoded = _decode_payload(payload)
-    if decoded is None or decoded[1]:
-        return None
-    records = decoded[0]
-    if not records or len(_checked(records, table)) != len(records):
-        return None
-    return records
+def _realized(records, table) -> bool:
+    """True when there are records, every one has one output computing
+    ``table`` — one packed simulation of the set — and the first passes
+    the paper's circuit AllSAT."""
+    return (
+        bool(records)
+        and len(_checked(records, table)) == len(records)
+        and verify_chain(BooleanChain.from_record(records[0]), table)
+    )
 
 
 def _checked(records, table) -> list[tuple]:
@@ -161,6 +152,17 @@ def _checked(records, table) -> list[tuple]:
     simulation of the whole set."""
     verdicts = check_solution_set(records, [table.bits], table.num_vars)
     return [record for record, ok in zip(records, verdicts) if ok]
+
+
+def answer_realizes(chains, function: TruthTable) -> bool:
+    """A caller's check of a store answer in its own space: every chain
+    computes ``function`` and the first passes AllSAT."""
+    records = [chain.signature() for chain in chains]
+    return (
+        bool(records)
+        and len(_checked(records, function)) == len(records)
+        and verify_chain(chains[0], function)
+    )
 
 
 def _transformed(record, transform) -> tuple:
@@ -177,9 +179,9 @@ class ChainStore:
     rewrites them back through the inverse transform of the queried
     function.  One instance may be shared across threads: each thread
     reads through its own lazily-created connection (WAL readers never
-    block each other), while writes and counter updates serialize on an
-    internal lock; separate processes sharing the same path coordinate
-    through SQLite's own locking.
+    block each other), while writes serialize on an internal lock and
+    the counters on another; separate processes sharing the same path
+    coordinate through SQLite's own locking.
     """
 
     def __init__(
@@ -191,6 +193,7 @@ class ChainStore:
         self._path = os.fspath(path)
         self._max_chains = max_chains_per_class
         self._lock = threading.Lock()
+        self._counts_lock = threading.Lock()
         directory = os.path.dirname(self._path)
         if directory:
             os.makedirs(directory, exist_ok=True)
@@ -217,19 +220,17 @@ class ChainStore:
         self.writes = 0
         self.quarantined = 0
         self.dropped = 0
-        #: Rows a pick lookup has checked, by ``(num_vars, canon_hex,
-        #: num_gates)``: the payload string the check read, and the
-        #: canonical record picked per cost name.  Unbounded on
-        #: purpose; see :meth:`lookup`.
-        self._picks: dict[tuple, tuple[str, dict[str, tuple]]] = {}
+        #: Rows a lookup has checked, by ``(num_vars, canon_hex,
+        #: num_gates)``: the payload string the check read, its
+        #: records, and the record picked per cost name.
+        self._rows: dict[tuple, tuple[str, list[tuple], dict]] = {}
 
     def _connection(self) -> sqlite3.Connection:
         """This thread's connection, created on first use.
 
         Dead threads' connections are reaped opportunistically whenever
         a new one is opened, so processes whose threads come and go (a
-        scheduler pool per suite run, ``asyncio.to_thread`` workers)
-        do not accumulate handles.
+        scheduler pool per suite run) do not accumulate handles.
         """
         conn = getattr(self._local, "conn", None)
         if conn is not None:
@@ -304,27 +305,23 @@ class ChainStore:
         """Serve ``function``'s optimal chains from the store, or miss.
 
         Picks the smallest non-quarantined *exact* gate-count row for
-        the class, rewrites every chain into the queried function's
-        own input space and checks every one of them against it.  A
-        row with any failing chain is **quarantined** — marked in the
-        database, skipped by all later lookups, and counted in
-        :attr:`quarantined` — and the lookup reports a miss rather
-        than escalating to the next row (a larger gate count must not
-        be served as the optimum).
+        the class and rewrites every chain into the queried function's
+        own input space.  The row is checked in canonical space, as a
+        write-back checks its records, once per payload string this
+        instance reads; the caller checks the answer against its own
+        table (:func:`answer_realizes`).  A row with any failing record
+        is **quarantined** — marked in the database, skipped by all
+        later lookups, and counted in :attr:`quarantined` — and the
+        lookup reports a miss rather than escalating to the next row
+        (a larger gate count must not be served as the optimum).
 
         ``pick``, the name of an NPN-invariant cost
         (:data:`~repro.chain.costs.NPN_INVARIANT_COSTS`), serves only
         the chain ``min(chains, key=COST_MODELS[pick])`` would choose
-        from the full answer.  The row's records are set-checked in
-        canonical space on the first pick lookup of this instance that
-        reads its payload, and the served chain is set-checked and
-        AllSAT-checked against ``function`` on every one; a corrupt
-        record quarantines the row whether it is picked or not.  The
-        memo behind this needs no bound: the rewriter, the only caller
-        that picks, rejects cuts above four inputs, so it holds at most
-        one row per NPN class of up to four inputs (about 240).
-        Threads racing on one row may check it twice, and none serves
-        a chain before its row passed.
+        from the full answer, picked in canonical space once per row
+        and cost.  The memo of checked rows holds at most one entry per
+        row this instance has served.  Threads racing on one row may
+        check it twice, and none serves a chain before its row passed.
 
         ``events``, when given, receives ``("quarantined",
         num_gates)`` tuples for per-call accounting (the executor
@@ -382,85 +379,51 @@ class ChainStore:
         rows = self._fetch_rows(num_vars, canon_hex, exact_only=exact_only)
         inverse = transform.inverse()
         for num_gates, payload in rows:
-            if pick is None:
-                chains = self._served_chains(payload, inverse, function)
-            else:
-                chains = self._picked_chain(
-                    (num_vars, canon_hex, num_gates),
-                    payload,
-                    canon,
-                    pick,
-                    inverse,
-                    function,
-                )
-            if chains is None:
+            records = self._checked_records(
+                (num_vars, canon_hex, num_gates), payload, canon, pick
+            )
+            if records is None:
                 self._quarantine(num_vars, canon_hex, num_gates, events)
                 if exact_only:
                     break  # never serve a larger count as the optimum
                 continue
-            runtime = time.perf_counter() - started
-            with self._lock:
+            with self._counts_lock:
                 self.hits += 1
             return SynthesisResult(
                 spec=SynthesisSpec(function=function),
-                chains=chains,
+                chains=[
+                    BooleanChain.from_record(_transformed(record, inverse))
+                    for record in records
+                ],
                 num_gates=num_gates,
-                runtime=runtime,
+                runtime=time.perf_counter() - started,
             )
         self._miss()
         return None
 
-    @staticmethod
-    def _served_chains(payload, inverse, function) -> list | None:
-        """A row's chains in the caller's input space, or None when the
-        row is corrupt: unreadable, any chain failing the set check
-        against ``function``, or the first failing AllSAT."""
-        decoded = _decode_payload(payload)
-        if decoded is None or decoded[1]:
-            return None
-        try:
-            records = [
-                _transformed(record, inverse) for record in decoded[0]
-            ]
-        except (TypeError, ValueError):
-            return None
-        if not records or len(_checked(records, function)) != len(records):
-            return None
-        chains = [BooleanChain.from_record(record) for record in records]
-        return chains if verify_chain(chains[0], function) else None
-
-    def _picked_chain(
-        self, key, payload, canon, pick, inverse, function
-    ) -> list | None:
-        """The one chain of a row that ``pick`` chooses, in the
-        caller's input space, or None when the row is corrupt: any
-        record failing the canonical set check (once per payload), or
-        the picked chain failing the set check or AllSAT against
-        ``function``."""
-        records = None
-        entry = self._picks.get(key)
+    def _checked_records(self, key, payload, canon, pick) -> list | None:
+        """The canonical records a row serves — all, or the one ``pick``
+        chooses — or None when the row is corrupt: unreadable, holding
+        an object that is not a record, or failing :func:`_realized`
+        against the class representative.  The check runs once per
+        payload string (a merge or a write behind the store's back
+        changes it)."""
+        entry = self._rows.get(key)
         if entry is None or entry[0] != payload:
-            records = _checked_row(payload, canon)
-            if records is None:
-                self._picks.pop(key, None)
+            decoded = _decode_payload(payload)
+            if decoded is None or decoded[1] or not _realized(decoded[0], canon):
+                self._rows.pop(key, None)
                 return None
-            entry = (payload, {})
-        picked = entry[1].get(pick)
+            entry = self._rows[key] = (payload, decoded[0], {})
+        if pick is None:
+            return entry[1]
+        picked = entry[2].get(pick)
         if picked is None:
-            if records is None:  # checked before, under another cost
-                records = _decode_payload(payload)[0]
             cost = COST_MODELS[pick]
-            picked = entry[1][pick] = min(
-                records, key=lambda r: cost(BooleanChain.from_record(r))
+            picked = entry[2][pick] = min(
+                entry[1], key=lambda r: cost(BooleanChain.from_record(r))
             )
-        record = _transformed(picked, inverse)
-        if _checked([record], function):
-            chain = BooleanChain.from_record(record)
-            if verify_chain(chain, function):
-                self._picks[key] = entry
-                return [chain]
-        self._picks.pop(key, None)
-        return None
+        return [picked]
 
     def _fetch_rows(
         self, num_vars: int, canon_hex: str, *, exact_only: bool
@@ -500,7 +463,7 @@ class ChainStore:
             events.append(("quarantined", num_gates))
 
     def _miss(self) -> None:
-        with self._lock:
+        with self._counts_lock:
             self.misses += 1
 
     # ------------------------------------------------------------------

@@ -98,3 +98,46 @@ class TestRunEngine:
     def test_run_engine_unknown(self):
         with pytest.raises(EngineUnavailable):
             run_engine("missing", parity(3), 120)
+
+
+class TestOperatorSets:
+    """Only ``stp`` searches within ``SynthesisSpec.operators``; every
+    other engine refuses a set that leaves out an operator it may
+    emit, so a fallback walk moves on to a lane that keeps to it."""
+
+    AND_OR = (0x8, 0xE)
+
+    @pytest.mark.parametrize(
+        "name", ["fen", "bms", "lutexact", "cegis", "hier"]
+    )
+    def test_engine_refuses_a_set_it_cannot_keep(self, name):
+        with pytest.raises(EngineUnavailable):
+            create_engine(name).synthesize(
+                SynthesisSpec(
+                    function=parity(3), operators=self.AND_OR, timeout=30
+                )
+            )
+        # The executor's per-lane override reaches the engine too.
+        with pytest.raises(EngineUnavailable):
+            run_engine(name, parity(3), 30, operators=self.AND_OR)
+
+    def test_walk_answers_from_the_lane_that_keeps_the_set(self):
+        from repro.runtime.executor import FaultTolerantExecutor
+
+        keep = {"operators": self.AND_OR}
+        # stp's first chain keeps to the set; its polarity variants
+        # move complements into gate codes outside it.
+        executor = FaultTolerantExecutor(
+            ("fen", "stp"),
+            engine_kwargs={
+                "fen": keep,
+                "stp": {**keep, "all_solutions": False},
+            },
+        )
+        function = majority(3)
+        outcome = executor.run(function, 60.0)
+        assert outcome.solved and outcome.engine == "stp"
+        assert [r.status for r in outcome.trail] == ["unavailable", "ok"]
+        (chain,) = outcome.result.chains
+        assert chain.simulate_output() == function
+        assert {gate.op for gate in chain.gates} <= set(self.AND_OR)

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import hierarchical_synthesize, synthesize
+from repro.engine import run_engine
+from repro.runtime.errors import SynthesisInfeasible
 from repro.truthtable import (
     constant,
     fdsd_suite,
@@ -106,3 +108,17 @@ class TestModes:
             hierarchical_synthesize(
                 pdsd_suite(6, 1, seed=99)[0], timeout=2e-4
             )
+
+    def test_cap_below_the_support_bound_is_refused_before_synthesis(
+        self, monkeypatch
+    ):
+        import repro.core.hierarchical as hier_mod
+
+        def no_prime(*args, **kwargs):
+            raise AssertionError("a prime block was synthesized")
+
+        monkeypatch.setattr(hier_mod, "_synthesize_prime", no_prime)
+        f = from_hex("cafe", 4)  # support 4, so at least 3 gates
+        for cap in (1, 2):
+            with pytest.raises(SynthesisInfeasible):
+                run_engine("hier", f, 120, max_solutions=256, max_gates=cap)

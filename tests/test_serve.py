@@ -523,6 +523,88 @@ class TestResponseVerification:
         assert service.metrics.verify_failures == 1
 
 
+class TestOneCheckPerWarmHit:
+    """A warm hit is checked once against the caller's table, by the
+    service; the store checks each row once, in canonical space, and a
+    lookup runs on the event loop."""
+
+    def test_warm_hits_check_once_and_stay_on_the_loop(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.serve.service as service_mod
+        import repro.store.chainstore as store_mod
+        from repro.truthtable.npn import canonicalize
+
+        store = ChainStore(str(tmp_path / "chains.db"))
+        stored = run_engine("stp", _CLASS_REP, 30.0, max_solutions=8)
+        assert len(stored.chains) >= 2
+        assert store.put(_CLASS_REP, stored, "stp")
+        first, second = _ORBIT[1], _ORBIT[2]
+        canon_bits = canonicalize(_CLASS_REP)[0].bits
+        assert canon_bits not in (first.bits, second.bits)
+
+        calls = []  # (module, check, target bits)
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def check(*args):
+                if name == "verify_chain":
+                    target = args[1].bits
+                else:
+                    (target,) = args[1]
+                calls.append((module.__name__, name, target))
+                return original(*args)
+
+            monkeypatch.setattr(module, name, check)
+
+        for module in (store_mod, service_mod):
+            for name in ("check_solution_set", "verify_chain"):
+                counted(module, name)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a warm hit left the event loop")
+
+        monkeypatch.setattr(asyncio, "to_thread", no_thread)
+        scheduler, service = _service_stack(store=store)
+
+        async def drive(member):
+            del calls[:]
+            response = await service.synthesize(
+                SynthesisRequest(function=member, max_chains=8)
+            )
+            return response, list(calls)
+
+        try:
+            hit, first_calls = asyncio.run(drive(first))
+            again, second_calls = asyncio.run(drive(second))
+        finally:
+            scheduler.shutdown(cancel_queued=True)
+            store.close()
+        for response, member in ((hit, first), (again, second)):
+            assert response.status == "ok" and response.source == "store"
+            assert len(response.chains) == len(stored.chains)
+            for chain in response.chains:
+                assert_chain_realizes(member, chain)
+        edge, row = "repro.serve.service", "repro.store.chainstore"
+        check, allsat = "check_solution_set", "verify_chain"
+        # The first hit: the store checks its row once against the
+        # class representative, and the service checks the answer once
+        # against the caller's table.
+        assert sorted(first_calls) == sorted([
+            (edge, check, first.bits),
+            (edge, allsat, first.bits),
+            (row, check, canon_bits),
+            (row, allsat, canon_bits),
+        ])
+        # Another orbit member of the class: no check inside the store.
+        assert sorted(second_calls) == [
+            (edge, check, second.bits),
+            (edge, allsat, second.bits),
+        ]
+        assert service.metrics.store_errors == 0
+
+
 class TestHTTPServer:
     def test_rate_limit_429_with_retry_after(self):
         scheduler, service = _service_stack()

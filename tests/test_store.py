@@ -199,6 +199,60 @@ class TestExecutorIntegration:
         assert outcome.result.num_gates == bound.num_gates
         assert_chain_realizes(function, outcome.result.chains[0])
 
+    @staticmethod
+    def _wrong_answer(function):
+        """A store answer for ``function`` whose second chain computes
+        another function."""
+        good = run_engine("stp", function, 30.0, max_solutions=8)
+        assert len(good.chains) >= 2
+        record = chain_to_record(good.chains[1])
+        record["gates"][0][0] ^= 0xF
+        chains = [good.chains[0], chain_from_record(record)]
+        assert chains[1].simulate_output() != function
+        return SynthesisResult(
+            spec=good.spec,
+            chains=chains,
+            num_gates=good.num_gates,
+            runtime=0.0,
+        )
+
+    def test_wrong_store_answer_is_refused_before_the_walk(
+        self, tmp_path, monkeypatch
+    ):
+        function = MAJ
+        wrong = self._wrong_answer(function)
+        with ChainStore(tmp_path / "chains.db") as store:
+            monkeypatch.setattr(
+                store, "lookup", lambda function, **kwargs: wrong
+            )
+            executor = FaultTolerantExecutor(("fen",), store=store)
+            outcome = executor.run(function, 30.0)
+        assert outcome.solved and outcome.engine == "fen"
+        assert outcome.store_errors == 1
+        for chain in outcome.result.chains:
+            assert_chain_realizes(function, chain)
+
+    def test_wrong_upper_bound_is_refused_after_a_failed_walk(
+        self, tmp_path, monkeypatch
+    ):
+        function = MAJ
+        wrong = self._wrong_answer(function)
+        plan = FaultPlan(
+            {FaultPlan.WILDCARD: FaultSpec("crash", times=None)}
+        )
+        with ChainStore(tmp_path / "chains.db") as store:
+            monkeypatch.setattr(
+                store, "lookup_upper_bound", lambda function, **kwargs: wrong
+            )
+            executor = FaultTolerantExecutor(
+                ("stp", "fen"), store=store, fault_plan=plan,
+                max_retries=0,
+            )
+            outcome = executor.run(function, 30.0)
+        assert outcome.status == "crash" and outcome.result is None
+        assert not outcome.degraded
+        assert outcome.store_errors == 1
+
     def test_timed_out_walk_serves_store_upper_bound(self, tmp_path):
         function = from_hex("e8", 3)
         plan = FaultPlan(
@@ -503,6 +557,45 @@ class TestCorruptionAndConcurrency:
         finally:
             sys.setswitchinterval(switch)
 
+    def test_lookup_never_waits_behind_a_blocked_write(self, tmp_path):
+        """A write-back waiting on another connection's write lock
+        holds the store's write lock; a lookup of a stored class must
+        not wait for it."""
+        import time
+
+        path = str(tmp_path / "chains.db")
+        fa_sum = run_engine("fen", FA_SUM, 30.0)
+        with ChainStore(path) as store:
+            assert store.put(MAJ, run_engine("fen", MAJ, 30.0), "fen")
+            blocker = sqlite3.connect(path, isolation_level=None)
+            blocker.execute("BEGIN IMMEDIATE")
+            written, served = [], []
+            writer = threading.Thread(
+                target=lambda: written.append(
+                    store.put(FA_SUM, fa_sum, "fen")
+                )
+            )
+            reader = threading.Thread(
+                target=lambda: served.append(store.lookup(MAJ))
+            )
+            try:
+                writer.start()
+                give_up = time.monotonic() + 10.0
+                while not store._lock.locked():
+                    assert time.monotonic() < give_up
+                    time.sleep(0.005)
+                reader.start()
+                reader.join(timeout=1.0)
+                assert not reader.is_alive(), "the lookup waited"
+            finally:
+                blocker.rollback()
+                blocker.close()
+                writer.join(timeout=60)
+                reader.join(timeout=60)
+            assert written == [True]
+            assert served and served[0] is not None
+            assert_chain_realizes(MAJ, served[0].chains[0])
+
     def test_one_instance_hammered_from_many_threads(self, tmp_path):
         """One shared ChainStore must survive concurrent lookup/put
         from many threads (the serving layer's access pattern): every
@@ -722,12 +815,26 @@ class TestPickLookup:
             assert store.lookup(self.MEMBER, pick="depth") is None
             assert store.quarantined == 1
 
+    def test_payload_changed_after_a_checked_lookup_is_checked_again(
+        self, tmp_path
+    ):
+        path, unpicked = self._stored(tmp_path)
+        with ChainStore(path) as store:
+            served = store.lookup(self.MEMBER)
+            assert served is not None
+            for chain in served.chains:
+                assert_chain_realizes(self.MEMBER, chain)
+            _poison_record(path, unpicked, _flip_first_op)
+            assert store.lookup(self.MEMBER) is None
+            assert store.quarantined == 1
+
     def test_concurrent_pick_lookups_serve_only_checked_chains(
         self, tmp_path
     ):
         """Threads share one store's memo while its row is rewritten
-        behind it: every chain served realizes its query, and once the
-        corrupt payload is read the row is gone for everyone."""
+        behind it, with pick and plain lookups mixed: every chain
+        served realizes its query, and once the corrupt payload is read
+        the row is gone for everyone."""
         import sys
 
         path, unpicked = self._stored(tmp_path)
@@ -742,10 +849,12 @@ class TestPickLookup:
                         _poison_record(path, unpicked, _flip_first_op)
                         poisoned.set()
                     member = _orbit_member(rnd, self.FUNCTION)
-                    name = rnd.choice(sorted(NPN_INVARIANT_COSTS))
+                    name = rnd.choice(
+                        sorted(NPN_INVARIANT_COSTS) + [None]
+                    )
                     result = store.lookup(member, pick=name)
                     if result is not None:
-                        served.append((member, result.chains))
+                        served.append((member, name, result.chains))
             except Exception as exc:  # pragma: no cover - reported below
                 errors.append(exc)
 
@@ -769,9 +878,11 @@ class TestPickLookup:
         finally:
             sys.setswitchinterval(interval)
         assert served
-        for member, chains in served:
-            assert len(chains) == 1
-            assert_chain_realizes(member, chains[0])
+        assert {name is None for _, name, _ in served} == {True, False}
+        for member, name, chains in served:
+            assert len(chains) == 1 or name is None
+            for chain in chains:
+                assert_chain_realizes(member, chain)
 
     def test_only_npn_invariant_costs_can_pick(self, tmp_path):
         path, _ = self._stored(tmp_path)
