@@ -210,10 +210,12 @@ def search_stage(state: PipelineState, ctx: SynthesisContext) -> None:
         )
         if normal:
             state.chains = normal
-            if spec.all_solutions:
+            if spec.all_solutions and engine.prunes_enabled:
                 # Blow the normal forms up to the full optimal set by
                 # complementing internal (non-output) signals; every
-                # variant is simulated against the target.
+                # variant is simulated against the target.  Only a
+                # complement-closed operator set has normal forms: for
+                # any other the search already tried every polarity.
                 with ctx.stage("expand"):
                     seen: set[tuple] = set()
                     variants = (
@@ -246,12 +248,14 @@ def _search_at_size(
 ) -> list[BooleanChain]:
     """All *normal-form* chains with exactly ``r`` gates (empty if none).
 
-    The search pins every internal non-output signal to a function that
-    is 0 on the all-zero input (the canonical polarity of the
-    factorization engine).  Each polarity orbit has exactly one normal
-    member, so the full solution set is the normal set expanded by all
-    ``2^(r-1)`` internal-signal complementations — the search can
-    therefore stop well before the solution cap.
+    With a complement-closed operator set the search pins every
+    internal non-output signal to a function that is 0 on the all-zero
+    input (the canonical polarity of the factorization engine).  Each
+    polarity orbit has exactly one normal member, so the full solution
+    set is the normal set expanded by all ``2^(r-1)`` internal-signal
+    complementations — the search can therefore stop well before the
+    solution cap.  Any other set is searched in every polarity, and
+    its chains are the whole answer.
     """
     stats = ctx.stats
     deadline = ctx.deadline
@@ -262,7 +266,8 @@ def _search_at_size(
         )
     normal_solutions: list[BooleanChain] = []
     seen: set[tuple] = set()
-    normal_cap = max(1, -(-spec.max_solutions // (1 << max(0, r - 1))))
+    orbit = 1 << max(0, r - 1) if engine.prunes_enabled else 1
+    normal_cap = max(1, -(-spec.max_solutions // orbit))
     with ctx.stage("search"):
         for fence, dags in families:
             stats.fences_examined += 1

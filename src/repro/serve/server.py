@@ -1,10 +1,13 @@
 """Minimal asyncio HTTP/1.1 front-end for the synthesis service.
 
 No third-party web framework is available in the target environment,
-so this is a deliberately small hand-rolled HTTP/1.1 server over
-``asyncio.start_server`` streams: request-line + headers + sized body
-in, JSON + ``Content-Length`` out, keep-alive by default.  It serves
-four routes:
+so this is a deliberately small hand-rolled HTTP/1.1 server: one
+:class:`asyncio.Protocol` per connection parses each request once
+(head up to the blank line, then ``Content-Length`` body bytes) and
+writes each JSON response once; keep-alive by default, pipelined
+requests answered in order.  A head over 16 KiB is answered 400 and a
+body over 1 MiB 413, both closing the connection.  It serves four
+routes:
 
 ``POST /synthesize``
     The request funnel (rate limit → drain check → service).  The
@@ -26,7 +29,9 @@ four routes:
 Backpressure is connection-level and independent of the scheduler's
 backlog shed: at most ``max_connections`` sockets are served
 concurrently (excess connections get an immediate 503 and close —
-fast shedding, no queueing).
+fast shedding, no queueing).  A connection parses no request while its
+write buffer is full, and stops reading while it buffers a maximal
+request behind the one in flight.
 
 Graceful drain: :meth:`SynthesisServer.shutdown` (wired to SIGTERM by
 the CLI) stops admitting synthesis work (503 with ``Connection:
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 
 from .multiproc import SiblingRegistry, aggregate_snapshots
 from .ratelimit import RateLimiter
@@ -78,8 +84,13 @@ _REASONS = {
     504: "Gateway Timeout",
 }
 
-_MAX_HEADER_LINE = 16 * 1024
+#: Largest request head (request line plus headers) and body, bytes.
+_MAX_HEAD = 16 * 1024
 _MAX_BODY = 1024 * 1024
+#: The blank line that ends a head; a bare LF ends a line too.
+_END_OF_HEAD = re.compile(rb"\n\r?\n")
+#: How long a rejected connection may go on sending before it is closed.
+_LINGER_S = 1.0
 
 #: Internal marker a route puts in its ``extra`` dict to force
 #: ``Connection: close`` on the response; popped before headers render.
@@ -87,7 +98,177 @@ _CLOSE = "__close__"
 
 
 class _BadRequest(Exception):
-    """Unparseable HTTP — the connection is answered 400 and closed."""
+    """``(status, message)``: refuse the request, close the connection."""
+
+
+def _response(
+    status: int, payload: dict, *, close: bool, extra: dict | None = None
+) -> bytes:
+    """One whole response: status line, headers and JSON body."""
+    body = json.dumps(payload).encode("utf-8")
+    head = [
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
+        "Content-Type: application/json",
+        f"Content-Length: {len(body)}",
+        f"Connection: {'close' if close else 'keep-alive'}",
+    ]
+    for name, value in (extra or {}).items():
+        head.append(f"{name}: {value}")
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+
+
+class _Connection(asyncio.Protocol):
+    """One HTTP/1.1 connection: requests are parsed from one buffer and
+    answered one at a time, in order, each by a Task."""
+
+    def __init__(self, server: SynthesisServer) -> None:
+        self._server = server
+        self._transport: asyncio.Transport | None = None
+        self._peer = "unknown"
+        self._buffer = bytearray()
+        #: (method, path, headers, length, body start) of a parsed head.
+        self._head: tuple | None = None
+        self._task: asyncio.Task | None = None
+        self._eof = self._writing_paused = False
+        self._rejected = False  # see _reject
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self._transport = transport
+        metrics = self._server._service.metrics
+        if metrics.connections_active >= self._server._max_connections:
+            # Fast shed: one 503, no accounting.  The cap bounds
+            # event-loop memory no matter how hard clients push — the
+            # scheduler backlog shed never sees these.
+            metrics.connections_shed += 1
+            self._reject(503, {"error": "overloaded", "status": "overloaded"})
+            return
+        peername = transport.get_extra_info("peername")
+        self._peer = peername[0] if peername else "unknown"
+        metrics.connection_opened()
+        self._server._transports.add(transport)
+
+    def data_received(self, data: bytes) -> None:
+        if self._rejected:
+            return  # discarded
+        self._buffer += data
+        self._next()
+        # A maximal request waits in the buffer: read no more for now.
+        if len(self._buffer) >= _MAX_HEAD + _MAX_BODY:
+            self._transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._next()
+        return True  # answer what was received; _next closes
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if self._transport in self._server._transports:
+            self._server._transports.remove(self._transport)
+            self._server._service.metrics.connection_closed()
+
+    def pause_writing(self) -> None:
+        self._writing_paused = True
+
+    def resume_writing(self) -> None:
+        self._writing_paused = False
+        self._next()
+
+    def _next(self) -> None:
+        """Dispatch the next complete request, unless one is in flight
+        or the write buffer is full; close at EOF when none is left."""
+        transport = self._transport
+        if self._task or self._writing_paused or transport.is_closing():
+            return
+        try:
+            request = self._parse()
+        except _BadRequest as exc:
+            status, message = exc.args
+            self._reject(status, {"error": message})
+            request = None
+        if request is not None:
+            self._task = asyncio.get_running_loop().create_task(
+                self._answer(*request)
+            )
+        elif self._eof:
+            transport.close()
+        if len(self._buffer) < _MAX_HEAD + _MAX_BODY:
+            transport.resume_reading()
+
+    def _parse(self) -> tuple[str, str, dict[str, str], bytes] | None:
+        """The next complete request in the buffer, or None."""
+        buffer = self._buffer
+        if self._head is None:
+            end = _END_OF_HEAD.search(buffer)
+            if end is None or end.start() > _MAX_HEAD:
+                if len(buffer) > _MAX_HEAD:
+                    raise _BadRequest(400, "request head too large")
+                return None
+            head = buffer[: end.start()].decode("latin-1")
+            request_line, *lines = head.split("\n")
+            try:
+                method, path, version = request_line.strip().split(" ", 2)
+            except ValueError:
+                raise _BadRequest(400, "malformed request line") from None
+            if not version.startswith("HTTP/1."):
+                raise _BadRequest(400, f"unsupported protocol {version!r}")
+            headers: dict[str, str] = {}
+            for line in lines:
+                name, _, value = line.partition(":")
+                headers[name.strip().lower()] = value.strip()
+            length = headers.get("content-length", "0")
+            if not length.isdecimal():
+                raise _BadRequest(400, "bad Content-Length")
+            length = int(length)
+            if length > _MAX_BODY:
+                raise _BadRequest(413, "body too large")
+            self._head = (method.upper(), path, headers, length, end.end())
+        method, path, headers, length, start = self._head
+        if len(buffer) < start + length:
+            return None
+        body = bytes(buffer[start : start + length])
+        del buffer[: start + length]
+        self._head = None
+        return method, path, headers, body
+
+    async def _answer(
+        self, method: str, path: str, headers: dict[str, str], body: bytes
+    ) -> None:
+        transport = self._transport
+        try:
+            status, payload, extra = await self._server._route(
+                method, path, headers, body, self._peer
+            )
+        except Exception as exc:  # a router fault: report it, drop
+            transport.close()
+            asyncio.get_running_loop().call_exception_handler(
+                {"message": "HTTP handler failed", "exception": exc}
+            )
+            return
+        self._task = None
+        if transport.is_closing():  # the client left, or shutdown
+            return
+        close = bool(extra.pop(_CLOSE, False)) or status == 400
+        close = close or headers.get("connection", "").lower() == "close"
+        transport.write(_response(status, payload, close=close, extra=extra))
+        if close:
+            # FIN now, with the response: the client reads it to EOF
+            # without waiting for the close a loop iteration later.
+            transport.write_eof()
+            transport.close()
+        else:
+            self._next()
+
+    def _reject(self, status: int, payload: dict) -> None:
+        """Answer ``status``, send FIN, discard input until EOF or
+        :data:`_LINGER_S`, then close: closing with unread input (a shed
+        connection's request, an over-long head, a body over the limit)
+        makes the kernel send an RST that can destroy the reply."""
+        transport = self._transport
+        transport.write(_response(status, payload, close=True))
+        transport.write_eof()
+        self._buffer.clear()
+        self._rejected = True
+        asyncio.get_running_loop().call_later(_LINGER_S, transport.close)
 
 
 class SynthesisServer:
@@ -122,7 +303,8 @@ class SynthesisServer:
         self._admin_address: tuple[str, int] | None = None
         self._draining = False
         self._active = 0
-        self._writers: set[asyncio.StreamWriter] = set()
+        #: Open connections' transports, force-closed at shutdown.
+        self._transports: set[asyncio.BaseTransport] = set()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -136,12 +318,8 @@ class SynthesisServer:
         """
         kwargs = {"reuse_port": True} if reuse_port else {}
         self._close_listener_on_drain = reuse_port
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self._host,
-            self._port,
-            limit=_MAX_HEADER_LINE,
-            **kwargs,
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self._host, self._port, **kwargs
         )
         sock = self._server.sockets[0].getsockname()
         self._address = (sock[0], sock[1])
@@ -154,11 +332,8 @@ class SynthesisServer:
         target a *specific* process.  Stays up through drain so a
         dying worker's counters remain scrapable until exit.
         """
-        self._admin_server = await asyncio.start_server(
-            self._handle_connection,
-            host,
-            0,
-            limit=_MAX_HEADER_LINE,
+        self._admin_server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), host, 0
         )
         sock = self._admin_server.sockets[0].getsockname()
         self._admin_address = (sock[0], sock[1])
@@ -216,8 +391,8 @@ class SynthesisServer:
         # Idle keep-alive connections would otherwise hold wait_closed
         # open forever; in-flight work is already drained, so force
         # the stragglers shut.
-        for writer in list(self._writers):
-            writer.close()
+        for transport in list(self._transports):
+            transport.close()
         for server in (self._server, self._admin_server):
             if server is not None:
                 await server.wait_closed()
@@ -228,131 +403,6 @@ class SynthesisServer:
             await self.start()
         await stop.wait()
         await self.shutdown()
-
-    # ------------------------------------------------------------------
-    # connection handling
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        metrics = self._service.metrics
-        if metrics.connections_active >= self._max_connections:
-            # Fast shed: one 503, no accounting, socket closed.  The
-            # cap bounds event-loop memory no matter how hard clients
-            # push — the scheduler backlog shed never sees these.
-            # The client's request bytes are deliberately never read,
-            # so close with a short linger (FIN, then drain to EOF)
-            # or the kernel answers the unread data with an RST that
-            # can destroy the in-flight 503.
-            metrics.connections_shed += 1
-            try:
-                await self._respond(
-                    writer,
-                    503,
-                    {"error": "overloaded", "status": "overloaded"},
-                    close=True,
-                )
-                writer.write_eof()
-                async def _drain_to_eof():
-                    while await reader.read(_MAX_HEADER_LINE):
-                        pass
-                await asyncio.wait_for(_drain_to_eof(), 1.0)
-            except (
-                ConnectionError,
-                OSError,
-                RuntimeError,
-                asyncio.TimeoutError,
-            ):
-                pass
-            finally:
-                await self._close_writer(writer)
-            return
-        peername = writer.get_extra_info("peername")
-        peer = peername[0] if peername else "unknown"
-        metrics.connection_opened()
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    parsed = await self._read_request(reader)
-                except _BadRequest as exc:
-                    await self._respond(
-                        writer, 400, {"error": str(exc)}, close=True
-                    )
-                    break
-                if parsed is None:
-                    break
-                method, path, headers, body = parsed
-                keep_alive = (
-                    headers.get("connection", "keep-alive").lower()
-                    != "close"
-                )
-                status, payload, extra = await self._route(
-                    method, path, headers, body, peer
-                )
-                close = (
-                    not keep_alive
-                    or status in (400, 413)
-                    or bool(extra.pop(_CLOSE, False))
-                )
-                await self._respond(
-                    writer, status, payload, close=close, extra=extra
-                )
-                if close:
-                    break
-        except (
-            ConnectionError,
-            asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
-        ):
-            pass
-        finally:
-            self._writers.discard(writer)
-            metrics.connection_closed()
-            await self._close_writer(writer)
-
-    @staticmethod
-    async def _close_writer(writer: asyncio.StreamWriter) -> None:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover
-            pass
-
-    async def _read_request(self, reader: asyncio.StreamReader):
-        """One HTTP/1.1 request, or None on a clean EOF between requests."""
-        line = await reader.readline()
-        if not line:
-            return None
-        try:
-            method, path, version = (
-                line.decode("latin-1").strip().split(" ", 2)
-            )
-        except ValueError:
-            raise _BadRequest("malformed request line") from None
-        if not version.startswith("HTTP/1."):
-            raise _BadRequest(f"unsupported protocol {version!r}")
-        headers: dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
-            if not raw:
-                raise _BadRequest("connection closed inside headers")
-            decoded = raw.decode("latin-1").strip()
-            if not decoded:
-                break
-            name, _, value = decoded.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length_header = headers.get("content-length", "0")
-        try:
-            length = int(length_header)
-        except ValueError:
-            raise _BadRequest("bad Content-Length") from None
-        if length < 0 or length > _MAX_BODY:
-            raise _BadRequest("body too large")
-        body = await reader.readexactly(length) if length else b""
-        return method.upper(), path, headers, body
 
     # ------------------------------------------------------------------
     # routing
@@ -428,32 +478,3 @@ class SynthesisServer:
             self._active -= 1
         status = STATUS_HTTP.get(response.status, 500)
         return status, response.to_payload(), {}
-
-    # ------------------------------------------------------------------
-    # response writing
-    # ------------------------------------------------------------------
-    async def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: dict,
-        *,
-        close: bool,
-        extra: dict | None = None,
-    ) -> None:
-        extra = dict(extra) if extra else {}
-        extra.pop(_CLOSE, None)
-        body = json.dumps(payload).encode("utf-8")
-        reason = _REASONS.get(status, "Unknown")
-        head = [
-            f"HTTP/1.1 {status} {reason}",
-            "Content-Type: application/json",
-            f"Content-Length: {len(body)}",
-            f"Connection: {'close' if close else 'keep-alive'}",
-        ]
-        for name, value in extra.items():
-            head.append(f"{name}: {value}")
-        writer.write(
-            ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
-        )
-        await writer.drain()

@@ -125,19 +125,28 @@ class TestOperatorSets:
         from repro.runtime.executor import FaultTolerantExecutor
 
         keep = {"operators": self.AND_OR}
-        # stp's first chain keeps to the set; its polarity variants
-        # move complements into gate codes outside it.
         executor = FaultTolerantExecutor(
-            ("fen", "stp"),
-            engine_kwargs={
-                "fen": keep,
-                "stp": {**keep, "all_solutions": False},
-            },
+            ("fen", "stp"), engine_kwargs={"fen": keep, "stp": keep}
         )
         function = majority(3)
         outcome = executor.run(function, 60.0)
         assert outcome.solved and outcome.engine == "stp"
         assert [r.status for r in outcome.trail] == ["unavailable", "ok"]
-        (chain,) = outcome.result.chains
-        assert chain.simulate_output() == function
-        assert {gate.op for gate in chain.gates} <= set(self.AND_OR)
+        assert outcome.result.chains
+        for chain in outcome.result.chains:
+            assert chain.simulate_output() == function
+            assert {gate.op for gate in chain.gates} <= set(self.AND_OR)
+
+    def test_stp_answers_every_optimal_chain_within_the_set(self):
+        """All solutions under a set that is not complement-closed are
+        exactly the default set's optimal chains that keep to it."""
+        function = majority(3)
+        restricted = run_engine("stp", function, 60, operators=self.AND_OR)
+        default = run_engine("stp", function, 60)
+        assert restricted.num_gates == default.num_gates
+        assert [chain.signature() for chain in restricted.chains] == [
+            chain.signature()
+            for chain in default.chains
+            if {gate.op for gate in chain.gates} <= set(self.AND_OR)
+        ]
+        assert len(restricted.chains) == 12

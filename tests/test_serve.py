@@ -23,6 +23,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -36,8 +37,18 @@ from repro.parallel.scheduler import BatchScheduler
 from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.serve.metrics import LatencyWindow, ServingMetrics
 from repro.serve.ratelimit import RateLimiter, TokenBucket
-from repro.serve.server import STATUS_HTTP, SynthesisServer
-from repro.serve.service import SynthesisRequest, SynthesisService
+from repro.serve.server import (
+    _MAX_BODY,
+    _MAX_HEAD,
+    STATUS_HTTP,
+    SynthesisServer,
+    _Connection,
+)
+from repro.serve.service import (
+    SynthesisRequest,
+    SynthesisResponse,
+    SynthesisService,
+)
 from repro.store import ChainStore
 from repro.store.serialize import chain_from_record, chain_to_record
 from repro.truthtable import from_hex
@@ -687,6 +698,339 @@ class TestHTTPServer:
         assert status405 == 405
         assert status400 == 400
         assert service.metrics.bad_requests == 1
+
+
+def _serve(drive):
+    """Run ``drive(server, host, port)`` against a started server.
+
+    Returns ``(drive's result, service, unhandled)``; ``unhandled``
+    lists the contexts that reached the loop's exception handler while
+    ``drive`` ran.
+    """
+    scheduler, service = _service_stack()
+    server = SynthesisServer(service)
+    unhandled = []
+
+    async def main():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: unhandled.append(context)
+        )
+        await server.start()
+        try:
+            return await drive(server, *server.address), list(unhandled)
+        finally:
+            await server.shutdown(drain_timeout=10.0)
+
+    try:
+        result, seen = asyncio.run(main())
+        return result, service, seen
+    finally:
+        scheduler.shutdown(cancel_queued=True)
+
+
+async def _read_response(reader):
+    """One response off a keep-alive stream: (status, head, body)."""
+    head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), 30.0)
+    length = int(re.search(rb"content-length: *(\d+)", head.lower())[1])
+    body = await asyncio.wait_for(reader.readexactly(length), 30.0)
+    return int(head.split(b" ", 2)[1]), head.lower(), json.loads(body)
+
+
+async def _exchange(host, port, raw):
+    """Write ``raw`` bytes, read until the server closes:
+    (status, lower-cased head, body)."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(raw)
+        await writer.drain()
+        reply = await asyncio.wait_for(reader.read(), 30.0)
+    finally:
+        writer.close()
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split(b" ", 2)[1]), head.lower(), json.loads(body)
+
+
+def _synthesize_request(table, *, close=False):
+    body = json.dumps(
+        {"function": table.to_hex(), "vars": table.num_vars}
+    ).encode()
+    return (
+        "POST /synthesize HTTP/1.1\r\nHost: t\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        + ("Connection: close\r\n" if close else "")
+        + "\r\n"
+    ).encode() + body
+
+
+class TestHTTPConnection:
+    """The HTTP/1.1 connection layer: keep-alive, parsing edge cases,
+    limits and shutdown of idle connections."""
+
+    def test_pipelined_keep_alive_requests_answered_in_order(self):
+        async def drive(server, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(
+                _synthesize_request(_ORBIT[1]) + _synthesize_request(_ORBIT[2])
+            )
+            await writer.drain()
+            replies = [await _read_response(reader) for _ in range(2)]
+            writer.close()
+            return replies
+
+        replies, _service, unhandled = _serve(drive)
+        assert [status for status, _, _ in replies] == [200, 200]
+        for (_, head, body), table in zip(replies, _ORBIT[1:3]):
+            assert b"connection: keep-alive" in head
+            assert_chain_realizes(table, chain_from_record(body["chains"][0]))
+        assert not unhandled
+
+    def test_request_written_one_byte_at_a_time(self):
+        async def drive(server, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            for byte in _synthesize_request(_CLASS_REP, close=True):
+                writer.write(bytes((byte,)))
+                await writer.drain()
+                await asyncio.sleep(0.001)
+            reply = await asyncio.wait_for(reader.read(), 30.0)
+            writer.close()
+            return reply
+
+        reply, _service, unhandled = _serve(drive)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        chain = chain_from_record(json.loads(body)["chains"][0])
+        assert_chain_realizes(_CLASS_REP, chain)
+        assert not unhandled
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"POST /synthesize HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+            b"GET /healthz HTTP/2.0\r\nHost: t\r\n\r\n",
+        ],
+        ids=["content-length", "protocol"],
+    )
+    def test_unparseable_request_is_400_and_close(self, raw):
+        async def drive(server, host, port):
+            return await _exchange(host, port, raw)
+
+        (status, head, body), service, unhandled = _serve(drive)
+        assert status == 400
+        assert b"connection: close" in head
+        assert "error" in body
+        assert not unhandled
+
+    def test_connection_closed_inside_the_head_is_dropped(self):
+        """The server sends nothing back, logs nothing, releases the
+        connection and goes on serving."""
+
+        async def drive(server, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"POST /synthesize HTTP/1.1\r\nHost: t\r\n")
+            await writer.drain()
+            await asyncio.sleep(0.05)
+            writer.close()
+            for _ in range(100):
+                if server.active_connections == 0:
+                    break
+                await asyncio.sleep(0.02)
+            released = server.active_connections == 0
+            status, _, _ = await _post(
+                host, port, "/synthesize", {"function": "e8", "vars": 3}
+            )
+            return released, status
+
+        (released, status), service, unhandled = _serve(drive)
+        assert released
+        assert status == 200
+        assert service.metrics.connections_active == 0
+        assert not unhandled
+
+    def test_shutdown_closes_an_idle_keep_alive_connection(self):
+        async def drive(server, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            await writer.drain()
+            status, head, _ = await _read_response(reader)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            await server.shutdown(drain_timeout=2.0)
+            seconds = loop.time() - started
+            rest = await asyncio.wait_for(reader.read(), 5.0)
+            writer.close()
+            return status, head, seconds, rest, server.active_connections
+
+        (status, head, seconds, rest, active), service, unhandled = _serve(
+            drive
+        )
+        assert status == 200 and b"connection: keep-alive" in head
+        assert seconds < 2.0
+        assert rest == b""
+        assert active == 0
+        assert not unhandled
+
+    @pytest.mark.parametrize(
+        "headers",
+        [
+            b"X-Long: " + b"a" * 20_000 + b"\r\n",
+            b"".join(b"X-Pad-%d: %s\r\n" % (i, b"a" * 40) for i in range(400)),
+        ],
+        ids=["one-long-line", "many-lines"],
+    )
+    def test_over_long_head_is_400_and_close(self, headers):
+        """The head (request line plus headers) is capped as a whole,
+        so neither one long line nor many short ones get through."""
+        raw = (
+            b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n"
+            + headers
+            + b"\r\n"
+        )
+
+        async def drive(server, host, port):
+            return await _exchange(host, port, raw)
+
+        (status, head, body), service, unhandled = _serve(drive)
+        assert status == 400
+        assert b"connection: close" in head
+        assert "head" in body["error"]
+        assert service.metrics.connections_active == 0
+        assert not unhandled
+
+    def test_over_limit_body_is_413_without_reading_it(self):
+        """Answered from the head alone: the body is never sent, so a
+        server that waited for it would time the client out."""
+        raw = (
+            "POST /synthesize HTTP/1.1\r\nHost: t\r\n"
+            f"Content-Length: {1024 * 1024 + 1}\r\n\r\n"
+        ).encode()
+
+        async def drive(server, host, port):
+            return await _exchange(host, port, raw)
+
+        (status, head, body), service, unhandled = _serve(drive)
+        assert status == 413
+        assert head.startswith(b"http/1.1 413 payload too large")
+        assert b"connection: close" in head
+        assert service.metrics.requests == 0
+        assert not unhandled
+
+
+class _FakeTransport(asyncio.Transport):
+    """Records what a connection writes and how it steers reading."""
+
+    def __init__(self):
+        super().__init__()
+        self.written = bytearray()
+        self.reading = True
+        self.pauses = 0
+        self.closing = False
+
+    def get_extra_info(self, name, default=None):
+        return ("127.0.0.1", 40000) if name == "peername" else default
+
+    def write(self, data):
+        self.written += data
+
+    def is_closing(self):
+        return self.closing
+
+    def close(self):
+        self.closing = True
+
+    def is_reading(self):
+        return self.reading
+
+    def pause_reading(self):
+        self.reading = False
+        self.pauses += 1
+
+    def resume_reading(self):
+        self.reading = True
+
+
+class _GatedService:
+    """Answers ``/synthesize`` once ``gate`` is set; counts the calls."""
+
+    def __init__(self):
+        self.metrics = ServingMetrics()
+        self.calls = 0
+        self.gate = None  # an asyncio.Event, made on the running loop
+
+    async def synthesize(self, request):
+        self.calls += 1
+        await self.gate.wait()
+        return SynthesisResponse(status="ok")
+
+
+async def _until(condition, seconds=5.0):
+    for _ in range(int(seconds / 0.01)):
+        if condition():
+            return True
+        await asyncio.sleep(0.01)
+    return condition()
+
+
+class TestConnectionFlowControl:
+    """The backpressure a connection applies on its own, driven
+    through a fake transport."""
+
+    def test_no_request_is_dispatched_while_writing_is_paused(self):
+        service = _GatedService()
+
+        async def drive():
+            service.gate = asyncio.Event()
+            service.gate.set()
+            connection = _Connection(SynthesisServer(service))
+            transport = _FakeTransport()
+            connection.connection_made(transport)
+            connection.pause_writing()
+            connection.data_received(_synthesize_request(_CLASS_REP) * 2)
+            await asyncio.sleep(0.05)
+            held = service.calls, bytes(transport.written)
+            connection.resume_writing()
+            await _until(lambda: transport.written.count(b" 200 OK") == 2)
+            return held, service.calls, bytes(transport.written)
+
+        held, calls, written = asyncio.run(drive())
+        assert held == (0, b"")
+        assert calls == 2
+        assert written.count(b"HTTP/1.1 200 OK") == 2
+
+    def test_reading_pauses_behind_a_request_in_flight(self):
+        limit = _MAX_HEAD + _MAX_BODY
+        body = json.dumps({"function": "e8", "vars": 3}).encode()
+        body = body.ljust(_MAX_BODY)  # JSON allows trailing spaces
+        maximal = (
+            b"POST /synthesize HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+            % len(body)
+        ) + body
+        service = _GatedService()
+
+        async def drive():
+            service.gate = asyncio.Event()
+            connection = _Connection(SynthesisServer(service))
+            transport = _FakeTransport()
+            connection.connection_made(transport)
+            connection.data_received(_synthesize_request(_CLASS_REP))
+            assert await _until(lambda: service.calls == 1)
+            fed, readings = 0, []
+            stream = maximal * 2
+            while transport.reading and fed < len(stream):
+                chunk = stream[fed : fed + 64 * 1024]
+                connection.data_received(chunk)
+                fed += len(chunk)
+                readings.append((fed, transport.reading))
+            service.gate.set()
+            # The first answer dispatches the second request, which
+            # leaves less than a maximal request buffered.
+            resumed = await _until(lambda: transport.reading)
+            return readings, resumed, service.calls
+
+        readings, resumed, calls = asyncio.run(drive())
+        assert all(reading == (fed < limit) for fed, reading in readings)
+        assert readings[-1][0] >= limit
+        assert resumed
+        assert calls >= 2
 
 
 class TestGracefulDrain:
